@@ -18,15 +18,15 @@ from scipy.special import logsumexp
 from . import state_filter
 from .errors import BudgetError, ConfigError, GradientUndefinedError
 from .model import ModelSpec
-from .param_filter import project_step
+from .param_filter import kernel_shrink, project_step
 from .smc import (
     ParticleEnsemble,
     RegularizationConfig,
     as_rng,
-    cov_factor,
     gaussian_loglik,
     likelihood_weights,
     regularize,
+    sample_cov,
     sample_gaussian,
 )
 from .state_filter import StateFilterConfig, StateFilterState, init_state_filter
@@ -76,20 +76,14 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
     n_x = model.n_x
     xs = state.particles[:, :n_x]
     ths = state.particles[:, n_x:]
-    n = xs.shape[0]
-    a = config.shrinkage
 
     # Parameter evolution: shrink toward the ensemble mean, inflate back.
-    centered = ths - ths.mean(axis=0)
-    cov = (centered.T @ centered) / max(n - 1, 1)
-    cov += 1e-12 * np.eye(cov.shape[0])
-    zeta = sample_gaussian((1.0 - a ** 2) * cov, n, rng)
-    shrunk = a * ths + (1.0 - a) * ths.mean(axis=0)
-    ths_new = project_step(shrunk, zeta, model.param_domain,
-                           config.projection_factor)
+    ths_new = kernel_shrink(ths, ths.mean(axis=0), sample_cov(ths),
+                            config.shrinkage, model.param_domain,
+                            config.projection_factor, rng)
 
     # State propagation at the evolved parameters.
-    noise = sample_gaussian(model.process_noise_cov, n, rng)
+    noise = sample_gaussian(model.process_noise_cov, xs.shape[0], rng)
     xs_new = np.atleast_2d(model.step_state(xs, ths_new, noise, u=u))
 
     yhat = np.atleast_2d(model.measure(xs_new, ths_new, u=u))
@@ -97,9 +91,7 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
                                  model.measurement_noise_cov)
     augmented = np.hstack([xs_new, ths_new])
     ensemble = ParticleEnsemble(augmented, weights)
-    centered = augmented - augmented.mean(axis=0)
-    prior_cov = (centered.T @ centered) / max(n - 1, 1)
-    result = regularize(ensemble, cov_factor(prior_cov),
+    result = regularize(ensemble, sample_cov(augmented),
                         config.regularization, rng)
     post = result.particles
     # Regularization jitter can push parameters past the box edge; clip.

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, UndefinedMetricError
+from .smc import sample_cov
 
 CONVERGENCE_WINDOW = 200   # default healthy-fit horizon, steps (2 s at 10 ms)
 MIN_CALIBRATION_RUNS = 25
@@ -74,10 +75,8 @@ def fit_healthy_baseline(theta_estimates: np.ndarray,
     short = window < convergence_horizon
     if short:
         warnings.warn("baseline window shorter than the convergence horizon")
-    centered = tail - tail.mean(axis=0)
-    cov = (centered.T @ centered) / max(tail.shape[0] - 1, 1)
     return HealthyBaseline(theta0=tail.mean(axis=0), window=window,
-                           fit_cov=cov, short_window=short)
+                           fit_cov=sample_cov(tail), short_window=short)
 
 
 def residual(baseline: HealthyBaseline, theta_hat: np.ndarray) -> np.ndarray:

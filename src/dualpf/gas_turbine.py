@@ -177,7 +177,7 @@ def outputs(state: np.ndarray, health: np.ndarray,
     health = np.asarray(health, dtype=float)
     y1 = compressor_exit_temp(p_cc, health[..., 0], c)
     y5 = turbine_exit_temp(t_cc, p_cc, p_nlt, health[..., 2], c)
-    return np.stack([y1, p_cc + 0 * y1, s + 0 * y1, p_nlt + 0 * y1, y5], axis=-1)
+    return np.stack(np.broadcast_arrays(y1, p_cc, s, p_nlt, y5), axis=-1)
 
 
 def implicit_euler_step(rhs, state: np.ndarray,

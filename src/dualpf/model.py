@@ -7,14 +7,14 @@ map (healthy value is all ones); with the identity health map the plain
 state-space form is recovered.
 
 Model callables must be stateless and vectorized over a leading particle
-axis: `transition(x, eff, w)` and `output(x, eff)` accept `x` of shape
-`(n_x,)` or `(N, n_x)` (with `eff` broadcastable accordingly) and may take
-an optional keyword `u` carrying an exogenous input for the step.
+axis: `transition(x, eff, w, u=None)` and `output(x, eff, u=None)` accept
+`x` of shape `(n_x,)` or `(N, n_x)` (with `eff` broadcastable accordingly);
+the keyword `u` carries the exogenous input of the step (None when the model
+has none).
 """
 from __future__ import annotations
 
 import csv
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,16 +53,6 @@ class ParamDomain:
         return np.clip(theta, self.lower, self.upper)
 
 
-def _accepts_u(fn: Callable) -> bool:
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-    return "u" in params or any(
-        p.kind == inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-
-
 @dataclass
 class ModelSpec:
     """Nonlinear stochastic system with multiplicative health parameters."""
@@ -70,8 +60,8 @@ class ModelSpec:
     n_x: int
     n_theta: int
     n_y: int
-    transition: Callable  # (x, eff, w[, u]) -> next state
-    output: Callable      # (x, eff[, u]) -> noise-free output
+    transition: Callable  # (x, eff, w, u=None) -> next state
+    output: Callable      # (x, eff, u=None) -> noise-free output
     process_noise_cov: np.ndarray
     measurement_noise_cov: np.ndarray
     param_domain: ParamDomain
@@ -82,8 +72,6 @@ class ModelSpec:
             np.asarray(self.process_noise_cov, dtype=float))
         self.measurement_noise_cov = np.atleast_2d(
             np.asarray(self.measurement_noise_cov, dtype=float))
-        self._transition_takes_u = _accepts_u(self.transition)
-        self._output_takes_u = _accepts_u(self.output)
         self.validate()
 
     def validate(self):
@@ -118,15 +106,11 @@ class ModelSpec:
 
     def step_state(self, x, theta, w, u=None) -> np.ndarray:
         eff = self.effective_parameter(x, theta)
-        if self._transition_takes_u:
-            return np.asarray(self.transition(x, eff, w, u=u), dtype=float)
-        return np.asarray(self.transition(x, eff, w), dtype=float)
+        return np.asarray(self.transition(x, eff, w, u=u), dtype=float)
 
     def measure(self, x, theta, u=None) -> np.ndarray:
         eff = self.effective_parameter(x, theta)
-        if self._output_takes_u:
-            return np.asarray(self.output(x, eff, u=u), dtype=float)
-        return np.asarray(self.output(x, eff), dtype=float)
+        return np.asarray(self.output(x, eff, u=u), dtype=float)
 
 
 def simulate(model: ModelSpec, x0: np.ndarray, theta_trajectory: np.ndarray,

@@ -9,7 +9,7 @@ reweighted by the output likelihood and residual-resampled.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,6 +21,7 @@ from .smc import (
     as_rng,
     likelihood_weights,
     resample_residual,
+    sample_cov,
     sample_gaussian,
 )
 
@@ -35,13 +36,10 @@ class ParamFilterConfig:
     step_size: float | Callable = 0.9       # gamma_t (constant or t -> gamma)
     projection_factor: float = 0.5          # mu in [0, 1]
     evolution_cov: np.ndarray | None = None  # initial parameter covariance
-    pe_window: int = 10                     # averaging window for reported J only
     jacobian: Callable | None = None        # analytic dyhat/dtheta, (n_th, n_y)
     fd_step: float = 1e-6
     cov_mode: str = "running"               # "running" | "initial"
     predictor: str = "output"               # "output" | "one_step"
-    gamma0: float | None = None             # initial step size for the bound
-    emax_outer: np.ndarray | float = 1.0    # E_max E_max^T design parameter
 
     def __post_init__(self):
         if not 0.0 < self.shrinkage <= 1.0:
@@ -50,6 +48,11 @@ class ParamFilterConfig:
             raise ConfigError("projection_factor must be in [0, 1]")
         if self.cov_mode not in ("running", "initial"):
             raise ConfigError(f"unknown cov_mode {self.cov_mode!r}")
+        if self.evolution_cov is not None:
+            self.evolution_cov = np.atleast_2d(
+                np.asarray(self.evolution_cov, dtype=float))
+        elif self.cov_mode == "initial":
+            raise ConfigError('cov_mode "initial" needs an evolution_cov')
         if self.predictor not in ("output", "one_step"):
             raise ConfigError(f"unknown predictor {self.predictor!r}")
 
@@ -67,8 +70,6 @@ class ParamFilterState:
     prev_mean: np.ndarray   # mean at the previous step (shrinkage target)
     cov: np.ndarray         # running posterior covariance
     ess: float = np.nan
-    mean_criterion: float = np.nan  # ensemble average of 0.5 eps'eps
-    criterion_history: list = field(default_factory=list)
     particle_steps: int = 0
 
     @property
@@ -86,24 +87,12 @@ def init_param_filter(mean: np.ndarray, cov: np.ndarray, domain: ParamDomain,
     particles = project_step(
         np.broadcast_to(mean, particles.shape), particles - mean, domain,
         config.projection_factor)
-    if config.evolution_cov is None:
-        config.evolution_cov = np.atleast_2d(np.asarray(cov, dtype=float))
     return ParamFilterState(
         particles=particles,
         estimate=particles.mean(axis=0),
         prev_mean=particles.mean(axis=0),
-        cov=_sample_cov(particles),
+        cov=sample_cov(particles),
     )
-
-
-def _sample_cov(particles: np.ndarray) -> np.ndarray:
-    centered = particles - particles.mean(axis=0)
-    denom = max(particles.shape[0] - 1, 1)
-    return (centered.T @ centered) / denom
-
-
-def _floored(cov: np.ndarray) -> np.ndarray:
-    return cov + COV_FLOOR * np.eye(cov.shape[0])
 
 
 def predicted_outputs(thetas: np.ndarray, x_hat: np.ndarray, model: ModelSpec,
@@ -191,10 +180,12 @@ def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,
                  domain: ParamDomain, mu: float) -> np.ndarray:
     """Scale a candidate step by mu until the endpoint is admissible.
 
-    theta_prev must already lie in the domain; after 64 scalings the step
-    is dropped entirely so termination is guaranteed even for mu = 1.
+    theta_prev is clipped into the domain first (a shrinkage point can round
+    one ulp past a bound), so the result is always admissible; after 64
+    scalings the step is dropped entirely so termination is guaranteed even
+    for mu = 1.
     """
-    theta_prev = np.atleast_2d(np.asarray(theta_prev, dtype=float))
+    theta_prev = domain.clip(np.atleast_2d(np.asarray(theta_prev, dtype=float)))
     step = np.atleast_2d(np.asarray(raw_step, dtype=float)).copy()
     for _ in range(PROJECTION_MAX_SCALINGS):
         outside = ~domain.contains(theta_prev + step)
@@ -233,10 +224,20 @@ def shrinkage_upper_bound(pmax: float, psi: np.ndarray, vy: np.ndarray,
     return 1.0 - float(np.sqrt(smin / smax))
 
 
-def pmax_from_config(config: ParamFilterConfig) -> float:
-    gamma0 = config.gamma0 if config.gamma0 is not None else config.gamma(0)
-    outer = np.atleast_2d(np.asarray(config.emax_outer, dtype=float))
-    return gamma0 * float(np.sqrt(np.trace(outer)))
+def kernel_shrink(centers: np.ndarray, target: np.ndarray, cov: np.ndarray,
+                  a: float, domain: ParamDomain, mu: float, seed) -> np.ndarray:
+    """Kernel-smoothing evolution: shrink, jitter, project into the box.
+
+    Each row moves to a * center + (1 - a) * target and takes a zero-mean
+    Gaussian jitter with covariance (1 - a^2) (cov + COV_FLOOR I), so the
+    ensemble variance is preserved; the jitter is scaled by mu until the
+    particle is admissible.
+    """
+    rng = as_rng(seed)
+    noise_cov = (1.0 - a ** 2) * (cov + COV_FLOOR * np.eye(cov.shape[0]))
+    zeta = sample_gaussian(noise_cov, centers.shape[0], rng)
+    shrunk = a * centers + (1.0 - a) * target
+    return project_step(shrunk, zeta, domain, mu)
 
 
 def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
@@ -250,30 +251,20 @@ def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
     """
     rng = as_rng(seed)
     thetas = state.particles
-    n, n_th = thetas.shape
-    a = config.shrinkage
     domain = model.param_domain
 
     if force_zero_error:
-        m = thetas.copy()
-        state.mean_criterion = 0.0
+        m = thetas
     else:
         eps = prediction_error(thetas, x_hat, y, model, config.predictor, x_prev, u)
         gain = updating_gain(eps)
         psi = output_jacobian(x_hat, thetas, model, config, x_prev, u)
         raw = config.gamma(t) * gain[:, None] * np.einsum("njy,ny->nj", psi, eps)
         m = project_step(thetas, raw, domain, config.projection_factor)
-        state.mean_criterion = float(np.mean(0.5 * np.sum(eps ** 2, axis=1)))
-    state.criterion_history.append(state.mean_criterion)
-    del state.criterion_history[:-max(config.pe_window, 1)]
 
-    mbar = state.prev_mean
-    base_cov = state.cov if config.cov_mode == "running" else np.atleast_2d(
-        np.asarray(config.evolution_cov, dtype=float))
-    noise_cov = (1.0 - a ** 2) * _floored(base_cov)
-    zeta = sample_gaussian(noise_cov, n, rng)
-    shrunk = a * m + (1.0 - a) * mbar
-    return project_step(shrunk, zeta, domain, config.projection_factor)
+    cov = state.cov if config.cov_mode == "running" else config.evolution_cov
+    return kernel_shrink(m, state.prev_mean, cov, config.shrinkage, domain,
+                         config.projection_factor, rng)
 
 
 def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
@@ -294,12 +285,10 @@ def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
         particles=particles,
         estimate=particles.mean(axis=0),
         prev_mean=particles.mean(axis=0),
-        cov=_sample_cov(particles),
+        cov=sample_cov(particles),
         ess=ensemble.ess(),
     )
     if prev_state is not None:
-        new.criterion_history = list(prev_state.criterion_history)
-        new.mean_criterion = prev_state.mean_criterion
         new.particle_steps = prev_state.particle_steps + particles.shape[0]
     return new
 
@@ -312,10 +301,3 @@ def step(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
     tilde = evolve(state, x_hat, y, model, config, rng, t=t, x_prev=x_prev, u=u)
     return update(tilde, x_hat, y, model, config, rng, prev_state=state,
                   x_prev=x_prev, u=u)
-
-
-def averaged_criterion(state: ParamFilterState) -> float:
-    """Windowed mean of the quadratic prediction-error criterion."""
-    if not state.criterion_history:
-        return np.nan
-    return float(np.mean(state.criterion_history))

@@ -1,8 +1,9 @@
 """Shared sequential-Monte-Carlo primitives.
 
 Weighted particle ensembles, weight normalization, bootstrap and residual
-resampling, Gaussian sampling through covariance factorization, and the
-kernel-density regularization step used by the regularized particle filters.
+resampling, the sample covariance, Gaussian sampling and the kernel-density
+regularization step used by the regularized particle filters.  Every
+covariance is decomposed once, by `_psd_eigh`.
 """
 from __future__ import annotations
 
@@ -131,29 +132,29 @@ def resample_residual(ensemble: ParticleEnsemble, seed) -> np.ndarray:
     return np.repeat(np.arange(n), counts)
 
 
-def _eig_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root via eigendecomposition with PSD clamping."""
+def sample_cov(particles: np.ndarray) -> np.ndarray:
+    """Sample covariance of the rows (divide by N-1; zeros for N = 1)."""
+    centered = particles - particles.mean(axis=0)
+    return (centered.T @ centered) / max(particles.shape[0] - 1, 1)
+
+
+def _psd_eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (clamped at zero) and eigenvectors of a PSD covariance."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     if not np.allclose(cov, cov.T, atol=1e-10):
         raise CovarianceError("covariance not symmetric")
     vals, vecs = np.linalg.eigh(cov)
     if np.any(vals < -PSD_TOL):
         raise CovarianceError(f"negative eigenvalue {vals.min():.3e}")
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)
-
-
-def cov_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor A with A @ A.T == cov (PSD input)."""
-    return _eig_sqrt(cov)
+    return np.clip(vals, 0.0, None), vecs
 
 
 def sample_gaussian(cov: np.ndarray, n: int, seed) -> np.ndarray:
     """Draw n zero-mean samples with the given PSD covariance."""
     rng = as_rng(seed)
-    a = _eig_sqrt(cov)
-    d = a.shape[0]
-    return rng.standard_normal((n, d)) @ a.T
+    vals, vecs = _psd_eigh(cov)
+    a = vecs * np.sqrt(vals)
+    return rng.standard_normal((n, a.shape[0])) @ a.T
 
 
 def gaussian_loglik(residuals: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -218,26 +219,22 @@ def _kernel_density_1d(grid: np.ndarray, centers: np.ndarray,
     return (u @ weights) / b
 
 
-def regularize(ensemble: ParticleEnsemble, whitening: np.ndarray,
+def regularize(ensemble: ParticleEnsemble, cov: np.ndarray,
                config: RegularizationConfig, seed) -> RegularizeResult:
     """Draw N fresh particles from a kernel-smoothed continuous density.
 
-    The weighted ensemble is whitened with the inverse of `whitening`
-    (A @ A.T equals the prior covariance), then each whitened dimension is
-    smoothed independently: a uniform grid spanning [min-std, max+std] is
-    built, the weighted kernel mixture is evaluated on it, and samples are
-    drawn from the resulting density.  Dimensions with zero spread pass
-    through unperturbed and are reported in `passthrough_dims`.
+    The weighted ensemble is whitened on the eigenbasis of `cov` (the prior
+    covariance of the ensemble), then each whitened dimension is smoothed
+    independently: a uniform grid spanning [min-std, max+std] is built, the
+    weighted kernel mixture is evaluated on it, and samples are drawn from
+    the resulting density.  Directions with (near-)zero variance stay
+    unscaled; dimensions with zero spread pass through unperturbed and are
+    reported in `passthrough_dims`.  A `cov` that is not symmetric positive
+    semidefinite raises CovarianceError.
     """
     rng = as_rng(seed)
     n, d = ensemble.n, ensemble.dim
-    a = np.atleast_2d(np.asarray(whitening, dtype=float))
-
-    # Whiten on the eigenbasis of the implied covariance A A^T; directions
-    # with (near-)zero spread stay unscaled and fall back to passthrough.
-    cov = a @ a.T
-    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    vals = np.clip(vals, 0.0, None)
+    vals, vecs = _psd_eigh(cov)
     live = vals > max(vals.max(initial=0.0), 1.0) * 1e-14
     scale = np.where(live, np.sqrt(np.where(live, vals, 1.0)), 1.0)
     z = (ensemble.particles @ vecs) / scale

@@ -17,9 +17,9 @@ from .smc import (
     ParticleEnsemble,
     RegularizationConfig,
     as_rng,
-    cov_factor,
     likelihood_weights,
     regularize,
+    sample_cov,
     sample_gaussian,
 )
 
@@ -73,9 +73,7 @@ def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
     bad = ~np.all(np.isfinite(predicted), axis=1)
     if np.any(bad):
         raise FilterDivergenceError(int(np.flatnonzero(bad)[0]))
-    centered = predicted - predicted.mean(axis=0)
-    denom = max(n - 1, 1)
-    prior_cov = (centered.T @ centered) / denom
+    prior_cov = sample_cov(predicted)
     outputs = np.atleast_2d(model.measure(predicted, theta_hat, u=u))
     return predicted, prior_cov, outputs
 
@@ -95,8 +93,7 @@ def step(state: StateFilterState, theta_hat: np.ndarray, y: np.ndarray,
         state.particles, theta_hat, model, rng, u=u)
     weights = update(outputs, y, model)
     ensemble = ParticleEnsemble(predicted, weights)
-    whitening = cov_factor(prior_cov)
-    result = regularize(ensemble, whitening, state.config.regularization, rng)
+    result = regularize(ensemble, prior_cov, state.config.regularization, rng)
     posterior = result.particles
     return StateFilterState(
         particles=posterior,

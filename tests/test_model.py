@@ -85,7 +85,7 @@ class TestSimulate:
             return 0.9 * np.asarray(x, dtype=float) + w
 
         m = ModelSpec(n_x=1, n_theta=1, n_y=1, transition=transition,
-                      output=lambda x, eff: np.asarray(x, dtype=float),
+                      output=lambda x, eff, u=None: np.asarray(x, dtype=float),
                       process_noise_cov=[[1.0]],
                       measurement_noise_cov=[[0.1]],
                       param_domain=ParamDomain([0.0], [2.0]))
@@ -99,7 +99,7 @@ class TestSimulate:
             return 0.9 * np.asarray(x, dtype=float) + w
 
         m = ModelSpec(n_x=1, n_theta=1, n_y=1, transition=transition,
-                      output=lambda x, eff: np.asarray(x, dtype=float),
+                      output=lambda x, eff, u=None: np.asarray(x, dtype=float),
                       process_noise_cov=[[1.0]],
                       measurement_noise_cov=[[1e-6]],
                       param_domain=ParamDomain([0.0], [2.0]))
@@ -113,7 +113,7 @@ class TestSimulate:
             return np.asarray(x, dtype=float) * 1e200
 
         m = ModelSpec(n_x=1, n_theta=1, n_y=1, transition=transition,
-                      output=lambda x, eff: np.asarray(x, dtype=float),
+                      output=lambda x, eff, u=None: np.asarray(x, dtype=float),
                       process_noise_cov=[[0.0]],
                       measurement_noise_cov=[[1.0]],
                       param_domain=ParamDomain([0.0], [2.0]))
@@ -135,7 +135,7 @@ class TestSimulate:
             return np.asarray(x, dtype=float) + w
 
         m = ModelSpec(n_x=1, n_theta=1, n_y=1, transition=transition,
-                      output=lambda x, eff: np.asarray(x, dtype=float),
+                      output=lambda x, eff, u=None: np.asarray(x, dtype=float),
                       process_noise_cov=[[0.0]],
                       measurement_noise_cov=[[1.0]],
                       param_domain=ParamDomain([0.0], [2.0]))

@@ -1,17 +1,18 @@
 """Unit tests for the prediction-error parameter particle filter."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualpf import param_filter
 from dualpf.errors import ConfigError, DualPFError
 from dualpf.model import ModelSpec, ParamDomain
 from dualpf.param_filter import (
     ParamFilterConfig,
-    averaged_criterion,
     evolve,
     init_param_filter,
+    kernel_shrink,
     output_jacobian,
-    pmax_from_config,
     prediction_error,
     predicted_outputs,
     project_step,
@@ -19,7 +20,7 @@ from dualpf.param_filter import (
     update,
     updating_gain,
 )
-from dualpf.smc import as_rng
+from dualpf.smc import as_rng, sample_cov, sample_gaussian
 
 
 def _scaling_model(power=1, lower=0.0, upper=3.0, sigma_v=1.0):
@@ -56,6 +57,18 @@ class TestConfigValidation:
             ParamFilterConfig(cov_mode="frozen")
         with pytest.raises(ConfigError):
             ParamFilterConfig(predictor="two_step")
+
+    def test_initial_cov_mode_needs_evolution_cov(self):
+        with pytest.raises(ConfigError):
+            ParamFilterConfig(cov_mode="initial")
+
+    def test_config_reused_across_inits_is_unchanged(self):
+        m = _scaling_model()
+        cfg = ParamFilterConfig(n_particles=10)
+        for seed, cov in ((0, 0.01), (1, 0.04)):
+            init_param_filter(np.array([1.0]), cov * np.eye(1),
+                              m.param_domain, cfg, seed)
+        assert cfg == ParamFilterConfig(n_particles=10)
 
     def test_step_size_schedule(self):
         cfg = ParamFilterConfig(step_size=lambda t: 1.0 / (t + 1))
@@ -107,7 +120,7 @@ class TestPredictionError:
             return eff * x + w
 
         m = ModelSpec(n_x=1, n_theta=1, n_y=1, transition=transition,
-                      output=lambda x, eff: np.asarray(x, dtype=float),
+                      output=lambda x, eff, u=None: np.asarray(x, dtype=float),
                       process_noise_cov=[[0.0]],
                       measurement_noise_cov=[[1.0]],
                       param_domain=ParamDomain([0.0], [2.0]))
@@ -202,6 +215,43 @@ class TestProjectStep:
         out = project_step(prev, step, self.DOMAIN, 0.5)
         assert np.allclose(out, [[0.7], [0.95]])
 
+    def test_base_one_ulp_past_bound_returns_admissible_rows(self):
+        # A shrinkage point can round one ulp past the upper bound.
+        domain = ParamDomain([0.5], [1.2])
+        base = np.full((3, 1), np.nextafter(1.2, 2.0))
+        step = np.array([[0.1], [-0.1], [0.0]])   # outward, inward, zero
+        out = project_step(base, step, domain, 0.5)
+        assert np.all(domain.contains(out))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_boundary_bases_always_projected_inside(self, data):
+        d = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 4))
+        lower = np.array(data.draw(st.lists(
+            st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+        width = np.array(data.draw(st.lists(
+            st.floats(1e-6, 10.0), min_size=d, max_size=d)))
+        domain = ParamDomain(lower, lower + width)
+        # Each base component sits on a face, one ulp past it, or inside.
+        faces = {
+            "lower": domain.lower,
+            "below": np.nextafter(domain.lower, -np.inf),
+            "upper": domain.upper,
+            "above": np.nextafter(domain.upper, np.inf),
+            "middle": 0.5 * (domain.lower + domain.upper),
+        }
+        base = np.empty((n, d))
+        for i in range(n):
+            for k in range(d):
+                base[i, k] = faces[data.draw(st.sampled_from(sorted(faces)))][k]
+        step = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=n * d, max_size=n * d))).reshape(n, d)
+        mu = data.draw(st.floats(0.0, 1.0))
+        out = project_step(base, step, domain, mu)
+        assert np.all(domain.contains(out))
+
 
 class TestShrinkageBound:
     def test_eigenvalue_spread(self):
@@ -223,12 +273,6 @@ class TestShrinkageBound:
     def test_zero_sensitivity_rejected(self):
         with pytest.raises(DualPFError):
             shrinkage_upper_bound(1.0, np.zeros((2, 2)), np.eye(2), np.eye(2))
-
-    def test_pmax_from_config(self):
-        cfg = ParamFilterConfig(step_size=0.9, emax_outer=4.0)
-        assert pmax_from_config(cfg) == pytest.approx(0.9 * 2.0)
-        cfg2 = ParamFilterConfig(gamma0=0.5, emax_outer=np.eye(2))
-        assert pmax_from_config(cfg2) == pytest.approx(0.5 * np.sqrt(2.0))
 
 
 class TestEvolve:
@@ -265,15 +309,19 @@ class TestEvolve:
                        force_zero_error=True)
         assert np.var(tilde) == pytest.approx(np.var(st.particles), rel=0.05)
 
-    def test_criterion_history_window(self):
-        m = _scaling_model()
-        cfg = ParamFilterConfig(n_particles=10, pe_window=3)
-        st = init_param_filter(np.array([1.0]), 0.01 * np.eye(1),
-                               m.param_domain, cfg, 0)
-        for t in range(6):
-            evolve(st, np.array([1.0]), np.array([1.2]), m, cfg, t, t=t)
-        assert len(st.criterion_history) == 3
-        assert np.isfinite(averaged_criterion(st))
+    def test_kernel_shrink_matches_inline_arithmetic(self):
+        # Reference: the floor, jitter, shrink and project arithmetic inline.
+        domain = ParamDomain([0.5, 0.5, 0.5], [1.2, 1.2, 1.2])
+        centers = domain.clip(1.0 + 0.05 * as_rng(11).standard_normal((40, 3)))
+        target = centers.mean(axis=0) + 0.01
+        cov = sample_cov(centers)
+        a, mu = 0.93, 0.5
+        cov_floored = cov + 1e-12 * np.eye(3)
+        zeta = sample_gaussian((1.0 - a ** 2) * cov_floored, 40, as_rng(5))
+        expect = project_step(a * centers + (1.0 - a) * target, zeta,
+                              domain, mu)
+        got = kernel_shrink(centers, target, cov, a, domain, mu, 5)
+        assert np.array_equal(got, expect)
 
 
 class TestUpdate:

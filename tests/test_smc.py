@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dualpf import smc
 from dualpf.errors import ConfigError, CovarianceError, DegenerateWeightsError
 from dualpf.smc import (
     ParticleEnsemble,
     RegularizationConfig,
+    _psd_eigh,
     as_rng,
-    cov_factor,
     gaussian_loglik,
     likelihood_weights,
     normalize_weights,
@@ -17,6 +18,7 @@ from dualpf.smc import (
     regularize,
     resample_bootstrap,
     resample_residual,
+    sample_cov,
     sample_gaussian,
 )
 
@@ -125,10 +127,22 @@ class TestGaussianSampling:
         with pytest.raises(CovarianceError):
             sample_gaussian(np.array([[1.0, 0.0], [0.0, -1.0]]), 5, 0)
 
-    def test_cov_factor_reconstructs(self):
+    def test_psd_eigh_reconstructs(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        a = cov_factor(cov)
-        assert np.allclose(a @ a.T, cov)
+        vals, vecs = _psd_eigh(cov)
+        assert np.allclose((vecs * vals) @ vecs.T, cov)
+
+
+class TestSampleCov:
+    def test_matches_numpy(self):
+        x = as_rng(3).standard_normal((40, 3)) @ np.array(
+            [[1.0, 0.3, 0.0], [0.0, 2.0, 0.5], [0.0, 0.0, 0.1]])
+        np.testing.assert_allclose(sample_cov(x), np.cov(x.T),
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_single_particle_gives_zeros(self):
+        assert np.array_equal(sample_cov(np.array([[1.0, -2.0]])),
+                              np.zeros((2, 2)))
 
 
 class TestLikelihoods:
@@ -203,3 +217,47 @@ class TestRegularization:
         res = regularize(ens, np.eye(1),
                          RegularizationConfig(kernel="epanechnikov"), rng)
         assert abs(res.particles.mean()) < 0.07
+
+
+
+def _factor_rebuild_regularize(ensemble, cov, config, seed):
+    """Reference path: factor the covariance as A, rebuild A @ A.T and
+    whiten on the eigenbasis of the rebuilt matrix."""
+    rng = as_rng(seed)
+    n, d = ensemble.n, ensemble.dim
+    vals, vecs = np.linalg.eigh(np.atleast_2d(cov))
+    a = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    rebuilt = a @ a.T
+    vals, vecs = np.linalg.eigh(0.5 * (rebuilt + rebuilt.T))
+    vals = np.clip(vals, 0.0, None)
+    live = vals > max(vals.max(initial=0.0), 1.0) * 1e-14
+    scale = np.where(live, np.sqrt(np.where(live, vals, 1.0)), 1.0)
+    z = (ensemble.particles @ vecs) / scale
+    b = config.bandwidth if config.bandwidth is not None else optimal_bandwidth(n, d)
+    out = np.empty((n, d))
+    for j in range(d):
+        col = z[:, j]
+        if not live[j] or np.ptp(col) == 0.0 or col.std() == 0.0:
+            out[:, j] = (col[0] if np.ptp(col) == 0.0
+                         else rng.choice(col, size=n, p=ensemble.weights))
+            continue
+        grid, dx = regular_grid(col, config.n_reg)
+        dens = smc._kernel_density_1d(grid, col, ensemble.weights, b,
+                                      config.kernel)
+        idx = rng.choice(config.n_reg, size=n, p=dens / dens.sum())
+        out[:, j] = grid[idx] + rng.uniform(-0.5 * dx, 0.5 * dx, size=n)
+    return (out * scale) @ vecs.T
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 6])
+def test_regularize_matches_factor_rebuild_reference(d):
+    rng = as_rng(100 + d)
+    mix = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
+    particles = rng.standard_normal((50, d)) @ mix + rng.standard_normal(d)
+    weights = rng.random(50)
+    ens = ParticleEnsemble(particles, weights / weights.sum())
+    cov = sample_cov(particles)
+    got = regularize(ens, cov, RegularizationConfig(), 7)
+    ref = _factor_rebuild_regularize(ens, cov, RegularizationConfig(), 7)
+    assert got.passthrough_dims == ()
+    np.testing.assert_allclose(got.particles, ref, rtol=0, atol=1e-9)

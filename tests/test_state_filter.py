@@ -80,7 +80,7 @@ class TestPredict:
             return np.asarray(x, dtype=float) * np.inf
 
         model = ModelSpec(n_x=1, n_theta=1, n_y=1, transition=transition,
-                          output=lambda x, eff: np.asarray(x, dtype=float),
+                          output=lambda x, eff, u=None: np.asarray(x, dtype=float),
                           process_noise_cov=[[0.0]],
                           measurement_noise_cov=[[1.0]],
                           param_domain=ParamDomain([0.5], [1.5]))
@@ -121,7 +121,7 @@ class TestStep:
             return x / 2 + 25 * x / (1 + x ** 2) + w
 
         model = ModelSpec(n_x=1, n_theta=1, n_y=1, transition=transition,
-                          output=lambda x, eff: np.asarray(x, dtype=float),
+                          output=lambda x, eff, u=None: np.asarray(x, dtype=float),
                           process_noise_cov=[[1.0]],
                           measurement_noise_cov=[[1.0]],
                           param_domain=ParamDomain([0.5], [1.5]))
