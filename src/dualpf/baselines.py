@@ -174,8 +174,10 @@ def rml_spsa_step(state: RMLState, y_t: np.ndarray, model: ModelSpec,
     try:
         grad = spsa_gradient(state.filter.particles, state.theta_hat, y_t,
                              model, config, rng, u=u)
-        theta_new = project_step(state.theta_hat, config.step_size * grad,
-                                 model.param_domain, config.projection_factor)
+        theta_new = project_step(state.theta_hat[None],
+                                 (config.step_size * grad)[None],
+                                 model.param_domain,
+                                 config.projection_factor)[0]
         skipped = state.skipped_steps
     except GradientUndefinedError:
         theta_new = state.theta_hat

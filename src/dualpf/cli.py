@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,9 @@ import yaml
 
 from . import diagnosis, harness
 from .baselines import EFCostModel, complexity_report
-from .errors import DualPFError
-from .harness import RUN_DEFAULTS, RunConfig, SyntheticFault
+from .errors import ConfigError, DualPFError
+from .harness import RUN_DEFAULTS, RunConfig
+from .model import Fault
 
 
 def _load_config(args) -> RunConfig:
@@ -34,10 +34,12 @@ def _load_config(args) -> RunConfig:
         if val is not None:
             overrides[key] = val
     fault = overrides.pop("fault", None)
-    cfg = RunConfig(**overrides)
-    if fault is not None:
-        cfg.scenario = SyntheticFault(**fault)
-    return cfg
+    try:
+        if fault is not None:
+            overrides["scenario"] = Fault(**fault)
+        return RunConfig(**overrides)
+    except TypeError as exc:   # unknown key or wrongly typed value
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def _band_from_file(path) -> diagnosis.ThresholdBand:

@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, UndefinedMetricError
+from .model import COMPONENTS
 from .smc import sample_cov
 
 CONVERGENCE_WINDOW = 200   # default healthy-fit horizon, steps (2 s at 10 ms)
 MIN_CALIBRATION_RUNS = 25
 MIN_BAND_WIDTH = 1e-6
-CATEGORIES = ("eta_c", "m_c", "eta_t", "m_t", "no_fault")
+CATEGORIES = COMPONENTS + ("no_fault",)
 
 
 @dataclass
@@ -168,7 +169,7 @@ def confusion_metrics(m: ConfusionMatrix) -> dict:
     if total <= 0:
         raise UndefinedMetricError("empty confusion matrix")
     metrics = {"AC": 100.0 * np.trace(c) / total}
-    for j, name in enumerate(CATEGORIES[:4]):
+    for j, name in enumerate(COMPONENTS):
         col = c[:, j].sum()
         metrics[f"P_{name}"] = 100.0 * c[j, j] / col if col > 0 else None
     row5 = c[4, :].sum()

@@ -8,7 +8,6 @@ other filter's most recent output.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,25 +125,3 @@ def history_arrays(history: list[HistoryRow]) -> dict[str, np.ndarray]:
         "ess_state": np.asarray([r.ess_state for r in history]),
         "ess_param": np.asarray([r.ess_param for r in history]),
     }
-
-
-def write_history_csv(path, history: list[HistoryRow]) -> None:
-    """CSV with header t,xhat_1..,thetahat_1..,yhat_1..,ess_state,ess_param."""
-    arr = history_arrays(history)
-    n_x = arr["x_hat"].shape[1]
-    n_th = arr["theta_hat"].shape[1]
-    n_y = arr["y_hat"].shape[1]
-    header = (["t"] + [f"xhat_{i+1}" for i in range(n_x)]
-              + [f"thetahat_{i+1}" for i in range(n_th)]
-              + [f"yhat_{i+1}" for i in range(n_y)]
-              + ["ess_state", "ess_param"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in history:
-            writer.writerow([row.t]
-                            + [repr(float(v)) for v in row.x_hat]
-                            + [repr(float(v)) for v in row.theta_hat]
-                            + [repr(float(v)) for v in row.y_hat]
-                            + [repr(float(row.ess_state)),
-                               repr(float(row.ess_param))])

@@ -20,14 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IntegrationError, PhysicalDomainError
-from .model import ModelSpec, ParamDomain
+from .model import COMPONENTS, Fault, ModelSpec, ParamDomain
 
 DT_DEFAULT = 0.01          # sampling period, s
 FIXED_POINT_MAX_ITER = 50
 FIXED_POINT_TOL = 1e-13
-
-# Health-vector component order used throughout.
-COMPONENTS = ("eta_c", "m_c", "eta_t", "m_t")
 
 
 @dataclass(frozen=True)
@@ -213,88 +210,33 @@ def step_backward_euler(state: np.ndarray, health: np.ndarray,
         lambda z: derivatives(z, health, c, fuel_flow), state, dt)
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """Timed multiplicative loss of effectiveness on one component."""
-
-    start_time: float
-    component: str              # one of COMPONENTS
-    magnitude: float            # fractional loss in [0, 0.5]
-    profile: str = "step"       # "step" | "drift"
-    ramp_end: float | None = None
-
-    def __post_init__(self):
-        if self.component not in COMPONENTS:
-            raise ValueError(f"unknown component {self.component!r}")
-        if not 0.0 <= self.magnitude <= 0.5:
-            raise ValueError("magnitude must be in [0, 0.5]")
-        if self.start_time < 0:
-            raise ValueError("start_time must be nonnegative")
-        if self.profile == "drift" and (self.ramp_end is None
-                                        or self.ramp_end <= self.start_time):
-            raise ValueError("drift events need ramp_end > start_time")
-
-
-@dataclass(frozen=True)
-class FaultScenario:
-    name: str
-    events: tuple = ()
-    fuel_step_time: float | None = None  # input excitation, None = constant fuel
-    fuel_step_fraction: float = 0.0
-
-    def fuel_at(self, t: float, c: EngineConstants) -> float:
-        base = c.mdot_f_ref
-        if self.fuel_step_time is not None and t >= self.fuel_step_time:
-            return base * (1.0 + self.fuel_step_fraction)
-        return base
-
-
-def health_at(scenario: FaultScenario, t: float) -> np.ndarray:
-    """Health vector at time t seconds (all ones before any event)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    theta = np.ones(4)
-    for ev in scenario.events:
-        idx = COMPONENTS.index(ev.component)
-        if t < ev.start_time:
-            continue
-        if ev.profile == "step":
-            loss = ev.magnitude
-        else:
-            frac = min((t - ev.start_time) / (ev.ramp_end - ev.start_time), 1.0)
-            loss = ev.magnitude * frac
-        theta[idx] = min(theta[idx], 1.0 - loss)
-    return theta
-
-
-scenario_I_concurrent = FaultScenario(
-    name="scenario_I_concurrent",
-    fuel_step_time=1.0, fuel_step_fraction=-0.02,
-    events=(
-        FaultEvent(4.0, "eta_c", 0.05),
-        FaultEvent(9.0, "m_c", 0.05),
-        FaultEvent(14.0, "eta_t", 0.05),
-        FaultEvent(19.0, "m_t", 0.05),
-    ),
-)
-
-scenario_II_simultaneous = FaultScenario(
-    name="scenario_II_simultaneous",
-    fuel_step_time=1.0, fuel_step_fraction=-0.02,
-    events=(
-        FaultEvent(9.0, "eta_c", 0.05, profile="drift", ramp_end=19.0),
-        FaultEvent(9.0, "eta_t", 0.03, profile="drift", ramp_end=19.0),
-        FaultEvent(9.0, "m_c", 0.05),
-        FaultEvent(9.0, "m_t", 0.05),
-    ),
-)
+# Scenarios in step indices at the sampling period DT_DEFAULT (step 400 is
+# t = 4 s).  Every engine run also takes a -2 % fuel-flow step at FUEL_STEP
+# as input excitation.
+FUEL_STEP = 100
+FUEL_STEP_FRACTION = -0.02
 
 SCENARIOS = {
-    "scenario_I_concurrent": scenario_I_concurrent,
-    "scenario_II_simultaneous": scenario_II_simultaneous,
-    "healthy": FaultScenario(name="healthy", fuel_step_time=1.0,
-                             fuel_step_fraction=-0.02),
+    "scenario_I_concurrent": (
+        Fault(COMPONENTS.index("eta_c"), 0.05, 400),
+        Fault(COMPONENTS.index("m_c"), 0.05, 900),
+        Fault(COMPONENTS.index("eta_t"), 0.05, 1400),
+        Fault(COMPONENTS.index("m_t"), 0.05, 1900),
+    ),
+    "scenario_II_simultaneous": (
+        Fault(COMPONENTS.index("eta_c"), 0.05, 900, "ramp", 1900),
+        Fault(COMPONENTS.index("eta_t"), 0.03, 900, "ramp", 1900),
+        Fault(COMPONENTS.index("m_c"), 0.05, 900),
+        Fault(COMPONENTS.index("m_t"), 0.05, 900),
+    ),
 }
+
+
+def fuel_trajectory(T: int, c: EngineConstants, step: int) -> np.ndarray:
+    """Per-step fuel flow: nominal before `step`, stepped by
+    FUEL_STEP_FRACTION from it on."""
+    return np.where(np.arange(T) >= step,
+                    c.mdot_f_ref * (1.0 + FUEL_STEP_FRACTION), c.mdot_f_ref)
 
 
 def engine_model(constants: EngineConstants | None = None,

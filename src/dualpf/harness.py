@@ -11,26 +11,27 @@ import csv
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, diagnosis, dual, gas_turbine, synthetic
-from .baselines import BayesianKSConfig, EFCostModel, RMLConfig
+from .baselines import BayesianKSConfig, RMLConfig
 from .diagnosis import CATEGORIES, ConfusionMatrix
 from .errors import ConfigError, DualPFError
-from .model import ModelSpec, simulate, write_trajectory_csv
+from .model import (COMPONENTS, Fault, ModelSpec, health_trajectory,
+                    simulate, write_trajectory_csv)
 from .param_filter import ParamFilterConfig
 from .smc import as_rng
 from .state_filter import StateFilterConfig
 
 ESTIMATORS = ("dual", "bayesian", "rml")
 MODELS = ("scalar", "mixed", "gas_turbine")
+BAND_MAX_WIDENINGS = 60
 
 # All-run defaults mirroring the shipped preset configuration.
 RUN_DEFAULTS = {
-    "dt": 0.01,
     "n_particles": 50,
     "n_bayesian": 45,
     "n_rml": 150,
@@ -44,15 +45,8 @@ RUN_DEFAULTS = {
 }
 
 
-@dataclass
-class SyntheticFault:
-    """Step or ramp loss on one health component of a synthetic model."""
-
-    component: int | None = None   # None = healthy run
-    magnitude: float = 0.0
-    start_step: int = 0
-    profile: str = "step"
-    ramp_end_step: int | None = None
+# The fault type of every model; the old name stays importable.
+SyntheticFault = Fault
 
 
 @dataclass
@@ -62,7 +56,7 @@ class RunConfig:
     n_particles: int = 50
     duration: int = 300             # steps
     seed: int = 0
-    scenario: str | SyntheticFault = "healthy"
+    scenario: str | Fault = "healthy"  # or a gas_turbine.SCENARIOS name
     shrinkage: float = RUN_DEFAULTS["shrinkage"]
     step_size: float | None = None  # default depends on estimator
     predictor: str = "output"
@@ -93,46 +87,45 @@ def build_model(config: RunConfig) -> tuple[ModelSpec, np.ndarray]:
     return gas_turbine.engine_model(constants), x0
 
 
+def _resolve_scenario(config: RunConfig
+                      ) -> tuple[tuple[Fault, ...], int | None]:
+    """Faults of the configured scenario, and the fuel-step index (engine
+    only).  Raises ConfigError for a name the model does not define."""
+    scen = config.scenario
+    named = gas_turbine.SCENARIOS if config.model == "gas_turbine" else {}
+    if isinstance(scen, Fault):
+        faults = (scen,)
+    elif scen == "healthy":
+        faults = ()
+    elif isinstance(scen, str) and scen in named:
+        faults = named[scen]
+    else:
+        raise ConfigError(
+            f"unknown scenario {scen!r} for model {config.model!r}")
+    fuel_step = gas_turbine.FUEL_STEP if config.model == "gas_turbine" else None
+    return faults, fuel_step
+
+
+def _theta0_for(config: RunConfig, model: ModelSpec) -> np.ndarray:
+    """Healthy parameter value: the truth before any fault, the prior mean."""
+    if config.model == "scalar":
+        return np.array([0.8])   # scalar model's healthy dynamics coefficient
+    return np.ones(model.n_theta)
+
+
 def theta_trajectory(config: RunConfig, model: ModelSpec) -> np.ndarray:
     """Per-step true health vector for the configured scenario."""
-    T = config.duration
-    n_th = model.n_theta
-    if config.model == "gas_turbine":
-        scen = gas_turbine.SCENARIOS[config.scenario] \
-            if isinstance(config.scenario, str) else config.scenario
-        dt = RUN_DEFAULTS["dt"]
-        return np.vstack([gas_turbine.health_at(scen, t * dt)
-                          for t in range(T)])
-    fault = config.scenario
-    if isinstance(fault, str):
-        if fault != "healthy":
-            raise ConfigError(f"unknown synthetic scenario {fault!r}")
-        fault = SyntheticFault()
-    thetas = np.ones((T, n_th))
-    if config.model == "scalar":
-        thetas *= 0.8    # scalar model's healthy dynamics coefficient
-    if fault.component is not None:
-        j = fault.component
-        for t in range(fault.start_step, T):
-            if fault.profile == "step" or fault.ramp_end_step is None:
-                loss = fault.magnitude
-            else:
-                frac = min((t - fault.start_step)
-                           / max(fault.ramp_end_step - fault.start_step, 1), 1.0)
-                loss = fault.magnitude * frac
-            thetas[t, j] = thetas[t, j] * (1.0 - loss)
-    return thetas
+    faults, _ = _resolve_scenario(config)
+    return health_trajectory(_theta0_for(config, model), faults,
+                             config.duration)
 
 
 def fuel_trajectory(config: RunConfig) -> np.ndarray | None:
-    if config.model != "gas_turbine":
+    _, fuel_step = _resolve_scenario(config)
+    if fuel_step is None:
         return None
-    scen = gas_turbine.SCENARIOS[config.scenario] \
-        if isinstance(config.scenario, str) else config.scenario
     constants, _ = gas_turbine.nominal_constants()
-    dt = RUN_DEFAULTS["dt"]
-    return np.array([scen.fuel_at(t * dt, constants)
-                     for t in range(config.duration)])
+    return gas_turbine.fuel_trajectory(config.duration, constants, fuel_step)
 
 
 def simulate_truth(config: RunConfig, seed=None):
@@ -144,12 +137,6 @@ def simulate_truth(config: RunConfig, seed=None):
                           seed if seed is not None else config.seed,
                           u_trajectory=u)
     return model, states, ys, thetas, u
-
-
-def _theta0_for(config: RunConfig, model: ModelSpec) -> np.ndarray:
-    if config.model == "scalar":
-        return np.array([0.8])
-    return np.ones(model.n_theta)
 
 
 def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
@@ -209,11 +196,10 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
 
 
 def fault_start_step(config: RunConfig) -> int | None:
-    if isinstance(config.scenario, SyntheticFault):
-        if config.scenario.component is None:
-            return None
-        return config.scenario.start_step
-    return None
+    """First step at which a fault acts; None if none starts within the run."""
+    faults, _ = _resolve_scenario(config)
+    return min((f.start_step for f in faults if f.component is not None
+                and f.start_step < config.duration), default=None)
 
 
 def run_scenario(config: RunConfig,
@@ -244,8 +230,7 @@ def run_scenario(config: RunConfig,
             theta_hat[:, j], thetas[:, j],
             nominal=float(np.mean(np.abs(thetas[:, j])) or 1.0), window=tail)
     report = {
-        "config": {k: (asdict(v) if isinstance(v, SyntheticFault) else v)
-                   for k, v in asdict(config).items()},
+        "config": asdict(config),
         "mae_percent": mae,
         "elapsed_s": result["elapsed_s"],
         "baseline_theta0": baseline.theta0.tolist(),
@@ -291,12 +276,10 @@ def monte_carlo(config: RunConfig, n_runs: int, base_seed: int,
     seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
     runs, failures = [], []
     for i, ss in enumerate(seeds):
-        cfg = RunConfig(**{**asdict(config),
-                           "seed": int(ss.generate_state(1)[0] % (2 ** 31)),
-                           "output_dir": (f"{config.output_dir}/run_{i:03d}"
-                                          if config.output_dir else None)})
-        if isinstance(config.scenario, SyntheticFault):
-            cfg.scenario = config.scenario
+        cfg = replace(config,
+                      seed=int(ss.generate_state(1)[0] % (2 ** 31)),
+                      output_dir=(f"{config.output_dir}/run_{i:03d}"
+                                  if config.output_dir else None))
         try:
             runs.append(run_scenario(cfg, band=band))
         except DualPFError as exc:
@@ -332,8 +315,7 @@ def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
     configured persistence rule — residuals are strongly autocorrelated,
     so the pooled envelope alone does not control run-level false alarms.
     """
-    cfg = RunConfig(**{**asdict(config), "scenario": "healthy",
-                       "output_dir": None})
+    cfg = replace(config, scenario="healthy", output_dir=None)
     mc = monte_carlo(cfg, n_runs, base_seed)
     residual_runs = [r["residuals"] for r in mc["runs"]]
     band = diagnosis.calibrate_thresholds(
@@ -344,50 +326,61 @@ def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
     mid = 0.5 * (band.lower + band.upper)
     half = 0.5 * (band.upper - band.lower)
     scale = 1.0
-    for _ in range(60):
+    for _ in range(BAND_MAX_WIDENINGS):
         cand = diagnosis.ThresholdBand(mid - scale * half, mid + scale * half)
         trips = sum(
             any(d.detected for d in diagnosis.decide(
                 res, cand, config.persistence))
             for res in residual_runs)
-        if trips / len(residual_runs) <= target_fp:
+        false_alarms = trips / len(residual_runs)
+        if false_alarms <= target_fp:
             return cand
         scale *= 1.1
+    warnings.warn(f"target_fp {target_fp} missed: {false_alarms:.3f} of the "
+                  f"healthy runs still raise a detection after "
+                  f"{BAND_MAX_WIDENINGS} band widenings")
     return cand
 
 
 def campaign_design(n_per_category: int = 7,
                     severities=(0.06, 0.07, 0.08, 0.09, 0.10, 0.11, 0.12),
-                    start_step: int = 120) -> list[SyntheticFault]:
+                    start_step: int = 120) -> list[Fault]:
     """Mixed-fault design: n healthy runs plus n per fault component."""
-    design = [SyntheticFault() for _ in range(n_per_category)]
-    for j in range(4):
+    design = [Fault() for _ in range(n_per_category)]
+    for j in range(len(COMPONENTS)):
         for i in range(n_per_category):
-            design.append(SyntheticFault(component=j,
-                                         magnitude=severities[i % len(severities)],
-                                         start_step=start_step))
+            design.append(Fault(component=j,
+                                magnitude=severities[i % len(severities)],
+                                start_step=start_step))
     return design
 
 
-def confusion_campaign(base_config: RunConfig, design: list[SyntheticFault],
+def confusion_campaign(base_config: RunConfig, design: list[Fault],
                        band: diagnosis.ThresholdBand, base_seed: int) -> dict:
-    """Run the design and classify each run into the 5-way confusion matrix."""
+    """Run the design and classify each run into the 5-way confusion matrix.
+
+    A run that raises a DualPFError is listed under "failures" and left out
+    of the matrix and the labels.
+    """
     matrix = ConfusionMatrix()
     seeds = np.random.SeedSequence(base_seed).spawn(len(design))
-    labels = []
+    labels, failures = [], []
     particle_steps = 0
-    for fault, ss in zip(design, seeds):
-        cfg = RunConfig(**{**asdict(base_config), "output_dir": None,
-                           "seed": int(ss.generate_state(1)[0] % (2 ** 31))})
-        cfg.scenario = fault
-        run = run_scenario(cfg, band=band)
+    for i, (fault, ss) in enumerate(zip(design, seeds)):
+        cfg = replace(base_config, scenario=fault, output_dir=None,
+                      seed=int(ss.generate_state(1)[0] % (2 ** 31)))
+        try:
+            run = run_scenario(cfg, band=band)
+        except DualPFError as exc:
+            failures.append({"run": i, "error": str(exc)})
+            continue
         particle_steps += run.get("particle_steps", 0)
-        actual = ("no_fault" if fault.component is None
+        actual = ("no_fault" if fault_start_step(cfg) is None
                   else CATEGORIES[fault.component])
         decided = diagnosis.classify(run["decisions"], band=band)
         matrix.add(actual, decided)
         labels.append((actual, decided))
-    return {"matrix": matrix, "labels": labels,
+    return {"matrix": matrix, "labels": labels, "failures": failures,
             "metrics": diagnosis.confusion_metrics(matrix),
             "particle_steps": particle_steps}
 
@@ -419,24 +412,3 @@ def fp_stat(labels: list) -> float:
     if not healthy:
         return 0.0
     return sum(d != "no_fault" for _, d in healthy) / len(healthy)
-
-
-def report_tables(phase_mae: dict[str, dict[str, float]],
-                  outdir: str | None = None) -> str:
-    """MAE%-by-phase table (rows = signals, columns = fault phases).
-
-    phase_mae maps signal name -> {phase name -> MAE%}; the canonical
-    phase order is No Fault then 1st..4th Fault.
-    """
-    phases = ["No Fault", "1st Fault", "2nd Fault", "3rd Fault", "4th Fault"]
-    lines = ["signal," + ",".join(phases)]
-    for signal, row in phase_mae.items():
-        lines.append(signal + "," + ",".join(
-            f"{row[p]:.4f}" if p in row and row[p] is not None else ""
-            for p in phases))
-    text = "\n".join(lines) + "\n"
-    if outdir:
-        tables = Path(outdir) / "tables"
-        tables.mkdir(parents=True, exist_ok=True)
-        (tables / "mae_by_phase.csv").write_text(text)
-    return text

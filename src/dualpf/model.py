@@ -25,6 +25,63 @@ from .smc import as_rng, sample_gaussian
 
 SYM_TOL = 1e-10
 
+# Health-vector component order shared by the mixed benchmark and the engine.
+COMPONENTS = ("eta_c", "m_c", "eta_t", "m_t")
+FAULT_PROFILES = ("step", "ramp")
+MAX_FAULT_MAGNITUDE = 0.5
+
+
+@dataclass(frozen=True)
+class Fault:
+    """Fractional loss of effectiveness on one health component.
+
+    Times are step indices.  A "step" fault applies the full loss from
+    `start_step` on; a "ramp" fault grows linearly from zero at `start_step`
+    to the full loss at `ramp_end_step`.  `component=None` is a healthy run.
+    """
+
+    component: int | None = None
+    magnitude: float = 0.0
+    start_step: int = 0
+    profile: str = "step"
+    ramp_end_step: int | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.magnitude <= MAX_FAULT_MAGNITUDE:
+            raise ConfigError(
+                f"fault magnitude must be in [0, {MAX_FAULT_MAGNITUDE}]")
+        if self.start_step < 0:
+            raise ConfigError("fault start_step must be nonnegative")
+        if self.profile not in FAULT_PROFILES:
+            raise ConfigError(f"unknown fault profile {self.profile!r}")
+        if self.profile == "ramp" and (self.ramp_end_step is None
+                                       or self.ramp_end_step <= self.start_step):
+            raise ConfigError("ramp faults need ramp_end_step > start_step")
+
+
+def health_trajectory(nominal: np.ndarray, faults, T: int) -> np.ndarray:
+    """(T, n_theta) true health: nominal scaled by (1 - loss) per step.
+
+    Where several faults hit one component the largest loss applies.
+    """
+    nominal = np.atleast_1d(np.asarray(nominal, dtype=float))
+    loss = np.zeros((T, nominal.shape[0]))
+    steps = np.arange(T)
+    for f in faults:
+        if f.component is None:
+            continue
+        if not 0 <= f.component < nominal.shape[0]:
+            raise ConfigError(f"fault component {f.component} outside the "
+                              f"model's {nominal.shape[0]} health parameters")
+        if f.profile == "step":
+            frac = (steps >= f.start_step).astype(float)
+        else:
+            frac = np.clip((steps - f.start_step)
+                           / (f.ramp_end_step - f.start_step), 0.0, 1.0)
+        loss[:, f.component] = np.maximum(loss[:, f.component],
+                                          f.magnitude * frac)
+    return nominal * (1.0 - loss)
+
 
 @dataclass(frozen=True)
 class ParamDomain:

@@ -195,11 +195,7 @@ def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,
     else:
         outside = ~domain.contains(theta_prev + step)
         step[outside] = 0.0
-    result = theta_prev + step
-    if np.asarray(raw_step).ndim == 1 and np.asarray(theta_prev).ndim <= 2:
-        if np.asarray(raw_step).shape == result.shape[1:] and result.shape[0] == 1:
-            return result[0]
-    return result
+    return theta_prev + step
 
 
 def shrinkage_upper_bound(pmax: float, psi: np.ndarray, vy: np.ndarray,

@@ -104,9 +104,3 @@ def step(state: StateFilterState, theta_hat: np.ndarray, y: np.ndarray,
         degenerate=ensemble.is_collapsed(),
         passthrough_dims=result.passthrough_dims,
     )
-
-
-def estimated_output(state: StateFilterState, theta_hat: np.ndarray,
-                     model: ModelSpec, u=None) -> np.ndarray:
-    """yhat_t evaluated at the posterior mean and the frozen parameter."""
-    return model.measure(state.estimate, theta_hat, u=u)

@@ -115,9 +115,21 @@ class TestComplexity:
 
 class TestErrorHandling:
     def test_domain_errors_exit_2_with_json(self, tmp_path, capsys):
-        rc = main(["estimate", *FAST, "--scenario", "surge",
-                   "--out", str(tmp_path)])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
-        assert "surge" in err["message"]
+        for model in (FAST, ["--model", "gas_turbine"]):
+            rc = main(["estimate", *model, "--scenario", "surge",
+                       "--out", str(tmp_path)])
+            assert rc == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert "surge" in err["message"]
+
+    def test_invalid_fault_stanza_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        for stanza in ("  component: 0\n  magnitude: 0.7\n",
+                       "  component: 0\n  start_time: 4.0\n"):
+            cfg.write_text("model: mixed\nduration: 40\nfault:\n" + stanza)
+            rc = main(["estimate", "--config", str(cfg),
+                       "--out", str(tmp_path)])
+            assert rc == 2
+            assert json.loads(capsys.readouterr().err)["error"] == \
+                "ConfigError"

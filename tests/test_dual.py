@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dualpf import dual, synthetic
-from dualpf.dual import history_arrays, write_history_csv
+from dualpf.dual import history_arrays
 from dualpf.errors import ConfigError
 from dualpf.model import ModelSpec, ParamDomain, simulate
 from dualpf.param_filter import ParamFilterConfig
@@ -118,17 +118,15 @@ class TestRun:
         assert dual.run(est, np.empty((0, 1))) == []
         assert history_arrays([])["t"].size == 0
 
-    def test_history_length_and_csv(self, tmp_path):
+    def test_history_length_and_steps(self):
         model = synthetic.scalar_growth_model()
         est = _estimator(model, np.array([5.0]), np.array([0.8]), 1)
         history = dual.run(est, np.full((7, 1), 5.0))
         assert len(history) == 7
         assert [r.t for r in history] == list(range(1, 8))
-        path = tmp_path / "history.csv"
-        write_history_csv(path, history)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,xhat_1,thetahat_1,yhat_1,ess_state,ess_param"
-        assert len(lines) == 8
+        arr = history_arrays(history)
+        assert arr["theta_hat"].shape == (7, 1)
+        assert arr["y_hat"].shape == (7, 1)
 
     def test_scalar_parameter_convergence(self):
         model = synthetic.scalar_growth_model()

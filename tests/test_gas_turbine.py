@@ -2,29 +2,27 @@
 import numpy as np
 import pytest
 
-from dualpf.errors import IntegrationError, PhysicalDomainError
+from dualpf.errors import ConfigError, IntegrationError, PhysicalDomainError
 from dualpf.gas_turbine import (
     COMPONENTS,
+    FUEL_STEP,
     HEALTH_DOMAIN,
     NOMINAL_STATE,
     SCENARIOS,
-    FaultEvent,
-    FaultScenario,
     compressor_exit_temp,
     compressor_flow,
     derivatives,
     engine_model,
-    health_at,
+    fuel_trajectory,
     implicit_euler_step,
     nominal_constants,
     nozzle_flow,
     outputs,
-    scenario_I_concurrent,
-    scenario_II_simultaneous,
     step_backward_euler,
     turbine_exit_temp,
     turbine_flow,
 )
+from dualpf.model import Fault, health_trajectory
 
 HEALTHY = np.ones(4)
 
@@ -152,39 +150,47 @@ class TestImplicitEuler:
 
 
 class TestFaultScenarios:
+    """Scenarios are in step indices at dt = 0.01 s (step 400 is t = 4 s)."""
+
     def test_event_validation(self):
-        with pytest.raises(ValueError):
-            FaultEvent(1.0, "nozzle", 0.05)
-        with pytest.raises(ValueError):
-            FaultEvent(1.0, "eta_c", 0.7)
-        with pytest.raises(ValueError):
-            FaultEvent(1.0, "eta_c", 0.05, profile="drift")
+        with pytest.raises(ConfigError):
+            health_trajectory(HEALTHY, (Fault(len(COMPONENTS), 0.05, 100),),
+                              10)
+        with pytest.raises(ConfigError):
+            Fault(0, 0.7, 100)
+        with pytest.raises(ConfigError):
+            Fault(0, 0.05, 100, profile="ramp")
 
     def test_all_ones_before_events(self):
-        assert np.array_equal(health_at(scenario_I_concurrent, 0.0),
-                              np.ones(4))
+        theta = health_trajectory(HEALTHY, SCENARIOS["scenario_I_concurrent"],
+                                  400)
+        assert np.array_equal(theta, np.ones((400, 4)))
 
     def test_staggered_steps(self):
-        theta = health_at(scenario_I_concurrent, 10.0)
-        assert np.allclose(theta, [0.95, 0.95, 1.0, 1.0])
-        theta = health_at(scenario_I_concurrent, 20.0)
-        assert np.allclose(theta, [0.95, 0.95, 0.95, 0.95])
+        theta = health_trajectory(HEALTHY, SCENARIOS["scenario_I_concurrent"],
+                                  2500)
+        assert np.allclose(theta[1000], [0.95, 0.95, 1.0, 1.0])
+        assert np.allclose(theta[2000], [0.95, 0.95, 0.95, 0.95])
+        first_faulty = [int(np.argmax(theta[:, j] < 1.0)) for j in range(4)]
+        assert first_faulty == [400, 900, 1400, 1900]
 
     def test_drift_midpoint(self):
-        theta = health_at(scenario_II_simultaneous, 14.0)
+        theta = health_trajectory(
+            HEALTHY, SCENARIOS["scenario_II_simultaneous"], 2500)[1400]
         assert theta[COMPONENTS.index("eta_c")] == pytest.approx(0.975)
         assert theta[COMPONENTS.index("eta_t")] == pytest.approx(0.985)
         assert theta[COMPONENTS.index("m_c")] == pytest.approx(0.95)
 
     def test_fuel_step(self):
         c, _ = nominal_constants()
-        scen = SCENARIOS["healthy"]
-        assert scen.fuel_at(0.5, c) == pytest.approx(c.mdot_f_ref)
-        assert scen.fuel_at(2.0, c) == pytest.approx(0.98 * c.mdot_f_ref)
+        fuel = fuel_trajectory(300, c, FUEL_STEP)
+        assert FUEL_STEP == 100
+        assert np.all(fuel[:100] == c.mdot_f_ref)
+        assert fuel[100:] == pytest.approx(0.98 * c.mdot_f_ref)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            health_at(FaultScenario(name="x"), -1.0)
+        with pytest.raises(ConfigError):
+            Fault(0, 0.05, -1)
 
 
 class TestEngineModel:

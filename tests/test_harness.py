@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dualpf import diagnosis
 from dualpf.diagnosis import CATEGORIES, ThresholdBand, classify
 from dualpf.errors import ConfigError
 from dualpf.harness import (
@@ -18,7 +19,6 @@ from dualpf.harness import (
     fault_start_step,
     fp_stat,
     monte_carlo,
-    report_tables,
     run_scenario,
     theta_trajectory,
 )
@@ -44,6 +44,12 @@ class TestRunConfig:
         cfg = RunConfig(scenario=SyntheticFault(component=2, magnitude=0.1,
                                                 start_step=77))
         assert fault_start_step(cfg) == 77
+        late = SyntheticFault(component=2, magnitude=0.1, start_step=300)
+        assert fault_start_step(RunConfig(duration=300, scenario=late)) is None
+        engine = RunConfig(model="gas_turbine", duration=600,
+                           scenario="scenario_I_concurrent")
+        assert fault_start_step(engine) == 400
+        assert fault_start_step(RunConfig(model="gas_turbine")) is None
 
 
 class TestModelsAndTrajectories:
@@ -82,10 +88,22 @@ class TestModelsAndTrajectories:
         assert np.all(thetas[:, 0] == 1.0)
 
     def test_unknown_synthetic_scenario(self):
-        cfg = RunConfig(model="mixed", scenario="surge")
-        model, _ = build_model(cfg)
-        with pytest.raises(ConfigError):
-            theta_trajectory(cfg, model)
+        for name in ("surge", "scenario_I_concurrent"):
+            cfg = RunConfig(model="mixed", scenario=name)
+            model, _ = build_model(cfg)
+            with pytest.raises(ConfigError):
+                theta_trajectory(cfg, model)
+
+    def test_fault_on_gas_turbine(self):
+        fault = SyntheticFault(component=2, magnitude=0.05, start_step=10)
+        cfg = RunConfig(model="gas_turbine", n_particles=10, duration=30,
+                        seed=4, scenario=fault)
+        run = run_scenario(cfg)
+        assert np.all(run["thetas"][:10] == 1.0)
+        assert np.all(run["thetas"][10:, 2] == 0.95)
+        assert run["report"]["config"]["scenario"]["start_step"] == 10
+        assert run["theta_hat"].shape == (30, 4)
+        assert np.all(np.isfinite(run["theta_hat"]))
 
 
 class TestRunScenario:
@@ -157,6 +175,15 @@ class TestCalibration:
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
 
+    def test_missed_target_fp_warns(self, monkeypatch):
+        def always_detect(residuals, band, persistence=5):
+            return [diagnosis.ComponentDecision(True, 0, 1.0)
+                    for _ in range(np.shape(residuals)[1])]
+        monkeypatch.setattr(diagnosis, "decide", always_detect)
+        with pytest.warns(UserWarning, match="1.000 of the healthy runs"):
+            band = calibrate_band(RunConfig(**SMALL_MIXED), 3, 0)
+        assert np.all(band.lower < band.upper)
+
     def test_fault_detected_on_correct_component(self):
         base = RunConfig(model="mixed", estimator="dual", n_particles=30,
                          duration=160, theta0_std=0.005, x0_std=0.1)
@@ -195,6 +222,21 @@ class TestCampaigns:
         assert len(out["labels"]) == 5
         assert out["particle_steps"] == 5 * 40 * 8
         assert out["metrics"]["FP"] == 0.0
+        assert out["failures"] == []
+
+    def test_failed_run_left_out(self):
+        base = RunConfig(model="mixed", estimator="dual", n_particles=8,
+                         duration=40, theta0_std=0.005, x0_std=0.1)
+        band = ThresholdBand(np.full(4, -10.0), np.full(4, 10.0))
+        design = campaign_design(n_per_category=1, start_step=20)
+        # The mixed model has four health components; index 7 raises.
+        design[2] = SyntheticFault(component=7, magnitude=0.1, start_step=20)
+        out = confusion_campaign(base, design, band, base_seed=5)
+        assert [f["run"] for f in out["failures"]] == [2]
+        assert "component 7" in out["failures"][0]["error"]
+        assert out["matrix"].counts.sum() == 4
+        assert len(out["labels"]) == 4
+        assert out["particle_steps"] == 4 * 40 * 8
 
 
 class TestComparisonStatistics:
@@ -219,19 +261,3 @@ class TestComparisonStatistics:
     def test_bootstrap_length_mismatch(self):
         with pytest.raises(ConfigError):
             bootstrap_comparison([("a", "a")], [], accuracy_stat)
-
-
-class TestReportTables:
-    def test_layout_and_file(self, tmp_path):
-        phase_mae = {
-            "T_exit": {"No Fault": 0.5, "1st Fault": 1.25, "2nd Fault": 1.0,
-                       "3rd Fault": 0.75, "4th Fault": 0.6},
-            "P_exit": {"No Fault": 0.4},
-        }
-        text = report_tables(phase_mae, outdir=str(tmp_path))
-        lines = text.splitlines()
-        assert lines[0] == ("signal,No Fault,1st Fault,2nd Fault,"
-                            "3rd Fault,4th Fault")
-        assert lines[1] == "T_exit,0.5000,1.2500,1.0000,0.7500,0.6000"
-        assert lines[2] == "P_exit,0.4000,,,,"
-        assert (tmp_path / "tables" / "mae_by_phase.csv").read_text() == text

@@ -4,8 +4,10 @@ import pytest
 
 from dualpf.errors import ConfigError, SimulationDivergenceError
 from dualpf.model import (
+    Fault,
     ModelSpec,
     ParamDomain,
+    health_trajectory,
     read_trajectory_csv,
     simulate,
     write_trajectory_csv,
@@ -72,6 +74,69 @@ class TestModelSpecValidation:
     def test_healthy_multiplicative_identity(self):
         m = _identity_model()
         assert m.measure(np.array([2.0]), np.array([1.0])) == pytest.approx([2.0])
+
+
+def _loop_health(nominal, fault, T):
+    """Per-step reference: one fault, scaled by (1 - loss) step by step."""
+    thetas = np.tile(np.asarray(nominal, dtype=float), (T, 1))
+    for t in range(fault.start_step, T):
+        if fault.profile == "step":
+            loss = fault.magnitude
+        else:
+            frac = min((t - fault.start_step)
+                       / (fault.ramp_end_step - fault.start_step), 1.0)
+            loss = fault.magnitude * frac
+        thetas[t, fault.component] = thetas[t, fault.component] * (1.0 - loss)
+    return thetas
+
+
+class TestFault:
+    @pytest.mark.parametrize("kwargs", [
+        dict(magnitude=-0.01), dict(magnitude=0.51), dict(start_step=-1),
+        dict(profile="drift"), dict(profile="ramp"),
+        dict(profile="ramp", start_step=10, ramp_end_step=10),
+    ])
+    def test_invalid_fault_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            Fault(component=0, **{"magnitude": 0.05, **kwargs})
+
+    def test_bounds_accepted(self):
+        Fault(component=0, magnitude=0.5, start_step=0)
+        Fault(component=0, magnitude=0.0, profile="ramp", start_step=3,
+              ramp_end_step=4)
+
+    @pytest.mark.parametrize("fault", [
+        Fault(component=0, magnitude=0.05, start_step=7),
+        Fault(component=2, magnitude=0.1, start_step=5, profile="ramp",
+              ramp_end_step=18),
+        Fault(component=1, magnitude=0.03, start_step=0, profile="ramp",
+              ramp_end_step=30),
+    ])
+    def test_matches_per_step_reference(self, fault):
+        for nominal in (np.full(3, 0.8), np.ones(3)):
+            assert np.array_equal(health_trajectory(nominal, (fault,), 25),
+                                  _loop_health(nominal, fault, 25))
+
+    def test_overlapping_faults_take_larger_loss(self):
+        faults = (Fault(component=1, magnitude=0.05, start_step=2),
+                  Fault(component=1, magnitude=0.1, start_step=4,
+                        profile="ramp", ramp_end_step=14))
+        theta = health_trajectory(np.ones(2), faults, 20)
+        assert np.array_equal(theta[:2], np.ones((2, 2)))
+        assert np.all(theta[2:9, 1] == 0.95)    # step loss 0.05 >= ramp
+        assert theta[12, 1] == pytest.approx(0.92)
+        assert np.all(theta[14:, 1] == 0.9)
+        assert np.all(theta[:, 0] == 1.0)
+
+    def test_healthy_and_late_faults_leave_nominal(self):
+        faults = (Fault(), Fault(component=0, magnitude=0.2, start_step=10))
+        assert np.array_equal(health_trajectory([0.8], faults, 10),
+                              np.full((10, 1), 0.8))
+
+    @pytest.mark.parametrize("component", [-1, 2])
+    def test_component_outside_model_rejected(self, component):
+        with pytest.raises(ConfigError):
+            health_trajectory(np.ones(2), (Fault(component, 0.05, 0),), 5)
 
 
 class TestSimulate:

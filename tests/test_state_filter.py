@@ -8,7 +8,6 @@ from dualpf.model import ModelSpec, ParamDomain
 from dualpf.smc import as_rng
 from dualpf.state_filter import (
     StateFilterConfig,
-    estimated_output,
     init_state_filter,
     predict,
     update,
@@ -155,9 +154,3 @@ class TestStep:
         small = np.median([run(25, s) for s in range(10)])
         large = np.median([run(1000, s) for s in range(10)])
         assert large < small
-
-    def test_estimated_output_uses_posterior_mean(self):
-        model = _linear_model(np.eye(1), np.zeros((1, 1)), np.eye(1))
-        sf = init_state_filter(np.array([1.5]), np.zeros((1, 1)),
-                               StateFilterConfig(n_particles=4), 0)
-        assert estimated_output(sf, THETA, model) == pytest.approx([1.5])
