@@ -24,12 +24,13 @@ from .smc import (
     RegularizationConfig,
     as_rng,
     gaussian_loglik,
-    likelihood_weights,
     regularize,
     sample_cov,
     sample_gaussian,
 )
 from .state_filter import StateFilterConfig, StateFilterState, init_state_filter
+
+SPSA_PERTURBATION = 0.01   # SPSA scale c_t
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +83,9 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
                             config.shrinkage, model.param_domain,
                             config.projection_factor, rng)
 
-    # State propagation at the evolved parameters.
-    noise = sample_gaussian(model.process_noise_cov, xs.shape[0], rng)
-    xs_new = np.atleast_2d(model.step_state(xs, ths_new, noise, u=u))
-
-    yhat = np.atleast_2d(model.measure(xs_new, ths_new, u=u))
-    weights = likelihood_weights(np.asarray(y_t, dtype=float) - yhat,
-                                 model.measurement_noise_cov)
+    # State propagation and reweighting at the evolved parameters.
+    xs_new, _, yhat = state_filter.predict(xs, ths_new, model, rng, u=u)
+    weights = state_filter.update(yhat, y_t, model)
     augmented = np.hstack([xs_new, ths_new])
     ensemble = ParticleEnsemble(augmented, weights)
     result = regularize(ensemble, sample_cov(augmented),
@@ -108,8 +105,6 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
 class RMLConfig:
     n_particles: int = 150
     step_size: float = 0.05
-    perturbation: float = 0.01   # SPSA scale c_t
-    state_config: StateFilterConfig | None = None
     projection_factor: float = 0.5
 
 
@@ -119,6 +114,10 @@ class RMLState:
     theta_hat: np.ndarray
     skipped_steps: int = 0
 
+    @property
+    def x_hat(self) -> np.ndarray:
+        return self.filter.estimate
+
 
 def init_rml(model: ModelSpec, x0_mean, x0_cov, theta0_mean,
              config: RMLConfig, seed) -> RMLState:
@@ -126,7 +125,7 @@ def init_rml(model: ModelSpec, x0_mean, x0_cov, theta0_mean,
     theta0_mean = np.atleast_1d(np.asarray(theta0_mean, dtype=float))
     if not model.param_domain.contains(theta0_mean):
         raise ConfigError("initial parameter outside the domain")
-    sc = config.state_config or StateFilterConfig(n_particles=config.n_particles)
+    sc = StateFilterConfig(n_particles=config.n_particles)
     return RMLState(init_state_filter(x0_mean, x0_cov, sc, rng), theta0_mean)
 
 
@@ -141,7 +140,7 @@ def spsa_gradient(particles: np.ndarray, theta_hat: np.ndarray,
     rng = as_rng(seed)
     n_th = theta_hat.shape[0]
     delta = rng.choice([-1.0, 1.0], size=n_th)
-    c_t = config.perturbation
+    c_t = SPSA_PERTURBATION
     lo, hi = model.param_domain.lower, model.param_domain.upper
     th_plus = np.clip(theta_hat + c_t * delta, lo, hi)
     th_minus = np.clip(theta_hat - c_t * delta, lo, hi)

@@ -21,6 +21,7 @@ from .smc import sample_cov
 CONVERGENCE_WINDOW = 200   # default healthy-fit horizon, steps (2 s at 10 ms)
 MIN_CALIBRATION_RUNS = 25
 MIN_BAND_WIDTH = 1e-6
+SHORT_WINDOW_WARNING = "baseline window shorter than the convergence horizon"
 CATEGORIES = COMPONENTS + ("no_fault",)
 
 
@@ -75,7 +76,7 @@ def fit_healthy_baseline(theta_estimates: np.ndarray,
     tail = theta_estimates[-window:]
     short = window < convergence_horizon
     if short:
-        warnings.warn("baseline window shorter than the convergence horizon")
+        warnings.warn(SHORT_WINDOW_WARNING)
     return HealthyBaseline(theta0=tail.mean(axis=0), window=window,
                            fit_cov=sample_cov(tail), short_window=short)
 
@@ -192,9 +193,7 @@ def mae_percent(estimates: np.ndarray, truth: np.ndarray, nominal: float,
 
 
 def report_to_json(baseline: HealthyBaseline, band: ThresholdBand,
-                   decisions: list[ComponentDecision],
-                   matrix: ConfusionMatrix | None = None,
-                   metrics: dict | None = None) -> str:
+                   decisions: list[ComponentDecision]) -> str:
     doc = {
         "baseline": {"theta0": baseline.theta0.tolist(),
                      "window": baseline.window,
@@ -207,8 +206,4 @@ def report_to_json(baseline: HealthyBaseline, band: ThresholdBand,
             for j, d in enumerate(decisions)
         },
     }
-    if matrix is not None:
-        doc["confusion"] = matrix.counts.tolist()
-    if metrics is not None:
-        doc["metrics"] = metrics
     return json.dumps(doc, indent=2, sort_keys=True)

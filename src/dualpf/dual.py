@@ -25,7 +25,6 @@ class HistoryRow:
     t: int
     x_hat: np.ndarray
     theta_hat: np.ndarray
-    y_hat: np.ndarray
     ess_state: float
     ess_param: float
 
@@ -50,18 +49,18 @@ class DualEstimatorState:
 
 
 def init(model: ModelSpec, x0_mean, x0_cov, theta0_mean, theta0_cov,
-         state_config: StateFilterConfig, param_config: ParamFilterConfig,
+         state_cfg: StateFilterConfig, param_cfg: ParamFilterConfig,
          seed) -> DualEstimatorState:
     """Draw both initial ensembles from their Gaussian priors."""
     rng = as_rng(seed)
     theta0_mean = np.atleast_1d(np.asarray(theta0_mean, dtype=float))
     if not model.param_domain.contains(theta0_mean):
         raise ConfigError("theta0 mean outside the admissible domain")
-    sf = init_state_filter(x0_mean, x0_cov, state_config, rng)
+    sf = init_state_filter(x0_mean, x0_cov, state_cfg, rng)
     pf = init_param_filter(theta0_mean, theta0_cov, model.param_domain,
-                           param_config, rng)
+                           param_cfg, rng)
     return DualEstimatorState(model=model, state=sf, params=pf,
-                              param_config=param_config, rng=rng)
+                              param_config=param_cfg, rng=rng)
 
 
 def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState:
@@ -89,12 +88,10 @@ def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState
     except DualPFError as exc:
         raise type(exc)(f"parameter filter, step {est.t + 1}: {exc}") from exc
     est.t += 1
-    y_hat = est.model.measure(est.state.estimate, est.params.estimate, u=u)
     est.history.append(HistoryRow(
         t=est.t,
         x_hat=est.state.estimate.copy(),
         theta_hat=est.params.estimate.copy(),
-        y_hat=np.atleast_1d(y_hat).copy(),
         ess_state=est.state.ess,
         ess_param=est.params.ess,
     ))
@@ -115,13 +112,12 @@ def history_arrays(history: list[HistoryRow]) -> dict[str, np.ndarray]:
     """Stack the per-step history into dense arrays."""
     if not history:
         return {"t": np.empty(0), "x_hat": np.empty((0, 0)),
-                "theta_hat": np.empty((0, 0)), "y_hat": np.empty((0, 0)),
-                "ess_state": np.empty(0), "ess_param": np.empty(0)}
+                "theta_hat": np.empty((0, 0)), "ess_state": np.empty(0),
+                "ess_param": np.empty(0)}
     return {
         "t": np.asarray([r.t for r in history], dtype=float),
         "x_hat": np.vstack([r.x_hat for r in history]),
         "theta_hat": np.vstack([r.theta_hat for r in history]),
-        "y_hat": np.vstack([r.y_hat for r in history]),
         "ess_state": np.asarray([r.ess_state for r in history]),
         "ess_param": np.asarray([r.ess_param for r in history]),
     }

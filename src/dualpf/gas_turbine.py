@@ -239,26 +239,20 @@ def fuel_trajectory(T: int, c: EngineConstants, step: int) -> np.ndarray:
                     c.mdot_f_ref * (1.0 + FUEL_STEP_FRACTION), c.mdot_f_ref)
 
 
-def engine_model(constants: EngineConstants | None = None,
-                 process_noise_std: np.ndarray | None = None,
-                 measurement_noise_std: np.ndarray | None = None,
-                 dt: float = DT_DEFAULT) -> ModelSpec:
+def engine_model(constants: EngineConstants | None = None) -> ModelSpec:
     """Discrete-time ModelSpec view of the engine for the estimators.
 
     The exogenous input u is the fuel flow (kg/s); defaults to nominal.
-    Noise magnitudes default to roughly 0.1% of each channel's nominal
-    scale.
+    Process and measurement noise standard deviations are 0.1% of each
+    state's and each channel's nominal value; the step is DT_DEFAULT.
     """
     c = constants if constants is not None else nominal_constants()[0]
-    if process_noise_std is None:
-        process_noise_std = 1e-3 * NOMINAL_STATE
-    if measurement_noise_std is None:
-        nominal_y = outputs(NOMINAL_STATE, np.ones(4), c)
-        measurement_noise_std = 1e-3 * nominal_y
+    process_noise_std = 1e-3 * NOMINAL_STATE
+    measurement_noise_std = 1e-3 * outputs(NOMINAL_STATE, np.ones(4), c)
 
     def transition(x, eff, w, u=None):
         fuel = c.mdot_f_ref if u is None else float(u)
-        return step_backward_euler(x, eff, c, fuel, dt) + w
+        return step_backward_euler(x, eff, c, fuel) + w
 
     def output(x, eff, u=None):
         return outputs(x, eff, c)
@@ -266,7 +260,7 @@ def engine_model(constants: EngineConstants | None = None,
     return ModelSpec(
         n_x=4, n_theta=4, n_y=5,
         transition=transition, output=output,
-        process_noise_cov=np.diag(np.asarray(process_noise_std) ** 2),
-        measurement_noise_cov=np.diag(np.asarray(measurement_noise_std) ** 2),
+        process_noise_cov=np.diag(process_noise_std ** 2),
+        measurement_noise_cov=np.diag(measurement_noise_std ** 2),
         param_domain=HEALTH_DOMAIN,
     )

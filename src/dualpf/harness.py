@@ -59,7 +59,7 @@ class RunConfig:
     scenario: str | Fault = "healthy"  # or a gas_turbine.SCENARIOS name
     shrinkage: float = RUN_DEFAULTS["shrinkage"]
     step_size: float | None = None  # default depends on estimator
-    predictor: str = "output"
+    predictor: str | None = None    # default depends on model
     cov_mode: str = "initial"
     theta0_std: float = 0.05
     x0_std: float = 0.5
@@ -75,6 +75,10 @@ class RunConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
+        if self.predictor is None:
+            # The scalar model measures y = x, so under "output" the
+            # Jacobian is 0 and theta is unidentifiable.
+            self.predictor = "one_step" if self.model == "scalar" else "output"
 
 
 def build_model(config: RunConfig) -> tuple[ModelSpec, np.ndarray]:
@@ -142,7 +146,12 @@ def simulate_truth(config: RunConfig, seed=None):
 def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
                   seed, x0_mean: np.ndarray,
                   u_trajectory: np.ndarray | None = None) -> dict:
-    """Run the configured estimator; returns dense history arrays."""
+    """Run the configured estimator over ys; returns dense estimate arrays.
+
+    Each estimator contributes an initial state and a step closure; one loop
+    runs them all.  The closures look their step function up on its module
+    at every call, so a wrapper installed there sees every step.
+    """
     rng = as_rng(seed)
     theta0 = _theta0_for(config, model)
     theta0_cov = (config.theta0_std ** 2) * np.eye(model.n_theta)
@@ -160,39 +169,35 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
             cov_mode=config.cov_mode,
         )
         sc = StateFilterConfig(n_particles=config.n_particles)
-        est = dual.init(model, x0_mean, x0_cov, theta0, theta0_cov,
-                        sc, pc, rng)
-        history = dual.run(est, ys, u_trajectory=u_trajectory)
-        arr = dual.history_arrays(history)
-        out = {"theta_hat": arr["theta_hat"], "x_hat": arr["x_hat"],
-               "y_hat": arr["y_hat"], "ess_state": arr["ess_state"],
-               "ess_param": arr["ess_param"],
-               "particle_steps": est.params.particle_steps}
+        st = dual.init(model, x0_mean, x0_cov, theta0, theta0_cov, sc, pc, rng)
+
+        def step(st, y, u):
+            return dual.step(st, y, u=u)
     elif config.estimator == "bayesian":
         bc = BayesianKSConfig(n_particles=config.n_particles,
                               shrinkage=config.shrinkage)
         st = baselines.init_bayesian_ks(model, x0_mean, x0_cov, theta0,
                                         theta0_cov, bc, rng)
-        th, xh = np.empty((T, model.n_theta)), np.empty((T, model.n_x))
-        for t in range(T):
-            u = None if u_trajectory is None else u_trajectory[t]
-            st = baselines.bayesian_ks_step(st, ys[t], model, bc, rng, u=u)
-            th[t], xh[t] = st.theta_hat, st.x_hat
-        out = {"theta_hat": th, "x_hat": xh}
+
+        def step(st, y, u):
+            return baselines.bayesian_ks_step(st, y, model, bc, rng, u=u)
     else:
         rc = RMLConfig(n_particles=config.n_particles,
                        step_size=config.step_size
                        or RUN_DEFAULTS["step_size_rml"])
         st = baselines.init_rml(model, x0_mean, x0_cov, theta0, rc, rng)
-        th, xh = np.empty((T, model.n_theta)), np.empty((T, model.n_x))
-        for t in range(T):
-            u = None if u_trajectory is None else u_trajectory[t]
-            st = baselines.rml_spsa_step(st, ys[t], model, rc, rng, u=u)
-            th[t], xh[t] = st.theta_hat, st.filter.estimate
-        out = {"theta_hat": th, "x_hat": xh, "skipped": st.skipped_steps}
-    out["elapsed_s"] = time.perf_counter() - t_start
-    out["steps"] = T
-    return out
+
+        def step(st, y, u):
+            return baselines.rml_spsa_step(st, y, model, rc, rng, u=u)
+
+    theta_hat = np.empty((T, model.n_theta))
+    x_hat = np.empty((T, model.n_x))
+    for t in range(T):
+        st = step(st, ys[t], None if u_trajectory is None else u_trajectory[t])
+        theta_hat[t], x_hat[t] = st.theta_hat, st.x_hat
+    return {"theta_hat": theta_hat, "x_hat": x_hat,
+            "elapsed_s": time.perf_counter() - t_start,
+            "particle_steps": config.n_particles * T}
 
 
 def fault_start_step(config: RunConfig) -> int | None:
@@ -213,9 +218,10 @@ def run_scenario(config: RunConfig,
 
     start = fault_start_step(config)
     window_end = start if start is not None else theta_hat.shape[0]
-    window = min(RUN_DEFAULTS["convergence_window"], max(window_end, 2))
+    window = min(RUN_DEFAULTS["convergence_window"], window_end)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.filterwarnings("ignore",
+                                message=diagnosis.SHORT_WINDOW_WARNING)
         baseline = diagnosis.fit_healthy_baseline(theta_hat[:window_end],
                                                   window=window)
     residuals = diagnosis.residual(baseline, theta_hat)
@@ -239,7 +245,7 @@ def run_scenario(config: RunConfig,
            "theta_hat": theta_hat, "x_hat": result["x_hat"],
            "residuals": residuals, "baseline": baseline,
            "decisions": decisions, "report": report,
-           "particle_steps": result.get("particle_steps", 0)}
+           "particle_steps": result["particle_steps"]}
     if config.output_dir:
         _write_run_artifacts(Path(config.output_dir), out, band)
     return out
@@ -374,7 +380,7 @@ def confusion_campaign(base_config: RunConfig, design: list[Fault],
         except DualPFError as exc:
             failures.append({"run": i, "error": str(exc)})
             continue
-        particle_steps += run.get("particle_steps", 0)
+        particle_steps += run["particle_steps"]
         actual = ("no_fault" if fault_start_step(cfg) is None
                   else CATEGORIES[fault.component])
         decided = diagnosis.classify(run["decisions"], band=band)

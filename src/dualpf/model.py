@@ -1,21 +1,19 @@
 """Discrete-time nonlinear stochastic state-space model abstraction.
 
-A model is a transition map, an output map, a health map tying parameter
-components to the state, noise covariances and a box-shaped admissible
-parameter domain.  The parameter vector acts multiplicatively on the health
-map (healthy value is all ones); with the identity health map the plain
-state-space form is recovered.
+A model is a transition map, an output map, noise covariances and a
+box-shaped admissible parameter domain; the parameter vector is passed to
+both maps unchanged.
 
 Model callables must be stateless and vectorized over a leading particle
-axis: `transition(x, eff, w, u=None)` and `output(x, eff, u=None)` accept
-`x` of shape `(n_x,)` or `(N, n_x)` (with `eff` broadcastable accordingly);
+axis: `transition(x, theta, w, u=None)` and `output(x, theta, u=None)` accept
+`x` of shape `(n_x,)` or `(N, n_x)` (with `theta` broadcastable accordingly);
 the keyword `u` carries the exogenous input of the step (None when the model
 has none).
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -112,17 +110,16 @@ class ParamDomain:
 
 @dataclass
 class ModelSpec:
-    """Nonlinear stochastic system with multiplicative health parameters."""
+    """Nonlinear stochastic system with a boxed parameter vector."""
 
     n_x: int
     n_theta: int
     n_y: int
-    transition: Callable  # (x, eff, w, u=None) -> next state
-    output: Callable      # (x, eff, u=None) -> noise-free output
+    transition: Callable  # (x, theta, w, u=None) -> next state
+    output: Callable      # (x, theta, u=None) -> noise-free output
     process_noise_cov: np.ndarray
     measurement_noise_cov: np.ndarray
     param_domain: ParamDomain
-    health_map: Callable | None = None  # lambda(x) -> (n_theta,); None = ones
 
     def __post_init__(self):
         self.process_noise_cov = np.atleast_2d(
@@ -148,26 +145,14 @@ class ModelSpec:
             raise ConfigError("V must be strictly positive definite")
         if self.param_domain.dim != self.n_theta:
             raise ConfigError("param_domain dimension mismatch")
-        if self.health_map is not None:
-            probe = np.asarray(self.health_map(np.zeros(self.n_x)), dtype=float)
-            if probe.shape[-1] != self.n_theta:
-                raise ConfigError("health_map output length must be n_theta")
-
-    def effective_parameter(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Componentwise product of theta with the health map at x."""
-        theta = np.asarray(theta, dtype=float)
-        if self.health_map is None:
-            return theta if theta.ndim > 0 else np.atleast_1d(theta)
-        lam = np.asarray(self.health_map(x), dtype=float)
-        return theta * lam
 
     def step_state(self, x, theta, w, u=None) -> np.ndarray:
-        eff = self.effective_parameter(x, theta)
-        return np.asarray(self.transition(x, eff, w, u=u), dtype=float)
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return np.asarray(self.transition(x, theta, w, u=u), dtype=float)
 
     def measure(self, x, theta, u=None) -> np.ndarray:
-        eff = self.effective_parameter(x, theta)
-        return np.asarray(self.output(x, eff, u=u), dtype=float)
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return np.asarray(self.output(x, theta, u=u), dtype=float)
 
 
 def simulate(model: ModelSpec, x0: np.ndarray, theta_trajectory: np.ndarray,

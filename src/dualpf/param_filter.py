@@ -36,7 +36,6 @@ class ParamFilterConfig:
     step_size: float | Callable = 0.9       # gamma_t (constant or t -> gamma)
     projection_factor: float = 0.5          # mu in [0, 1]
     evolution_cov: np.ndarray | None = None  # initial parameter covariance
-    jacobian: Callable | None = None        # analytic dyhat/dtheta, (n_th, n_y)
     fd_step: float = 1e-6
     cov_mode: str = "running"               # "running" | "initial"
     predictor: str = "output"               # "output" | "one_step"
@@ -70,7 +69,6 @@ class ParamFilterState:
     prev_mean: np.ndarray   # mean at the previous step (shrinkage target)
     cov: np.ndarray         # running posterior covariance
     ess: float = np.nan
-    particle_steps: int = 0
 
     @property
     def n(self) -> int:
@@ -145,17 +143,11 @@ def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
                     x_prev: np.ndarray | None = None, u=None) -> np.ndarray:
     """dyhat/dtheta per particle, shaped (N, n_theta, n_y).
 
-    Uses the analytic Jacobian when configured, otherwise central finite
-    differences with a one-sided fallback at the domain boundary.
+    Central finite differences with a one-sided fallback at the domain
+    boundary.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n, n_th = thetas.shape
-    if config.jacobian is not None:
-        jac = np.asarray(config.jacobian(x_hat, thetas), dtype=float)
-        if jac.ndim == 2:
-            jac = np.broadcast_to(jac, (n, n_th, model.n_y))
-        return jac
-
     domain = model.param_domain
     base = predicted_outputs(thetas, x_hat, model, config.predictor, x_prev, u)
     jac = np.zeros((n, n_th, model.n_y))
@@ -265,7 +257,6 @@ def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
 
 def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
            model: ModelSpec, config: ParamFilterConfig, seed,
-           prev_state: ParamFilterState | None = None,
            x_prev: np.ndarray | None = None, u=None) -> ParamFilterState:
     """Likelihood reweighting and residual resampling of the intermediates."""
     rng = as_rng(seed)
@@ -277,16 +268,13 @@ def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
     particles = theta_tilde[idx]
     if not np.all(model.param_domain.contains(particles)):
         raise DualPFError("parameter particle escaped the admissible domain")
-    new = ParamFilterState(
+    return ParamFilterState(
         particles=particles,
         estimate=particles.mean(axis=0),
         prev_mean=particles.mean(axis=0),
         cov=sample_cov(particles),
         ess=ensemble.ess(),
     )
-    if prev_state is not None:
-        new.particle_steps = prev_state.particle_steps + particles.shape[0]
-    return new
 
 
 def step(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
@@ -295,5 +283,4 @@ def step(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
     """One full parameter-filter cycle."""
     rng = as_rng(seed)
     tilde = evolve(state, x_hat, y, model, config, rng, t=t, x_prev=x_prev, u=u)
-    return update(tilde, x_hat, y, model, config, rng, prev_state=state,
-                  x_prev=x_prev, u=u)
+    return update(tilde, x_hat, y, model, config, rng, x_prev=x_prev, u=u)

@@ -63,19 +63,16 @@ class ParticleEnsemble:
 
 @dataclass
 class RegularizationConfig:
-    """Grid-based kernel regularization settings."""
+    """Grid-based Gaussian-kernel regularization settings."""
 
     n_reg: int = 100
     bandwidth: float | None = None  # None -> optimal-bandwidth rule
-    kernel: str = "gaussian"        # "gaussian" | "epanechnikov"
 
     def __post_init__(self):
         if self.n_reg < 2:
             raise ConfigError("n_reg must be >= 2")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ConfigError("bandwidth must be positive")
-        if self.kernel not in ("gaussian", "epanechnikov"):
-            raise ConfigError(f"unknown kernel {self.kernel!r}")
 
 
 class RegularizeResult(NamedTuple):
@@ -203,19 +200,14 @@ def regular_grid(values: np.ndarray, n_reg: int) -> tuple[np.ndarray, float]:
 
 
 def _kernel_density_1d(grid: np.ndarray, centers: np.ndarray,
-                       weights: np.ndarray, b: float, kernel: str) -> np.ndarray:
+                       weights: np.ndarray, b: float) -> np.ndarray:
     # In-place buffer reuse: this is the hot loop of the regularized filter.
     u = grid[:, None] - centers[None, :]
     u *= 1.0 / b
     np.multiply(u, u, out=u)
-    if kernel == "gaussian":
-        u *= -0.5
-        np.exp(u, out=u)
-        u *= 1.0 / np.sqrt(2.0 * np.pi)
-    else:  # epanechnikov
-        np.subtract(1.0, u, out=u)
-        np.clip(u, 0.0, None, out=u)
-        u *= 0.75
+    u *= -0.5
+    np.exp(u, out=u)
+    u *= 1.0 / np.sqrt(2.0 * np.pi)
     return (u @ weights) / b
 
 
@@ -252,7 +244,7 @@ def regularize(ensemble: ParticleEnsemble, cov: np.ndarray,
                 out[:, j] = rng.choice(col, size=n, p=ensemble.weights)
             continue
         grid, dx = regular_grid(col, config.n_reg)
-        dens = _kernel_density_1d(grid, col, ensemble.weights, b, config.kernel)
+        dens = _kernel_density_1d(grid, col, ensemble.weights, b)
         total = dens.sum()
         if total <= 0.0:
             passthrough.append(j)

@@ -61,7 +61,8 @@ def init_state_filter(mean: np.ndarray, cov: np.ndarray,
 
 def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
             seed, u=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Propagate the ensemble one step at the frozen parameter estimate.
+    """Propagate the ensemble one step at the frozen parameter estimate
+    (or at one parameter row per particle).
 
     Returns the predicted particles, the sample covariance of the
     prediction (divide by N-1) and the per-particle predicted outputs.

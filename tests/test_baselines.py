@@ -117,7 +117,7 @@ class TestRmlSpsa:
         particles = np.full((20, 1), 0.0)
         for seed in range(5):
             grad = spsa_gradient(particles, theta, y, m,
-                                 RMLConfig(perturbation=0.01), seed)
+                                 RMLConfig(), seed)
             assert grad[0] == pytest.approx((y[0] - theta[0]) / sigma_v ** 2,
                                             rel=1e-9)
 

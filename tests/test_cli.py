@@ -63,6 +63,16 @@ class TestEstimate:
         assert doc["config"]["scenario"]["component"] == 0
 
 
+    @pytest.mark.parametrize("flags, predictor", [
+        ([], "one_step"), (["--predictor", "output"], "output")])
+    def test_scalar_predictor_in_report(self, tmp_path, flags, predictor):
+        rc = main(["estimate", "--model", "scalar", "--n-particles", "8",
+                   "--duration", "20", *flags, "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["predictor"] == predictor
+
+
 class TestCalibrateAndDiagnose:
     def test_calibrate_writes_band(self, tmp_path):
         rc = main(["calibrate", *FAST, "--runs", "5", "--out", str(tmp_path)])

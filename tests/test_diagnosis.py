@@ -231,11 +231,9 @@ class TestReport:
         band = ThresholdBand(np.full(4, -0.02), np.full(4, 0.02))
         decisions = [ComponentDecision(False) for _ in range(4)]
         decisions[2] = ComponentDecision(True, 40, 0.06)
-        matrix = ConfusionMatrix(np.eye(5, dtype=int))
-        doc = json.loads(report_to_json(base, band, decisions, matrix,
-                                        confusion_metrics(matrix)))
+        doc = json.loads(report_to_json(base, band, decisions))
         assert doc["decisions"]["eta_t"]["detected"]
         assert doc["decisions"]["eta_t"]["t_detect"] == 40
         assert doc["band"]["upper"] == [0.02] * 4
-        assert doc["metrics"]["AC"] == 100.0
-        assert np.array_equal(doc["confusion"], np.eye(5))
+        assert doc["baseline"]["theta0"] == [1.0] * 4
+        assert doc["baseline"]["short_window"]

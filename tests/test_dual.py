@@ -126,7 +126,7 @@ class TestRun:
         assert [r.t for r in history] == list(range(1, 8))
         arr = history_arrays(history)
         assert arr["theta_hat"].shape == (7, 1)
-        assert arr["y_hat"].shape == (7, 1)
+        assert arr["x_hat"].shape == (7, 1)
 
     def test_scalar_parameter_convergence(self):
         model = synthetic.scalar_growth_model()

@@ -1,13 +1,16 @@
 """Unit tests for scenario execution and Monte-Carlo campaign plumbing."""
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from dualpf import diagnosis
+from dualpf import baselines, diagnosis, dual
 from dualpf.diagnosis import CATEGORIES, ThresholdBand, classify
 from dualpf.errors import ConfigError
 from dualpf.harness import (
+    ESTIMATORS,
+    RUN_DEFAULTS,
     RunConfig,
     SyntheticFault,
     accuracy_stat,
@@ -19,9 +22,13 @@ from dualpf.harness import (
     fault_start_step,
     fp_stat,
     monte_carlo,
+    run_estimator,
     run_scenario,
+    simulate_truth,
     theta_trajectory,
 )
+from dualpf.param_filter import ParamFilterConfig
+from dualpf.state_filter import StateFilterConfig
 
 SMALL_MIXED = dict(model="mixed", estimator="dual", n_particles=10,
                    duration=40, theta0_std=0.005, x0_std=0.1)
@@ -37,6 +44,15 @@ class TestRunConfig:
             RunConfig(estimator="ekf")
         with pytest.raises(ConfigError):
             RunConfig(model="cartpole")
+
+    def test_predictor_default_depends_on_model(self):
+        assert RunConfig(model="scalar").predictor == "one_step"
+        assert RunConfig(model="mixed").predictor == "output"
+        assert RunConfig(model="gas_turbine").predictor == "output"
+        assert RunConfig(model="scalar", predictor="output").predictor == \
+            "output"
+        assert RunConfig(model="mixed", predictor="one_step").predictor == \
+            "one_step"
 
     def test_fault_start_step(self):
         assert fault_start_step(RunConfig(scenario="healthy")) is None
@@ -144,6 +160,86 @@ class TestRunScenario:
             cfg = RunConfig(**{**SMALL_MIXED, "estimator": estimator}, seed=2)
             run = run_scenario(cfg)
             assert np.all(np.isfinite(run["theta_hat"]))
+
+
+class TestEstimatorLoop:
+    STEPS = {"dual": (dual, "step"),
+             "bayesian": (baselines, "bayesian_ks_step"),
+             "rml": (baselines, "rml_spsa_step")}
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_module_step_called_once_per_step(self, monkeypatch, estimator):
+        calls = {name: 0 for name in self.STEPS}
+        for name, (module, attr) in self.STEPS.items():
+            def counted(*args, _name=name, _step=getattr(module, attr),
+                        **kwargs):
+                calls[_name] += 1
+                return _step(*args, **kwargs)
+            monkeypatch.setattr(module, attr, counted)
+        run_scenario(RunConfig(**{**SMALL_MIXED, "estimator": estimator}))
+        assert calls == {name: (SMALL_MIXED["duration"] if name == estimator
+                                else 0) for name in self.STEPS}
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_particle_steps_for_every_estimator(self, estimator):
+        cfg = RunConfig(**{**SMALL_MIXED, "estimator": estimator})
+        assert run_scenario(cfg)["particle_steps"] == 10 * 40
+        band = ThresholdBand(np.full(4, -10.0), np.full(4, 10.0))
+        design = campaign_design(n_per_category=1, start_step=20)[:3]
+        out = confusion_campaign(cfg, design, band, base_seed=2)
+        assert out["failures"] == []
+        assert out["particle_steps"] == 3 * 10 * 40
+
+    def test_dual_matches_a_direct_dual_run(self):
+        cfg = RunConfig(**SMALL_MIXED, scenario=SyntheticFault(1, 0.1, 20))
+        model, states, ys, _, u = simulate_truth(cfg)
+        got = run_estimator(model, ys, cfg, 7, states[0], u_trajectory=u)
+        theta0_cov = (cfg.theta0_std ** 2) * np.eye(4)
+        pc = ParamFilterConfig(
+            n_particles=10, shrinkage=cfg.shrinkage,
+            step_size=RUN_DEFAULTS["step_size_pe"],
+            evolution_cov=theta0_cov.copy(), predictor=cfg.predictor,
+            cov_mode=cfg.cov_mode)
+        est = dual.init(model, states[0], (cfg.x0_std ** 2) * np.eye(2),
+                        np.ones(4), theta0_cov,
+                        StateFilterConfig(n_particles=10), pc, 7)
+        want = dual.history_arrays(dual.run(est, ys, u_trajectory=u))
+        assert got["theta_hat"].tobytes() == want["theta_hat"].tobytes()
+        assert got["x_hat"].tobytes() == want["x_hat"].tobytes()
+
+
+class TestHealthyBaselineWindow:
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_fault_before_two_estimates_raises(self, start):
+        cfg = RunConfig(model="mixed", n_particles=8, duration=20,
+                        scenario=SyntheticFault(0, 0.1, start))
+        with pytest.raises(ConfigError, match="at least 2 samples"):
+            run_scenario(cfg)
+
+    def test_campaign_lists_the_run_as_failed(self):
+        base = RunConfig(model="mixed", n_particles=8, duration=20)
+        band = ThresholdBand(np.full(4, -10.0), np.full(4, 10.0))
+        design = [SyntheticFault(), SyntheticFault(0, 0.1, 0)]
+        out = confusion_campaign(base, design, band, base_seed=3)
+        assert [f["run"] for f in out["failures"]] == [1]
+        assert "at least 2 samples" in out["failures"][0]["error"]
+        assert len(out["labels"]) == 1
+
+    def test_only_the_short_window_warning_is_silenced(self, monkeypatch):
+        fit = diagnosis.fit_healthy_baseline
+
+        def noisy_fit(*args, **kwargs):
+            warnings.warn("unrelated")
+            return fit(*args, **kwargs)
+        monkeypatch.setattr(diagnosis, "fit_healthy_baseline", noisy_fit)
+        cfg = RunConfig(model="mixed", n_particles=8, duration=20,
+                        scenario=SyntheticFault(0, 0.1, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = run_scenario(cfg)
+        assert [str(w.message) for w in caught] == ["unrelated"]
+        assert run["baseline"].window == 2
+        assert run["baseline"].short_window
 
 
 class TestMonteCarlo:

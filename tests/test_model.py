@@ -65,12 +65,6 @@ class TestModelSpecValidation:
             _identity_model(n_x=2,
                             process_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
-    def test_effective_parameter_with_health_map(self):
-        m = _identity_model()
-        m.health_map = lambda x: np.array([2.0])
-        assert m.effective_parameter(np.zeros(1), np.array([0.5])) == \
-            pytest.approx([1.0])
-
     def test_healthy_multiplicative_identity(self):
         m = _identity_model()
         assert m.measure(np.array([2.0]), np.array([1.0])) == pytest.approx([2.0])

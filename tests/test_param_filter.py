@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpf import param_filter
 from dualpf.errors import ConfigError, DualPFError
 from dualpf.model import ModelSpec, ParamDomain
 from dualpf.param_filter import (
@@ -165,12 +164,6 @@ class TestOutputJacobian:
         cfg = ParamFilterConfig(n_particles=1)
         jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m, cfg)
         assert jac[0, 0, 0] == pytest.approx(4.0, abs=1e-5)
-
-    def test_analytic_jacobian_used_when_given(self):
-        m = _scaling_model()
-        cfg = ParamFilterConfig(jacobian=lambda x, th: np.full((1, 1), 7.0))
-        jac = output_jacobian(np.array([3.0]), np.array([[1.0]]), m, cfg)
-        assert jac[0, 0, 0] == 7.0
 
     def test_second_order_accuracy(self):
         m = _scaling_model(power=3, upper=5.0)
@@ -339,17 +332,6 @@ class TestUpdate:
         tilde = np.array([[1.0], [2.9]])
         st = update(tilde, np.array([1.0]), np.array([1.0]), m, cfg, 0)
         assert np.all(st.particles == 1.0)
-
-    def test_particle_steps_accumulate(self):
-        m = _scaling_model()
-        cfg = ParamFilterConfig(n_particles=8)
-        st = init_param_filter(np.array([1.0]), 0.01 * np.eye(1),
-                               m.param_domain, cfg, 0)
-        st2 = param_filter.step(st, np.array([1.0]), np.array([1.1]), m,
-                                cfg, 1)
-        st3 = param_filter.step(st2, np.array([1.0]), np.array([1.1]), m,
-                                cfg, 2)
-        assert st3.particle_steps == 16
 
     def test_escaped_particle_raises(self):
         m = _scaling_model(upper=2.0)

@@ -189,8 +189,6 @@ class TestRegularization:
             RegularizationConfig(n_reg=1)
         with pytest.raises(ConfigError):
             RegularizationConfig(bandwidth=-1.0)
-        with pytest.raises(ConfigError):
-            RegularizationConfig(kernel="triangle")
 
     def test_degenerate_dimension_passes_through(self):
         particles = np.column_stack([np.full(30, 2.5),
@@ -210,13 +208,6 @@ class TestRegularization:
         ens = ParticleEnsemble.uniform(rng.standard_normal((10_000, 1)))
         res = regularize(ens, np.eye(1), RegularizationConfig(), rng)
         assert abs(res.particles.mean()) < 0.05
-
-    def test_epanechnikov_kernel_also_preserves_mean(self):
-        rng = as_rng(8)
-        ens = ParticleEnsemble.uniform(rng.standard_normal((5_000, 1)))
-        res = regularize(ens, np.eye(1),
-                         RegularizationConfig(kernel="epanechnikov"), rng)
-        assert abs(res.particles.mean()) < 0.07
 
 
 
@@ -242,8 +233,7 @@ def _factor_rebuild_regularize(ensemble, cov, config, seed):
                          else rng.choice(col, size=n, p=ensemble.weights))
             continue
         grid, dx = regular_grid(col, config.n_reg)
-        dens = smc._kernel_density_1d(grid, col, ensemble.weights, b,
-                                      config.kernel)
+        dens = smc._kernel_density_1d(grid, col, ensemble.weights, b)
         idx = rng.choice(config.n_reg, size=n, p=dens / dens.sum())
         out[:, j] = grid[idx] + rng.uniform(-0.5 * dx, 0.5 * dx, size=n)
     return (out * scale) @ vecs.T

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from dualpf import state_filter
+from dualpf.baselines import BayesianKSConfig, bayesian_ks_step, init_bayesian_ks
 from dualpf.errors import FilterDivergenceError
 from dualpf.model import ModelSpec, ParamDomain
 from dualpf.smc import as_rng
@@ -31,6 +32,17 @@ def _linear_model(a, q, r):
 
 
 THETA = np.ones(1)
+
+
+def _diverging_model():
+    def transition(x, eff, w, u=None):
+        return np.asarray(x, dtype=float) * np.inf
+
+    return ModelSpec(n_x=1, n_theta=1, n_y=1, transition=transition,
+                     output=lambda x, eff, u=None: np.asarray(x, dtype=float),
+                     process_noise_cov=[[0.0]],
+                     measurement_noise_cov=[[1.0]],
+                     param_domain=ParamDomain([0.5], [1.5]))
 
 
 class TestInit:
@@ -75,16 +87,16 @@ class TestPredict:
         assert np.allclose(cov, p_expect, atol=0.05)
 
     def test_divergence_flags_particle(self):
-        def transition(x, eff, w, u=None):
-            return np.asarray(x, dtype=float) * np.inf
-
-        model = ModelSpec(n_x=1, n_theta=1, n_y=1, transition=transition,
-                          output=lambda x, eff, u=None: np.asarray(x, dtype=float),
-                          process_noise_cov=[[0.0]],
-                          measurement_noise_cov=[[1.0]],
-                          param_domain=ParamDomain([0.5], [1.5]))
         with pytest.raises(FilterDivergenceError):
-            predict(np.ones((4, 1)), THETA, model, 0)
+            predict(np.ones((4, 1)), THETA, _diverging_model(), 0)
+
+    def test_bayesian_step_shares_the_divergence_check(self):
+        model = _diverging_model()
+        st = init_bayesian_ks(model, np.ones(1), np.eye(1), THETA,
+                              0.01 * np.eye(1), BayesianKSConfig(n_particles=4),
+                              0)
+        with pytest.raises(FilterDivergenceError):
+            bayesian_ks_step(st, np.ones(1), model, BayesianKSConfig(), 1)
 
 
 class TestUpdate:
