@@ -10,7 +10,7 @@ budgets can be matched for fair comparisons.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -20,8 +20,8 @@ from .errors import BudgetError, ConfigError, GradientUndefinedError
 from .model import ModelSpec
 from .param_filter import kernel_shrink, project_step
 from .smc import (
+    DEFAULT_REGULARIZATION,
     ParticleEnsemble,
-    RegularizationConfig,
     as_rng,
     gaussian_loglik,
     regularize,
@@ -41,8 +41,6 @@ SPSA_PERTURBATION = 0.01   # SPSA scale c_t
 class BayesianKSConfig:
     n_particles: int = 45
     shrinkage: float = 0.93
-    regularization: RegularizationConfig = field(default_factory=RegularizationConfig)
-    projection_factor: float = 0.5
 
 
 @dataclass
@@ -63,8 +61,7 @@ def init_bayesian_ks(model: ModelSpec, x0_mean, x0_cov, theta0_mean,
     xs = x0_mean + sample_gaussian(x0_cov, n, rng)
     ths = theta0_mean + sample_gaussian(theta0_cov, n, rng)
     ths = project_step(np.broadcast_to(theta0_mean, ths.shape),
-                       ths - theta0_mean, model.param_domain,
-                       config.projection_factor)
+                       ths - theta0_mean, model.param_domain)
     particles = np.hstack([xs, ths])
     return BayesianKSState(particles, xs.mean(axis=0), ths.mean(axis=0))
 
@@ -80,16 +77,15 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
 
     # Parameter evolution: shrink toward the ensemble mean, inflate back.
     ths_new = kernel_shrink(ths, ths.mean(axis=0), sample_cov(ths),
-                            config.shrinkage, model.param_domain,
-                            config.projection_factor, rng)
+                            config.shrinkage, model.param_domain, rng)
 
     # State propagation and reweighting at the evolved parameters.
-    xs_new, _, yhat = state_filter.predict(xs, ths_new, model, rng, u=u)
+    xs_new, yhat = state_filter.predict(xs, ths_new, model, rng, u=u)
     weights = state_filter.update(yhat, y_t, model)
     augmented = np.hstack([xs_new, ths_new])
     ensemble = ParticleEnsemble(augmented, weights)
     result = regularize(ensemble, sample_cov(augmented),
-                        config.regularization, rng)
+                        DEFAULT_REGULARIZATION, rng)
     post = result.particles
     # Regularization jitter can push parameters past the box edge; clip.
     post[:, n_x:] = model.param_domain.clip(post[:, n_x:])
@@ -105,7 +101,6 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
 class RMLConfig:
     n_particles: int = 150
     step_size: float = 0.05
-    projection_factor: float = 0.5
 
 
 @dataclass
@@ -130,8 +125,7 @@ def init_rml(model: ModelSpec, x0_mean, x0_cov, theta0_mean,
 
 
 def spsa_gradient(particles: np.ndarray, theta_hat: np.ndarray,
-                  y_t: np.ndarray, model: ModelSpec, config: RMLConfig,
-                  seed, u=None) -> np.ndarray:
+                  y_t: np.ndarray, model: ModelSpec, seed, u=None) -> np.ndarray:
     """Two-sided SPSA estimate of the incremental log-likelihood gradient.
 
     Both perturbed branches reuse the same process-noise draws so the
@@ -172,11 +166,10 @@ def rml_spsa_step(state: RMLState, y_t: np.ndarray, model: ModelSpec,
     rng = as_rng(seed)
     try:
         grad = spsa_gradient(state.filter.particles, state.theta_hat, y_t,
-                             model, config, rng, u=u)
+                             model, rng, u=u)
         theta_new = project_step(state.theta_hat[None],
                                  (config.step_size * grad)[None],
-                                 model.param_domain,
-                                 config.projection_factor)[0]
+                                 model.param_domain)[0]
         skipped = state.skipped_steps
     except GradientUndefinedError:
         theta_new = state.theta_hat

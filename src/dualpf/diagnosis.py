@@ -18,7 +18,7 @@ from .errors import CalibrationError, ConfigError, UndefinedMetricError
 from .model import COMPONENTS
 from .smc import sample_cov
 
-CONVERGENCE_WINDOW = 200   # default healthy-fit horizon, steps (2 s at 10 ms)
+CONVERGENCE_WINDOW = 200   # healthy-fit horizon and MAE tail, steps (2 s at 10 ms)
 MIN_CALIBRATION_RUNS = 25
 MIN_BAND_WIDTH = 1e-6
 SHORT_WINDOW_WARNING = "baseline window shorter than the convergence horizon"
@@ -64,9 +64,7 @@ class ConfusionMatrix:
 
 
 def fit_healthy_baseline(theta_estimates: np.ndarray,
-                         window: int | None = None,
-                         convergence_horizon: int = CONVERGENCE_WINDOW
-                         ) -> HealthyBaseline:
+                         window: int | None = None) -> HealthyBaseline:
     """Gaussian fit over the trailing window of healthy estimates."""
     theta_estimates = np.atleast_2d(np.asarray(theta_estimates, dtype=float))
     if window is None:
@@ -74,7 +72,7 @@ def fit_healthy_baseline(theta_estimates: np.ndarray,
     if window < 2:
         raise ConfigError("need at least 2 samples to fit a baseline")
     tail = theta_estimates[-window:]
-    short = window < convergence_horizon
+    short = window < CONVERGENCE_WINDOW
     if short:
         warnings.warn(SHORT_WINDOW_WARNING)
     return HealthyBaseline(theta0=tail.mean(axis=0), window=window,

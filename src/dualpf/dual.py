@@ -84,7 +84,7 @@ def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState
     try:
         est.params = param_filter.step(est.params, est.state.estimate, y_t,
                                        est.model, est.param_config, est.rng,
-                                       t=est.t, x_prev=x_prev, u=u)
+                                       x_prev=x_prev, u=u)
     except DualPFError as exc:
         raise type(exc)(f"parameter filter, step {est.t + 1}: {exc}") from exc
     est.t += 1

@@ -38,7 +38,6 @@ RUN_DEFAULTS = {
     "shrinkage": 0.93,
     "step_size_pe": 0.9,
     "step_size_rml": 0.05,
-    "convergence_window": 200,
     "coverage": 0.99,
     "persistence": 5,
     "unit_costs": {"c1": 10.0, "c2": 10.0, "c3": 10.0},
@@ -75,6 +74,8 @@ class RunConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
+        if self.step_size is not None and not self.step_size > 0.0:
+            raise ConfigError("step_size must be positive")
         if self.predictor is None:
             # The scalar model measures y = x, so under "output" the
             # Jacobian is 0 and theta is unidentifiable.
@@ -158,12 +159,16 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
     x0_cov = (config.x0_std ** 2) * np.eye(model.n_x)
     T = ys.shape[0]
     t_start = time.perf_counter()
+    step_size = config.step_size
+    if step_size is None:
+        step_size = RUN_DEFAULTS["step_size_rml" if config.estimator == "rml"
+                                 else "step_size_pe"]
 
     if config.estimator == "dual":
         pc = ParamFilterConfig(
             n_particles=config.n_particles,
             shrinkage=config.shrinkage,
-            step_size=config.step_size or RUN_DEFAULTS["step_size_pe"],
+            step_size=step_size,
             evolution_cov=theta0_cov.copy(),
             predictor=config.predictor,
             cov_mode=config.cov_mode,
@@ -182,9 +187,7 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
         def step(st, y, u):
             return baselines.bayesian_ks_step(st, y, model, bc, rng, u=u)
     else:
-        rc = RMLConfig(n_particles=config.n_particles,
-                       step_size=config.step_size
-                       or RUN_DEFAULTS["step_size_rml"])
+        rc = RMLConfig(n_particles=config.n_particles, step_size=step_size)
         st = baselines.init_rml(model, x0_mean, x0_cov, theta0, rc, rng)
 
         def step(st, y, u):
@@ -218,7 +221,7 @@ def run_scenario(config: RunConfig,
 
     start = fault_start_step(config)
     window_end = start if start is not None else theta_hat.shape[0]
-    window = min(RUN_DEFAULTS["convergence_window"], window_end)
+    window = min(diagnosis.CONVERGENCE_WINDOW, window_end)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore",
                                 message=diagnosis.SHORT_WINDOW_WARNING)
@@ -230,7 +233,7 @@ def run_scenario(config: RunConfig,
     if band is not None:
         decisions = diagnosis.decide(residuals, band, config.persistence)
     mae = {}
-    tail = slice(-RUN_DEFAULTS["convergence_window"], None)
+    tail = slice(-diagnosis.CONVERGENCE_WINDOW, None)
     for j in range(model.n_theta):
         mae[f"theta_{j+1}"] = diagnosis.mae_percent(
             theta_hat[:, j], thetas[:, j],
@@ -274,8 +277,9 @@ def monte_carlo(config: RunConfig, n_runs: int, base_seed: int,
                 band: diagnosis.ThresholdBand | None = None) -> dict:
     """Independent seeded repetitions of run_scenario with aggregation.
 
-    Runs execute sequentially; per-run seeds are spawned from base_seed so
-    a parallel executor would produce identical numbers.
+    Runs execute sequentially on per-run seeds spawned from base_seed, so
+    run i equals run_scenario alone at the i-th seed (see
+    test_harness::TestMonteCarlo::test_aggregate_and_determinism).
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")

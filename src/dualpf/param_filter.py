@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,25 +25,25 @@ from .smc import (
 )
 
 COV_FLOOR = 1e-12
+PROJECTION_FACTOR = 0.5      # mu: a rejected step is scaled by mu and retried
 PROJECTION_MAX_SCALINGS = 64
+FD_STEP = 1e-6               # relative finite-difference step of the Jacobian
 
 
 @dataclass
 class ParamFilterConfig:
     n_particles: int = 50
     shrinkage: float = 0.93                 # a in A = a I, 0 < a <= 1
-    step_size: float | Callable = 0.9       # gamma_t (constant or t -> gamma)
-    projection_factor: float = 0.5          # mu in [0, 1]
+    step_size: float = 0.9                  # gamma > 0
     evolution_cov: np.ndarray | None = None  # initial parameter covariance
-    fd_step: float = 1e-6
     cov_mode: str = "running"               # "running" | "initial"
     predictor: str = "output"               # "output" | "one_step"
 
     def __post_init__(self):
         if not 0.0 < self.shrinkage <= 1.0:
             raise ConfigError("shrinkage must be in (0, 1]")
-        if not 0.0 <= self.projection_factor <= 1.0:
-            raise ConfigError("projection_factor must be in [0, 1]")
+        if not self.step_size > 0.0:
+            raise ConfigError("step_size must be positive")
         if self.cov_mode not in ("running", "initial"):
             raise ConfigError(f"unknown cov_mode {self.cov_mode!r}")
         if self.evolution_cov is not None:
@@ -55,12 +54,6 @@ class ParamFilterConfig:
         if self.predictor not in ("output", "one_step"):
             raise ConfigError(f"unknown predictor {self.predictor!r}")
 
-    def gamma(self, t: int) -> float:
-        g = self.step_size(t) if callable(self.step_size) else float(self.step_size)
-        if g <= 0:
-            raise ConfigError("step size must stay positive")
-        return g
-
 
 @dataclass
 class ParamFilterState:
@@ -69,10 +62,6 @@ class ParamFilterState:
     prev_mean: np.ndarray   # mean at the previous step (shrinkage target)
     cov: np.ndarray         # running posterior covariance
     ess: float = np.nan
-
-    @property
-    def n(self) -> int:
-        return self.particles.shape[0]
 
 
 def init_param_filter(mean: np.ndarray, cov: np.ndarray, domain: ParamDomain,
@@ -83,8 +72,7 @@ def init_param_filter(mean: np.ndarray, cov: np.ndarray, domain: ParamDomain,
         raise ConfigError("initial parameter mean outside the domain")
     particles = mean + sample_gaussian(cov, config.n_particles, rng)
     particles = project_step(
-        np.broadcast_to(mean, particles.shape), particles - mean, domain,
-        config.projection_factor)
+        np.broadcast_to(mean, particles.shape), particles - mean, domain)
     return ParamFilterState(
         particles=particles,
         estimate=particles.mean(axis=0),
@@ -139,7 +127,7 @@ def updating_gain(eps: np.ndarray) -> np.ndarray:
 
 
 def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
-                    config: ParamFilterConfig,
+                    predictor: str = "output",
                     x_prev: np.ndarray | None = None, u=None) -> np.ndarray:
     """dyhat/dtheta per particle, shaped (N, n_theta, n_y).
 
@@ -149,18 +137,17 @@ def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n, n_th = thetas.shape
     domain = model.param_domain
-    base = predicted_outputs(thetas, x_hat, model, config.predictor, x_prev, u)
     jac = np.zeros((n, n_th, model.n_y))
     for k in range(n_th):
-        eta = config.fd_step * np.maximum(1.0, np.abs(thetas[:, k]))
+        eta = FD_STEP * np.maximum(1.0, np.abs(thetas[:, k]))
         up_ok = thetas[:, k] + eta <= domain.upper[k]
         dn_ok = thetas[:, k] - eta >= domain.lower[k]
         t_up = thetas.copy()
         t_up[:, k] = np.where(up_ok, thetas[:, k] + eta, thetas[:, k])
         t_dn = thetas.copy()
         t_dn[:, k] = np.where(dn_ok, thetas[:, k] - eta, thetas[:, k])
-        y_up = predicted_outputs(t_up, x_hat, model, config.predictor, x_prev, u)
-        y_dn = predicted_outputs(t_dn, x_hat, model, config.predictor, x_prev, u)
+        y_up = predicted_outputs(t_up, x_hat, model, predictor, x_prev, u)
+        y_dn = predicted_outputs(t_dn, x_hat, model, predictor, x_prev, u)
         span = t_up[:, k] - t_dn[:, k]
         with np.errstate(invalid="ignore", divide="ignore"):
             deriv = np.where(span[:, None] > 0, (y_up - y_dn) / span[:, None], 0.0)
@@ -169,13 +156,13 @@ def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
 
 
 def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,
-                 domain: ParamDomain, mu: float) -> np.ndarray:
-    """Scale a candidate step by mu until the endpoint is admissible.
+                 domain: ParamDomain) -> np.ndarray:
+    """Scale a candidate step by PROJECTION_FACTOR until the endpoint is
+    admissible.
 
     theta_prev is clipped into the domain first (a shrinkage point can round
     one ulp past a bound), so the result is always admissible; after 64
-    scalings the step is dropped entirely so termination is guaranteed even
-    for mu = 1.
+    scalings a step still outside is dropped entirely.
     """
     theta_prev = domain.clip(np.atleast_2d(np.asarray(theta_prev, dtype=float)))
     step = np.atleast_2d(np.asarray(raw_step, dtype=float)).copy()
@@ -183,7 +170,7 @@ def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,
         outside = ~domain.contains(theta_prev + step)
         if not np.any(outside):
             break
-        step[outside] *= mu
+        step[outside] *= PROJECTION_FACTOR
     else:
         outside = ~domain.contains(theta_prev + step)
         step[outside] = 0.0
@@ -213,23 +200,23 @@ def shrinkage_upper_bound(pmax: float, psi: np.ndarray, vy: np.ndarray,
 
 
 def kernel_shrink(centers: np.ndarray, target: np.ndarray, cov: np.ndarray,
-                  a: float, domain: ParamDomain, mu: float, seed) -> np.ndarray:
+                  a: float, domain: ParamDomain, seed) -> np.ndarray:
     """Kernel-smoothing evolution: shrink, jitter, project into the box.
 
     Each row moves to a * center + (1 - a) * target and takes a zero-mean
     Gaussian jitter with covariance (1 - a^2) (cov + COV_FLOOR I), so the
-    ensemble variance is preserved; the jitter is scaled by mu until the
-    particle is admissible.
+    ensemble variance is preserved; the jitter is scaled by PROJECTION_FACTOR
+    until the particle is admissible.
     """
     rng = as_rng(seed)
     noise_cov = (1.0 - a ** 2) * (cov + COV_FLOOR * np.eye(cov.shape[0]))
     zeta = sample_gaussian(noise_cov, centers.shape[0], rng)
     shrunk = a * centers + (1.0 - a) * target
-    return project_step(shrunk, zeta, domain, mu)
+    return project_step(shrunk, zeta, domain)
 
 
 def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
-           model: ModelSpec, config: ParamFilterConfig, seed, t: int = 0,
+           model: ModelSpec, config: ParamFilterConfig, seed,
            x_prev: np.ndarray | None = None, u=None,
            force_zero_error: bool = False) -> np.ndarray:
     """Intermediate particles: gradient step, shrinkage, evolution noise.
@@ -246,13 +233,12 @@ def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
     else:
         eps = prediction_error(thetas, x_hat, y, model, config.predictor, x_prev, u)
         gain = updating_gain(eps)
-        psi = output_jacobian(x_hat, thetas, model, config, x_prev, u)
-        raw = config.gamma(t) * gain[:, None] * np.einsum("njy,ny->nj", psi, eps)
-        m = project_step(thetas, raw, domain, config.projection_factor)
+        psi = output_jacobian(x_hat, thetas, model, config.predictor, x_prev, u)
+        raw = config.step_size * gain[:, None] * np.einsum("njy,ny->nj", psi, eps)
+        m = project_step(thetas, raw, domain)
 
     cov = state.cov if config.cov_mode == "running" else config.evolution_cov
-    return kernel_shrink(m, state.prev_mean, cov, config.shrinkage, domain,
-                         config.projection_factor, rng)
+    return kernel_shrink(m, state.prev_mean, cov, config.shrinkage, domain, rng)
 
 
 def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
@@ -278,9 +264,9 @@ def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
 
 
 def step(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
-         model: ModelSpec, config: ParamFilterConfig, seed, t: int = 0,
+         model: ModelSpec, config: ParamFilterConfig, seed,
          x_prev: np.ndarray | None = None, u=None) -> ParamFilterState:
     """One full parameter-filter cycle."""
     rng = as_rng(seed)
-    tilde = evolve(state, x_hat, y, model, config, rng, t=t, x_prev=x_prev, u=u)
+    tilde = evolve(state, x_hat, y, model, config, rng, x_prev=x_prev, u=u)
     return update(tilde, x_hat, y, model, config, rng, x_prev=x_prev, u=u)

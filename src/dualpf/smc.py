@@ -61,7 +61,7 @@ class ParticleEnsemble:
         return cls(particles, np.full(n, 1.0 / n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizationConfig:
     """Grid-based Gaussian-kernel regularization settings."""
 
@@ -73,6 +73,10 @@ class RegularizationConfig:
             raise ConfigError("n_reg must be >= 2")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ConfigError("bandwidth must be positive")
+
+
+# The one setting both regularized filters run with (frozen: it is shared).
+DEFAULT_REGULARIZATION = RegularizationConfig()
 
 
 class RegularizeResult(NamedTuple):

@@ -7,15 +7,15 @@ resampling that returns an equally weighted posterior ensemble.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FilterDivergenceError
 from .model import ModelSpec
 from .smc import (
+    DEFAULT_REGULARIZATION,
     ParticleEnsemble,
-    RegularizationConfig,
     as_rng,
     likelihood_weights,
     regularize,
@@ -27,22 +27,15 @@ from .smc import (
 @dataclass
 class StateFilterConfig:
     n_particles: int = 50
-    regularization: RegularizationConfig = field(default_factory=RegularizationConfig)
 
 
 @dataclass
 class StateFilterState:
     particles: np.ndarray            # (N, n_x) equally weighted posterior
     estimate: np.ndarray             # posterior mean
-    prior_cov: np.ndarray            # last a-priori covariance
-    config: StateFilterConfig
     ess: float = np.nan              # ESS of the last weight update
     degenerate: bool = False         # max weight ~ 1 on the last update
     passthrough_dims: tuple = ()
-
-    @property
-    def n(self) -> int:
-        return self.particles.shape[0]
 
 
 def init_state_filter(mean: np.ndarray, cov: np.ndarray,
@@ -51,21 +44,16 @@ def init_state_filter(mean: np.ndarray, cov: np.ndarray,
     rng = as_rng(seed)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     particles = mean + sample_gaussian(cov, config.n_particles, rng)
-    return StateFilterState(
-        particles=particles,
-        estimate=particles.mean(axis=0),
-        prior_cov=np.atleast_2d(np.asarray(cov, dtype=float)),
-        config=config,
-    )
+    return StateFilterState(particles=particles,
+                            estimate=particles.mean(axis=0))
 
 
 def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
-            seed, u=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            seed, u=None) -> tuple[np.ndarray, np.ndarray]:
     """Propagate the ensemble one step at the frozen parameter estimate
     (or at one parameter row per particle).
 
-    Returns the predicted particles, the sample covariance of the
-    prediction (divide by N-1) and the per-particle predicted outputs.
+    Returns the predicted particles and their predicted outputs.
     """
     rng = as_rng(seed)
     n = particles.shape[0]
@@ -74,9 +62,8 @@ def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
     bad = ~np.all(np.isfinite(predicted), axis=1)
     if np.any(bad):
         raise FilterDivergenceError(int(np.flatnonzero(bad)[0]))
-    prior_cov = sample_cov(predicted)
     outputs = np.atleast_2d(model.measure(predicted, theta_hat, u=u))
-    return predicted, prior_cov, outputs
+    return predicted, outputs
 
 
 def update(predicted_outputs: np.ndarray, y: np.ndarray,
@@ -90,17 +77,15 @@ def step(state: StateFilterState, theta_hat: np.ndarray, y: np.ndarray,
          model: ModelSpec, seed, u=None) -> StateFilterState:
     """Full predict / weight / regularized-resample cycle."""
     rng = as_rng(seed)
-    predicted, prior_cov, outputs = predict(
-        state.particles, theta_hat, model, rng, u=u)
+    predicted, outputs = predict(state.particles, theta_hat, model, rng, u=u)
     weights = update(outputs, y, model)
     ensemble = ParticleEnsemble(predicted, weights)
-    result = regularize(ensemble, prior_cov, state.config.regularization, rng)
+    result = regularize(ensemble, sample_cov(predicted),
+                        DEFAULT_REGULARIZATION, rng)
     posterior = result.particles
     return StateFilterState(
         particles=posterior,
         estimate=posterior.mean(axis=0),
-        prior_cov=prior_cov,
-        config=state.config,
         ess=ensemble.ess(),
         degenerate=ensemble.is_collapsed(),
         passthrough_dims=result.passthrough_dims,

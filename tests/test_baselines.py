@@ -116,23 +116,21 @@ class TestRmlSpsa:
         theta, y = np.array([1.0]), np.array([2.2])
         particles = np.full((20, 1), 0.0)
         for seed in range(5):
-            grad = spsa_gradient(particles, theta, y, m,
-                                 RMLConfig(), seed)
+            grad = spsa_gradient(particles, theta, y, m, seed)
             assert grad[0] == pytest.approx((y[0] - theta[0]) / sigma_v ** 2,
                                             rel=1e-9)
 
     def test_gradient_vanishes_at_symmetric_point(self):
         m = _direct_observation_model()
         theta = np.array([1.5])
-        grad = spsa_gradient(np.zeros((10, 1)), theta, np.array([1.5]), m,
-                             RMLConfig(), 7)
+        grad = spsa_gradient(np.zeros((10, 1)), theta, np.array([1.5]), m, 7)
         assert grad[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonfinite_observation_raises(self):
         m = _direct_observation_model()
         with pytest.raises(GradientUndefinedError):
             spsa_gradient(np.zeros((10, 1)), np.array([1.0]),
-                          np.array([np.inf]), m, RMLConfig(), 0)
+                          np.array([np.inf]), m, 0)
 
     def test_zero_step_size_keeps_parameter_constant(self):
         m = _output_scaling_model()

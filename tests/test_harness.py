@@ -45,6 +45,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(model="cartpole")
 
+    @pytest.mark.parametrize("estimator", ["dual", "rml"])
+    @pytest.mark.parametrize("step_size", [0.0, -0.1])
+    def test_non_positive_step_size_rejected(self, estimator, step_size):
+        with pytest.raises(ConfigError, match="step_size"):
+            RunConfig(estimator=estimator, step_size=step_size)
+
     def test_predictor_default_depends_on_model(self):
         assert RunConfig(model="scalar").predictor == "one_step"
         assert RunConfig(model="mixed").predictor == "output"
@@ -241,6 +247,20 @@ class TestHealthyBaselineWindow:
         assert run["baseline"].window == 2
         assert run["baseline"].short_window
 
+    @pytest.mark.parametrize("horizon, short", [(10, False), (35, True)])
+    def test_window_follows_the_convergence_constant(self, monkeypatch,
+                                                     horizon, short):
+        monkeypatch.setattr(diagnosis, "CONVERGENCE_WINDOW", horizon)
+        cfg = RunConfig(**SMALL_MIXED, scenario=SyntheticFault(0, 0.1, 30))
+        run = run_scenario(cfg)
+        assert run["baseline"].window == min(horizon, 30)
+        assert run["baseline"].short_window is short
+        tail = slice(-horizon, None)
+        want = diagnosis.mae_percent(
+            run["theta_hat"][:, 0], run["thetas"][:, 0],
+            nominal=float(np.mean(np.abs(run["thetas"][:, 0]))), window=tail)
+        assert run["report"]["mae_percent"]["theta_1"] == want
+
 
 class TestMonteCarlo:
     def test_n_runs_validated(self):
@@ -260,6 +280,14 @@ class TestMonteCarlo:
         assert docs[0] == docs[1]
         assert (tmp_path / "mc" / "aggregate.json").exists()
         assert (tmp_path / "mc" / "run_000" / "report.json").exists()
+        # Run i is run_scenario alone at the i-th spawned seed, whatever
+        # runs before it.
+        seeds = np.random.SeedSequence(9).spawn(2)
+        for run, ss in zip(mc["runs"], seeds):
+            alone = run_scenario(RunConfig(
+                **SMALL_MIXED, seed=int(ss.generate_state(1)[0] % 2 ** 31)))
+            assert run["theta_hat"].tobytes() == alone["theta_hat"].tobytes()
+            assert run["x_hat"].tobytes() == alone["x_hat"].tobytes()
 
 
 class TestCalibration:
