@@ -102,9 +102,8 @@ def _split_state(state: np.ndarray):
 
 
 def _check_positive(state: np.ndarray):
-    t_cc, s, p_cc, p_nlt = _split_state(state)
-    if (np.any(t_cc <= 0) or np.any(s <= 0)
-            or np.any(p_cc <= 0) or np.any(p_nlt <= 0)):
+    # Every state (T_CC, S, P_CC, P_NLT) must be positive.
+    if np.any(np.asarray(state, dtype=float) <= 0):
         raise PhysicalDomainError("engine state left the positive orthant")
 
 
@@ -133,8 +132,12 @@ def turbine_exit_temp(t_cc, p_cc, p_nlt, theta_eta_t, c: EngineConstants):
 
 def derivatives(state: np.ndarray, health: np.ndarray, c: EngineConstants,
                 fuel_flow: float | None = None) -> np.ndarray:
-    """Continuous-time right-hand side; vectorized over leading axes."""
-    _check_positive(state)
+    """Continuous-time right-hand side; vectorized over leading axes.
+
+    The state is not checked here: this is the per-sweep right-hand side of
+    the implicit solver, and `step_backward_euler` checks the physical
+    domain once per step.
+    """
     t_cc, s, p_cc, p_nlt = _split_state(state)
     health = np.asarray(health, dtype=float)
     th_ec, th_mc, th_et, th_mt = (health[..., i] for i in range(4))
@@ -166,6 +169,82 @@ def derivatives(state: np.ndarray, health: np.ndarray, c: EngineConstants,
     return np.stack([d_tcc, d_s, d_pcc, d_pnlt], axis=-1)
 
 
+def state_jacobian(state: np.ndarray, health: np.ndarray, c: EngineConstants,
+                   fuel_flow: float | None = None) -> np.ndarray:
+    """Analytic Jacobian d(derivatives)/d(state), shaped (..., 4, 4).
+
+    Entry [i, j] is the derivative of the i-th rate by the j-th state, both
+    in the order (T_CC, S, P_CC, P_NLT).  It differentiates the equations of
+    `derivatives` term by term and evaluates them itself, so it makes no
+    right-hand-side call.
+    """
+    t_cc, s, p_cc, p_nlt = _split_state(state)
+    health = np.asarray(health, dtype=float)
+    th_ec, th_mc, th_et, th_mt = (health[..., i] for i in range(4))
+    mdot_f = c.mdot_f_ref if fuel_flow is None else fuel_flow
+    ex = (c.gamma - 1.0) / c.gamma
+
+    t_comp = compressor_exit_temp(p_cc, th_ec, c)
+    t_turb = turbine_exit_temp(t_cc, p_cc, p_nlt, th_et, c)
+    mdot_c = th_mc * compressor_flow(s, p_cc, c)
+    mdot_t = th_mt * turbine_flow(p_cc, t_cc, c)
+    net_mass = mdot_c + mdot_f - mdot_t
+    d_tcc = (c.c_p * (mdot_c * t_comp - mdot_t * t_cc)
+             + c.eta_cc * c.H_u * mdot_f
+             - c.c_v * t_cc * net_mass) / (c.c_v * c.m_cc)
+
+    # Partials of the component quantities; _t, _s, _p, _n name the state.
+    tcomp_p = (c.T_d * ex * (p_cc / c.P_d) ** ex) / (p_cc * th_ec * c.eta_c)
+    drop = t_cc * th_et * c.eta_t * ex * (p_nlt / p_cc) ** ex
+    tturb_t, tturb_p, tturb_n = t_turb / t_cc, -drop / p_cc, drop / p_nlt
+    mc_s = mdot_c / s
+    mc_p = -th_mc * c.mdot_c_ref * (s / c.S_ref) * c.k_pc / c.P_cc_ref
+    mt_t, mt_p = -0.5 * mdot_t / t_cc, mdot_t / p_cc
+
+    # Energy balance.
+    k_e = 1.0 / (c.c_v * c.m_cc)
+    dtcc_t = k_e * (c.c_p * (-mt_t * t_cc - mdot_t)
+                    - c.c_v * (net_mass - t_cc * mt_t))
+    dtcc_s = k_e * (c.c_p * mc_s * t_comp - c.c_v * t_cc * mc_s)
+    dtcc_p = k_e * (c.c_p * (mc_p * t_comp + mdot_c * tcomp_p - mt_p * t_cc)
+                    - c.c_v * t_cc * (mc_p - mt_p))
+
+    # Pressure: (p_cc / t_cc) d_tcc + (gamma R t_cc / V_cc) net_mass.
+    k_p = c.gamma * c.R / c.V_cc
+    ratio = p_cc / t_cc
+    dpcc_t = (-ratio * d_tcc / t_cc + ratio * dtcc_t
+              + k_p * (net_mass - t_cc * mt_t))
+    dpcc_s = ratio * dtcc_s + k_p * t_cc * mc_s
+    dpcc_p = d_tcc / t_cc + ratio * dtcc_p + k_p * t_cc * (mc_p - mt_p)
+
+    # Spool: d_s = k_s (eta_mech w_turb - w_comp) / s.
+    k_s = 1e3 / (c.J * (np.pi / 30.0) ** 2)
+    lift = t_comp - c.T_d
+    drop_t = t_cc - t_turb
+    power = c.eta_mech * mdot_t * drop_t - mdot_c * lift
+    ds_t = k_s * c.c_p * c.eta_mech * (mt_t * drop_t + mdot_t * (1.0 - tturb_t)) / s
+    ds_s = -k_s * c.c_p * (mc_s * lift + power / s) / s
+    ds_p = k_s * c.c_p * (c.eta_mech * (mt_p * drop_t - mdot_t * tturb_p)
+                          - mc_p * lift - mdot_c * tcomp_p) / s
+    ds_n = -k_s * c.c_p * c.eta_mech * mdot_t * tturb_n / s
+
+    # Nozzle mixing volume.
+    k_n = c.R * c.T_m / c.V_m
+    share = c.beta / (c.beta + 1.0)
+    dpnlt_t = k_n * mt_t
+    dpnlt_s = k_n * share * mc_s
+    dpnlt_p = k_n * (mt_p + share * mc_p)
+    dpnlt_n = -k_n * c.mdot_n_ref / c.P_nlt_ref
+
+    rows = ((dtcc_t, dtcc_s, dtcc_p, 0.0), (ds_t, ds_s, ds_p, ds_n),
+            (dpcc_t, dpcc_s, dpcc_p, 0.0), (dpnlt_t, dpnlt_s, dpnlt_p, dpnlt_n))
+    jac = np.empty(np.shape(net_mass) + (4, 4))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            jac[..., i, j] = entry
+    return jac
+
+
 def outputs(state: np.ndarray, health: np.ndarray,
             c: EngineConstants) -> np.ndarray:
     """Five measured channels; T_comp uses the reciprocal of theta_eta_c."""
@@ -177,37 +256,58 @@ def outputs(state: np.ndarray, health: np.ndarray,
     return np.stack(np.broadcast_arrays(y1, p_cc, s, p_nlt, y5), axis=-1)
 
 
-def implicit_euler_step(rhs, state: np.ndarray,
+def implicit_euler_step(rhs, jacobian: np.ndarray, state: np.ndarray,
                         dt: float = DT_DEFAULT) -> np.ndarray:
-    """Implicit (backward) Euler step solved by fixed-point iteration.
+    """Implicit (backward) Euler step solved by simplified Newton.
 
-    rhs(state) is the continuous-time derivative.  Falls back to explicit
-    Euler (with a warning) if the iteration has not converged after
-    FIXED_POINT_MAX_ITER sweeps; raises IntegrationError if the iterates
-    go non-finite.
+    rhs(z) is the continuous-time derivative, vectorized over the leading
+    (particle) axes; `jacobian` is d rhs/dz at `state`, shaped (..., n, n).
+    I - dt J is inverted once per step, and each sweep takes
+    z <- z - (I - dt J)^-1 (z - state - dt rhs(z)), starting from z = state,
+    whose residual is the explicit-Euler increment dt rhs(state).  Each
+    particle stops at the first sweep whose relative update is below
+    FIXED_POINT_TOL; a particle still above it after FIXED_POINT_MAX_ITER
+    sweeps takes the explicit-Euler step instead, with one warning for the
+    batch.  Raises IntegrationError if an iterate goes non-finite.  The
+    physical domain is not checked here (see `step_backward_euler`).
     """
     if dt <= 0:
         raise IntegrationError("dt must be positive")
     state = np.asarray(state, dtype=float)
-    z = state.copy()
+    increment = dt * rhs(state)
+    m_inv = np.linalg.inv(np.eye(increment.shape[-1])
+                          - dt * np.asarray(jacobian, dtype=float))
+    residual = -increment
+    z = state
+    active = np.ones(increment.shape[:-1], dtype=bool)
     for _ in range(FIXED_POINT_MAX_ITER):
-        z_new = state + dt * rhs(z)
-        if not np.all(np.isfinite(z_new)):
+        update = np.einsum("...ij,...j->...i", m_inv, residual)
+        delta = np.max(np.abs(update) / np.maximum(np.abs(z), 1.0), axis=-1)
+        z = np.where(active[..., None], z - update, z)
+        if not np.all(np.isfinite(z)):
             raise IntegrationError(f"implicit step diverged from {state!r}")
-        delta = np.max(np.abs(z_new - z) / np.maximum(np.abs(z), 1.0))
-        z = z_new
-        if delta < FIXED_POINT_TOL:
+        active &= ~(delta < FIXED_POINT_TOL)
+        if not np.any(active):
             return z
+        residual = z - state - dt * rhs(z)
     warnings.warn("implicit step did not converge; explicit Euler fallback")
-    return state + dt * rhs(state)
+    return np.where(active[..., None], state + increment, z)
 
 
 def step_backward_euler(state: np.ndarray, health: np.ndarray,
                         c: EngineConstants, fuel_flow: float | None = None,
                         dt: float = DT_DEFAULT) -> np.ndarray:
-    """One implicit-Euler step of the engine dynamics."""
-    return implicit_euler_step(
-        lambda z: derivatives(z, health, c, fuel_flow), state, dt)
+    """One implicit-Euler step of the engine dynamics.
+
+    The physical domain is checked once per step, on the entry state and on
+    the result; PhysicalDomainError if either leaves the positive orthant.
+    """
+    _check_positive(state)
+    nxt = implicit_euler_step(
+        lambda z: derivatives(z, health, c, fuel_flow),
+        state_jacobian(state, health, c, fuel_flow), state, dt)
+    _check_positive(nxt)
+    return nxt
 
 
 # Scenarios in step indices at the sampling period DT_DEFAULT (step 400 is

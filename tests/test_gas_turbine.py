@@ -1,10 +1,16 @@
 """Unit tests for the single-spool engine model."""
+import warnings
+
 import numpy as np
 import pytest
 
+from dualpf import gas_turbine
 from dualpf.errors import ConfigError, IntegrationError, PhysicalDomainError
 from dualpf.gas_turbine import (
     COMPONENTS,
+    DT_DEFAULT,
+    FIXED_POINT_MAX_ITER,
+    FIXED_POINT_TOL,
     FUEL_STEP,
     HEALTH_DOMAIN,
     NOMINAL_STATE,
@@ -18,11 +24,13 @@ from dualpf.gas_turbine import (
     nominal_constants,
     nozzle_flow,
     outputs,
+    state_jacobian,
     step_backward_euler,
     turbine_exit_temp,
     turbine_flow,
 )
 from dualpf.model import Fault, health_trajectory
+from dualpf.smc import as_rng, sample_gaussian
 
 HEALTHY = np.ones(4)
 
@@ -132,21 +140,121 @@ class TestOutputs:
 class TestImplicitEuler:
     def test_zero_rhs_identity(self):
         state = np.array([1.0, 2.0])
-        out = implicit_euler_step(lambda z: np.zeros(2), state, 0.01)
+        out = implicit_euler_step(lambda z: np.zeros(2), np.zeros((2, 2)),
+                                  state, 0.01)
         assert np.array_equal(out, state)
 
     def test_linear_decay_closed_form(self):
         lam, dt, x0 = 2.0, 0.01, 3.0
-        out = implicit_euler_step(lambda z: -lam * z, np.array([x0]), dt)
+        out = implicit_euler_step(lambda z: -lam * z, np.array([[-lam]]),
+                                  np.array([x0]), dt)
         assert out[0] == pytest.approx(x0 / (1.0 + lam * dt), abs=1e-12)
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(IntegrationError):
-            implicit_euler_step(lambda z: z, np.array([1.0]), 0.0)
+            implicit_euler_step(lambda z: z, np.eye(1), np.array([1.0]), 0.0)
 
     def test_divergent_rhs_raises(self):
         with pytest.raises(IntegrationError):
-            implicit_euler_step(lambda z: z * np.inf, np.array([1.0]), 0.01)
+            implicit_euler_step(lambda z: z * np.inf, np.zeros((1, 1)),
+                                np.array([1.0]), 0.01)
+
+    def test_only_the_unconverged_row_falls_back(self):
+        # Row 0 decays at rate 2 and gets its exact Jacobian.  Row 1 decays
+        # at rate 99.9 but gets a zero Jacobian, so each sweep is a plain
+        # fixed-point sweep that contracts by dt * 99.9 = 0.999 and misses
+        # the tolerance within the sweep cap.
+        dt = 0.01
+        rates = np.array([[2.0], [99.9]])
+        state = np.array([[3.0], [5.0]])
+        jac = np.array([[[-2.0]], [[0.0]]])
+        with pytest.warns(UserWarning, match="explicit Euler fallback") as rec:
+            out = implicit_euler_step(lambda z: -rates * z, jac, state, dt)
+        assert len(rec) == 1
+        assert out[0, 0] == pytest.approx(3.0 / (1.0 + 2.0 * dt), abs=1e-12)
+        assert out[1, 0] == 5.0 + dt * (-99.9 * 5.0)
+
+    def test_far_from_healthy_particles_converge_without_fallback(
+            self, constants):
+        # With the Jacobian frozen at the start state, particles with eta_c
+        # in [0.5, 0.6] need 9 sweeps; a cap of 8 sends some of them to
+        # explicit Euler.
+        rng = np.random.default_rng(0)
+        n = 200
+        health = np.column_stack([rng.uniform(0.5, 0.6, n),
+                                  rng.uniform(0.5, 1.2, (n, 3))])
+        states = NOMINAL_STATE * (1.0 + 0.01 * rng.standard_normal((n, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step_backward_euler(states, health, constants)
+
+    def test_analytic_jacobian_matches_central_differences(self, constants):
+        # The random valid states, health and fuel flows of
+        # test_acceptance::test_engine_structural_identities.
+        c = constants
+        rng = as_rng(5)
+        n = 1000
+        states = np.column_stack([
+            rng.uniform(900.0, 1600.0, n),
+            rng.uniform(8000.0, 15000.0, n),
+            rng.uniform(400.0, 1100.0, n),
+            rng.uniform(150.0, 500.0, n),
+        ])
+        health = rng.uniform(0.5, 1.2, (n, 4))
+        fuel = rng.uniform(0.2, 0.5, n)
+        jac = state_jacobian(states, health, c, fuel)
+        assert jac.shape == (n, 4, 4)
+        fd = np.empty_like(jac)
+        for k in range(4):
+            h = 1e-6 * states[:, k]
+            up, dn = states.copy(), states.copy()
+            up[:, k] += h
+            dn[:, k] -= h
+            fd[:, :, k] = ((derivatives(up, health, c, fuel)
+                            - derivatives(dn, health, c, fuel))
+                           / (2.0 * h[:, None]))
+        scale = np.max(np.abs(jac), axis=(1, 2))
+        worst = np.max(np.max(np.abs(jac - fd), axis=(1, 2)) / scale)
+        assert worst < 1e-8
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_newton_trajectory_matches_fixed_point_reference(
+            self, constants, scenario):
+        # Reference: the plain fixed-point iteration z <- x + dt f(z) to the
+        # same relative tolerance, on the same 2,500-step truth inputs.
+        c = constants
+        T = 2500
+
+        def fixed_point_step(state, health, fuel):
+            z = state.copy()
+            for _ in range(FIXED_POINT_MAX_ITER):
+                z_new = state + DT_DEFAULT * derivatives(z, health, c, fuel)
+                delta = np.max(np.abs(z_new - z) / np.maximum(np.abs(z), 1.0))
+                z = z_new
+                if delta < FIXED_POINT_TOL:
+                    return z
+            raise AssertionError("reference did not converge")
+
+        health = health_trajectory(HEALTHY, SCENARIOS[scenario], T)
+        fuel = fuel_trajectory(T, c, FUEL_STEP)
+        noise = sample_gaussian(engine_model(c).process_noise_cov, T, as_rng(0))
+        newton = reference = NOMINAL_STATE.copy()
+        worst = 0.0
+        for t in range(T):
+            newton = step_backward_euler(newton, health[t], c, fuel[t]) + noise[t]
+            reference = fixed_point_step(reference, health[t], fuel[t]) + noise[t]
+            worst = max(worst, np.max(np.abs(newton - reference)
+                                      / np.abs(reference)))
+        assert worst < 1e-9
+
+    def test_domain_checked_on_entry_and_result(self, constants, monkeypatch):
+        with pytest.raises(PhysicalDomainError):
+            step_backward_euler(np.array([1300.0, -1.0, 800.0, 300.0]),
+                                HEALTHY, constants)
+        monkeypatch.setattr(gas_turbine, "implicit_euler_step",
+                            lambda rhs, jac, state, dt: -state)
+        with pytest.raises(PhysicalDomainError):
+            step_backward_euler(NOMINAL_STATE, HEALTHY, constants)
 
 
 class TestFaultScenarios:
@@ -206,8 +314,9 @@ class TestEngineModel:
         batch = model.step_state(particles, HEALTHY, np.zeros(4))
         loop = np.vstack([model.step_state(p, HEALTHY, np.zeros(4))
                           for p in particles])
-        # The batch shares one fixed-point iteration count, so agreement
-        # is limited by the solver tolerance rather than exact.
+        # Each particle stops at its own converged sweep, so the batch and
+        # the loop differ by no more than the solver tolerance (the batched
+        # inverse of I - dt J may round differently from the single one).
         assert np.allclose(batch, loop, rtol=1e-9)
 
     def test_faulty_health_shifts_equilibrium(self, constants):

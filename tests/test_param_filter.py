@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpf.errors import ConfigError, DualPFError
+from dualpf.gas_turbine import NOMINAL_STATE, engine_model
 from dualpf.model import ModelSpec, ParamDomain
 from dualpf.param_filter import (
     FD_STEP,
@@ -21,6 +22,7 @@ from dualpf.param_filter import (
     updating_gain,
 )
 from dualpf.smc import as_rng, sample_cov, sample_gaussian
+from dualpf.synthetic import mixed_equilibrium, mixed_fault_model
 
 
 def _scaling_model(power=1, lower=0.0, upper=3.0, sigma_v=1.0):
@@ -170,6 +172,52 @@ class TestOutputJacobian:
         m = _scaling_model(upper=2.0)
         jac = output_jacobian(np.array([3.0]), np.array([[2.0]]), m)
         assert jac[0, 0, 0] == pytest.approx(3.0, abs=1e-4)
+
+    @staticmethod
+    def _per_column_reference(x_hat, thetas, model, predictor, x_prev):
+        # Two predicted_outputs calls per parameter column.
+        n, n_th = thetas.shape
+        domain = model.param_domain
+        jac = np.zeros((n, n_th, model.n_y))
+        for k in range(n_th):
+            eta = FD_STEP * np.maximum(1.0, np.abs(thetas[:, k]))
+            t_up, t_dn = thetas.copy(), thetas.copy()
+            t_up[:, k] = np.where(thetas[:, k] + eta <= domain.upper[k],
+                                  thetas[:, k] + eta, thetas[:, k])
+            t_dn[:, k] = np.where(thetas[:, k] - eta >= domain.lower[k],
+                                  thetas[:, k] - eta, thetas[:, k])
+            y_up = predicted_outputs(t_up, x_hat, model, predictor, x_prev)
+            y_dn = predicted_outputs(t_dn, x_hat, model, predictor, x_prev)
+            span = (t_up[:, k] - t_dn[:, k])[:, None]
+            jac[:, k, :] = (y_up - y_dn) / span
+        return jac
+
+    @pytest.mark.parametrize("name, predictor", [
+        ("mixed", "output"), ("mixed", "one_step"),
+        ("engine", "output"), ("engine", "one_step")])
+    def test_stacked_batch_matches_per_column_loop(self, name, predictor):
+        if name == "mixed":
+            model = mixed_fault_model()
+            x_prev = mixed_equilibrium() + 0.02
+        else:
+            model = engine_model()
+            x_prev = NOMINAL_STATE * 1.001
+        x_hat = 1.01 * x_prev
+        thetas = as_rng(4).uniform(0.7, 1.1, (20, model.n_theta))
+        thetas[0, 1] = model.param_domain.upper[1]
+        thetas[1, 2] = model.param_domain.lower[2]
+        got = output_jacobian(x_hat, thetas, model, predictor, x_prev)
+        ref = self._per_column_reference(x_hat, thetas, model, predictor,
+                                         x_prev)
+        assert got.shape == (20, model.n_theta, model.n_y)
+        if name == "engine" and predictor == "one_step":
+            # Each perturbed output comes from an implicit solve converged
+            # to FIXED_POINT_TOL, which the 1/FD_STEP of the difference can
+            # amplify; a batch is allowed that much.
+            assert np.allclose(got, ref, rtol=0.0,
+                               atol=1e-6 * np.max(np.abs(ref)))
+        else:
+            assert np.array_equal(got, ref)
 
 
 class TestProjectStep:
