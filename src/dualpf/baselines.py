@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import state_filter
 from .errors import BudgetError, ConfigError, GradientUndefinedError
@@ -147,7 +146,9 @@ def spsa_gradient(particles: np.ndarray, theta_hat: np.ndarray,
         pred = np.atleast_2d(model.step_state(particles, th, noise, u=u))
         yhat = np.atleast_2d(model.measure(pred, th, u=u))
         ll = gaussian_loglik(y_t - yhat, model.measurement_noise_cov)
-        j_branch.append(logsumexp(ll) - np.log(n))
+        top = np.max(ll)    # log-mean-exp, shifted by the maximum
+        j_branch.append(top + np.log(np.mean(np.exp(ll - top)))
+                        if np.isfinite(top) else top)
     if not all(np.isfinite(j_branch)):
         raise GradientUndefinedError("zero likelihood sum in an SPSA branch")
     span = th_plus - th_minus

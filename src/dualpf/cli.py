@@ -114,7 +114,8 @@ def cmd_campaign(args) -> int:
             fh.write(name + "," + ",".join(map(str, row)) + "\n")
     with open(outdir / "aggregate.json", "w") as fh:
         json.dump({"metrics": result["metrics"],
-                   "labels": result["labels"]},
+                   "labels": result["labels"],
+                   "failures": result["failures"]},
                   fh, indent=2, sort_keys=True)
     print(json.dumps(result["metrics"], indent=2, sort_keys=True))
     return 0

@@ -21,6 +21,7 @@ from .smc import sample_cov
 CONVERGENCE_WINDOW = 200   # healthy-fit horizon and MAE tail, steps (2 s at 10 ms)
 MIN_CALIBRATION_RUNS = 25
 MIN_BAND_WIDTH = 1e-6
+SEVERITY_WINDOW = 100      # steps after detection averaged into the severity
 SHORT_WINDOW_WARNING = "baseline window shorter than the convergence horizon"
 CATEGORIES = COMPONENTS + ("no_fault",)
 
@@ -89,7 +90,6 @@ def residual(baseline: HealthyBaseline, theta_hat: np.ndarray) -> np.ndarray:
 
 def calibrate_thresholds(healthy_residual_runs: list[np.ndarray],
                          coverage: float = 0.99,
-                         min_width: float = MIN_BAND_WIDTH,
                          min_runs: int = MIN_CALIBRATION_RUNS) -> ThresholdBand:
     """Empirical quantile envelope of healthy-condition residuals.
 
@@ -104,18 +104,18 @@ def calibrate_thresholds(healthy_residual_runs: list[np.ndarray],
     lo = np.quantile(pooled, alpha, axis=0)
     hi = np.quantile(pooled, 1.0 - alpha, axis=0)
     mid = 0.5 * (lo + hi)
-    half = np.maximum(0.5 * (hi - lo), min_width)
+    half = np.maximum(0.5 * (hi - lo), MIN_BAND_WIDTH)
     return ThresholdBand(mid - half, mid + half)
 
 
-def decide(residuals: np.ndarray, band: ThresholdBand, persistence: int = 5,
-           severity_window: int = 100) -> list[ComponentDecision]:
+def decide(residuals: np.ndarray, band: ThresholdBand,
+           persistence: int = 5) -> list[ComponentDecision]:
     """Per-component persistence test against the band.
 
     A component is flagged when its residual stays outside the band for
     `persistence` consecutive steps; the detection time is the first step
     of that run and the severity is the mean residual over the trailing
-    `severity_window` steps after detection.
+    SEVERITY_WINDOW steps after detection.
     """
     if persistence < 1:
         raise ConfigError("persistence must be >= 1")
@@ -131,7 +131,7 @@ def decide(residuals: np.ndarray, band: ThresholdBand, persistence: int = 5,
             run = run + 1 if col[t] else 0
             if run >= persistence:
                 start = t - persistence + 1
-                tail = residuals[start:start + severity_window, j]
+                tail = residuals[start:start + SEVERITY_WINDOW, j]
                 decision = ComponentDecision(
                     detected=True, t_detect=start,
                     severity=float(tail.mean()))

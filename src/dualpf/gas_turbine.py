@@ -25,6 +25,7 @@ from .model import COMPONENTS, Fault, ModelSpec, ParamDomain
 DT_DEFAULT = 0.01          # sampling period, s
 FIXED_POINT_MAX_ITER = 50
 FIXED_POINT_TOL = 1e-13
+JACOBIAN_STEP = 1.5e-8     # relative forward-difference step of the Newton J
 
 
 @dataclass(frozen=True)
@@ -169,82 +170,6 @@ def derivatives(state: np.ndarray, health: np.ndarray, c: EngineConstants,
     return np.stack([d_tcc, d_s, d_pcc, d_pnlt], axis=-1)
 
 
-def state_jacobian(state: np.ndarray, health: np.ndarray, c: EngineConstants,
-                   fuel_flow: float | None = None) -> np.ndarray:
-    """Analytic Jacobian d(derivatives)/d(state), shaped (..., 4, 4).
-
-    Entry [i, j] is the derivative of the i-th rate by the j-th state, both
-    in the order (T_CC, S, P_CC, P_NLT).  It differentiates the equations of
-    `derivatives` term by term and evaluates them itself, so it makes no
-    right-hand-side call.
-    """
-    t_cc, s, p_cc, p_nlt = _split_state(state)
-    health = np.asarray(health, dtype=float)
-    th_ec, th_mc, th_et, th_mt = (health[..., i] for i in range(4))
-    mdot_f = c.mdot_f_ref if fuel_flow is None else fuel_flow
-    ex = (c.gamma - 1.0) / c.gamma
-
-    t_comp = compressor_exit_temp(p_cc, th_ec, c)
-    t_turb = turbine_exit_temp(t_cc, p_cc, p_nlt, th_et, c)
-    mdot_c = th_mc * compressor_flow(s, p_cc, c)
-    mdot_t = th_mt * turbine_flow(p_cc, t_cc, c)
-    net_mass = mdot_c + mdot_f - mdot_t
-    d_tcc = (c.c_p * (mdot_c * t_comp - mdot_t * t_cc)
-             + c.eta_cc * c.H_u * mdot_f
-             - c.c_v * t_cc * net_mass) / (c.c_v * c.m_cc)
-
-    # Partials of the component quantities; _t, _s, _p, _n name the state.
-    tcomp_p = (c.T_d * ex * (p_cc / c.P_d) ** ex) / (p_cc * th_ec * c.eta_c)
-    drop = t_cc * th_et * c.eta_t * ex * (p_nlt / p_cc) ** ex
-    tturb_t, tturb_p, tturb_n = t_turb / t_cc, -drop / p_cc, drop / p_nlt
-    mc_s = mdot_c / s
-    mc_p = -th_mc * c.mdot_c_ref * (s / c.S_ref) * c.k_pc / c.P_cc_ref
-    mt_t, mt_p = -0.5 * mdot_t / t_cc, mdot_t / p_cc
-
-    # Energy balance.
-    k_e = 1.0 / (c.c_v * c.m_cc)
-    dtcc_t = k_e * (c.c_p * (-mt_t * t_cc - mdot_t)
-                    - c.c_v * (net_mass - t_cc * mt_t))
-    dtcc_s = k_e * (c.c_p * mc_s * t_comp - c.c_v * t_cc * mc_s)
-    dtcc_p = k_e * (c.c_p * (mc_p * t_comp + mdot_c * tcomp_p - mt_p * t_cc)
-                    - c.c_v * t_cc * (mc_p - mt_p))
-
-    # Pressure: (p_cc / t_cc) d_tcc + (gamma R t_cc / V_cc) net_mass.
-    k_p = c.gamma * c.R / c.V_cc
-    ratio = p_cc / t_cc
-    dpcc_t = (-ratio * d_tcc / t_cc + ratio * dtcc_t
-              + k_p * (net_mass - t_cc * mt_t))
-    dpcc_s = ratio * dtcc_s + k_p * t_cc * mc_s
-    dpcc_p = d_tcc / t_cc + ratio * dtcc_p + k_p * t_cc * (mc_p - mt_p)
-
-    # Spool: d_s = k_s (eta_mech w_turb - w_comp) / s.
-    k_s = 1e3 / (c.J * (np.pi / 30.0) ** 2)
-    lift = t_comp - c.T_d
-    drop_t = t_cc - t_turb
-    power = c.eta_mech * mdot_t * drop_t - mdot_c * lift
-    ds_t = k_s * c.c_p * c.eta_mech * (mt_t * drop_t + mdot_t * (1.0 - tturb_t)) / s
-    ds_s = -k_s * c.c_p * (mc_s * lift + power / s) / s
-    ds_p = k_s * c.c_p * (c.eta_mech * (mt_p * drop_t - mdot_t * tturb_p)
-                          - mc_p * lift - mdot_c * tcomp_p) / s
-    ds_n = -k_s * c.c_p * c.eta_mech * mdot_t * tturb_n / s
-
-    # Nozzle mixing volume.
-    k_n = c.R * c.T_m / c.V_m
-    share = c.beta / (c.beta + 1.0)
-    dpnlt_t = k_n * mt_t
-    dpnlt_s = k_n * share * mc_s
-    dpnlt_p = k_n * (mt_p + share * mc_p)
-    dpnlt_n = -k_n * c.mdot_n_ref / c.P_nlt_ref
-
-    rows = ((dtcc_t, dtcc_s, dtcc_p, 0.0), (ds_t, ds_s, ds_p, ds_n),
-            (dpcc_t, dpcc_s, dpcc_p, 0.0), (dpnlt_t, dpnlt_s, dpnlt_p, dpnlt_n))
-    jac = np.empty(np.shape(net_mass) + (4, 4))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            jac[..., i, j] = entry
-    return jac
-
-
 def outputs(state: np.ndarray, health: np.ndarray,
             c: EngineConstants) -> np.ndarray:
     """Five measured channels; T_comp uses the reciprocal of theta_eta_c."""
@@ -256,27 +181,32 @@ def outputs(state: np.ndarray, health: np.ndarray,
     return np.stack(np.broadcast_arrays(y1, p_cc, s, p_nlt, y5), axis=-1)
 
 
-def implicit_euler_step(rhs, jacobian: np.ndarray, state: np.ndarray,
+def implicit_euler_step(rhs, state: np.ndarray,
                         dt: float = DT_DEFAULT) -> np.ndarray:
     """Implicit (backward) Euler step solved by simplified Newton.
 
-    rhs(z) is the continuous-time derivative, vectorized over the leading
-    (particle) axes; `jacobian` is d rhs/dz at `state`, shaped (..., n, n).
-    I - dt J is inverted once per step, and each sweep takes
-    z <- z - (I - dt J)^-1 (z - state - dt rhs(z)), starting from z = state,
-    whose residual is the explicit-Euler increment dt rhs(state).  Each
-    particle stops at the first sweep whose relative update is below
-    FIXED_POINT_TOL; a particle still above it after FIXED_POINT_MAX_ITER
-    sweeps takes the explicit-Euler step instead, with one warning for the
-    batch.  Raises IntegrationError if an iterate goes non-finite.  The
-    physical domain is not checked here (see `step_backward_euler`).
+    rhs(z) is the continuous-time derivative, vectorized over leading axes.
+    One rhs call on `state` and its n forward-perturbed copies, stacked on
+    a new leading axis, gives rhs(state) and the forward-difference J.
+    Each sweep takes z <- z - (I - dt J)^-1 (z - state - dt rhs(z)) from
+    z = state, whose residual is the explicit-Euler increment.  A particle
+    stops at its first relative update below FIXED_POINT_TOL; one still
+    above it after FIXED_POINT_MAX_ITER sweeps takes the explicit-Euler
+    step, with one warning for the batch.  Raises IntegrationError if an
+    iterate goes non-finite.  The physical domain is checked by
+    `step_backward_euler`, not here.
     """
     if dt <= 0:
         raise IntegrationError("dt must be positive")
     state = np.asarray(state, dtype=float)
-    increment = dt * rhs(state)
-    m_inv = np.linalg.inv(np.eye(increment.shape[-1])
-                          - dt * np.asarray(jacobian, dtype=float))
+    n = state.shape[-1]
+    h = JACOBIAN_STEP * np.maximum(np.abs(state), 1.0)
+    f = rhs(np.stack([state] + [state + h * e for e in np.eye(n)]))
+    increment = dt * f[0]
+    # A non-finite rhs makes J nan; the iterate check raises IntegrationError.
+    with np.errstate(invalid="ignore"):
+        jacobian = np.moveaxis(f[1:] - f[0], 0, -1) / h[..., None, :]
+    m_inv = np.linalg.inv(np.eye(n) - dt * jacobian)
     residual = -increment
     z = state
     active = np.ones(increment.shape[:-1], dtype=bool)
@@ -301,11 +231,14 @@ def step_backward_euler(state: np.ndarray, health: np.ndarray,
 
     The physical domain is checked once per step, on the entry state and on
     the result; PhysicalDomainError if either leaves the positive orthant.
+    The state is broadcast against `health` first, so the solver's stack of
+    perturbed states carries every particle axis.
     """
     _check_positive(state)
+    state = np.broadcast_to(state, np.broadcast_shapes(np.shape(state),
+                                                       np.shape(health)))
     nxt = implicit_euler_step(
-        lambda z: derivatives(z, health, c, fuel_flow),
-        state_jacobian(state, health, c, fuel_flow), state, dt)
+        lambda z: derivatives(z, health, c, fuel_flow), state, dt)
     _check_positive(nxt)
     return nxt
 

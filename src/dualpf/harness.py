@@ -29,6 +29,9 @@ from .state_filter import StateFilterConfig
 ESTIMATORS = ("dual", "bayesian", "rml")
 MODELS = ("scalar", "mixed", "gas_turbine")
 BAND_MAX_WIDENINGS = 60
+BAND_TARGET_FP = 0.04      # healthy runs allowed to raise any detection
+CAMPAIGN_SEVERITIES = (0.06, 0.07, 0.08, 0.09, 0.10, 0.11, 0.12)
+BOOTSTRAP_RESAMPLES = 2000
 
 # All-run defaults mirroring the shipped preset configuration.
 RUN_DEFAULTS = {
@@ -315,15 +318,14 @@ def monte_carlo(config: RunConfig, n_runs: int, base_seed: int,
 
 
 def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
-                   coverage: float | None = None,
-                   target_fp: float | None = 0.04) -> diagnosis.ThresholdBand:
+                   coverage: float | None = None) -> diagnosis.ThresholdBand:
     """Healthy-condition Monte-Carlo threshold calibration.
 
-    Starts from the per-step quantile envelope, then (when target_fp is
-    given) widens the band about its midpoint until at most that fraction
-    of the healthy calibration runs would raise any detection under the
-    configured persistence rule — residuals are strongly autocorrelated,
-    so the pooled envelope alone does not control run-level false alarms.
+    Starts from the per-step quantile envelope, then widens the band about
+    its midpoint until at most BAND_TARGET_FP of the healthy calibration
+    runs would raise any detection under the configured persistence rule —
+    residuals are strongly autocorrelated, so the pooled envelope alone
+    does not control run-level false alarms.
     """
     cfg = replace(config, scenario="healthy", output_dir=None)
     mc = monte_carlo(cfg, n_runs, base_seed)
@@ -331,8 +333,6 @@ def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
     band = diagnosis.calibrate_thresholds(
         residual_runs, coverage=coverage or RUN_DEFAULTS["coverage"],
         min_runs=min(n_runs, diagnosis.MIN_CALIBRATION_RUNS))
-    if target_fp is None:
-        return band
     mid = 0.5 * (band.lower + band.upper)
     half = 0.5 * (band.upper - band.lower)
     scale = 1.0
@@ -343,25 +343,23 @@ def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
                 res, cand, config.persistence))
             for res in residual_runs)
         false_alarms = trips / len(residual_runs)
-        if false_alarms <= target_fp:
+        if false_alarms <= BAND_TARGET_FP:
             return cand
         scale *= 1.1
-    warnings.warn(f"target_fp {target_fp} missed: {false_alarms:.3f} of the "
-                  f"healthy runs still raise a detection after "
+    warnings.warn(f"target_fp {BAND_TARGET_FP} missed: {false_alarms:.3f} "
+                  f"of the healthy runs still raise a detection after "
                   f"{BAND_MAX_WIDENINGS} band widenings")
     return cand
 
 
 def campaign_design(n_per_category: int = 7,
-                    severities=(0.06, 0.07, 0.08, 0.09, 0.10, 0.11, 0.12),
                     start_step: int = 120) -> list[Fault]:
     """Mixed-fault design: n healthy runs plus n per fault component."""
     design = [Fault() for _ in range(n_per_category)]
     for j in range(len(COMPONENTS)):
         for i in range(n_per_category):
-            design.append(Fault(component=j,
-                                magnitude=severities[i % len(severities)],
-                                start_step=start_step))
+            sev = CAMPAIGN_SEVERITIES[i % len(CAMPAIGN_SEVERITIES)]
+            design.append(Fault(j, sev, start_step))
     return design
 
 
@@ -395,20 +393,20 @@ def confusion_campaign(base_config: RunConfig, design: list[Fault],
             "particle_steps": particle_steps}
 
 
-def bootstrap_comparison(labels_a: list, labels_b: list, statistic,
-                         n_boot: int = 2000, seed: int = 0) -> float:
-    """Paired bootstrap: fraction of resamples with stat(a) >= stat(b)."""
+def bootstrap_comparison(labels_a: list, labels_b: list, statistic) -> float:
+    """Paired bootstrap: fraction of BOOTSTRAP_RESAMPLES resamples with
+    stat(a) >= stat(b); seeded, so a comparison is reproducible."""
     if len(labels_a) != len(labels_b):
         raise ConfigError("paired bootstrap needs equal-length campaigns")
-    rng = as_rng(seed)
+    rng = as_rng(0)
     n = len(labels_a)
     wins = 0
-    for _ in range(n_boot):
+    for _ in range(BOOTSTRAP_RESAMPLES):
         idx = rng.integers(0, n, size=n)
         if statistic([labels_a[i] for i in idx]) >= \
                 statistic([labels_b[i] for i in idx]):
             wins += 1
-    return wins / n_boot
+    return wins / BOOTSTRAP_RESAMPLES
 
 
 def accuracy_stat(labels: list) -> float:

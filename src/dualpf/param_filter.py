@@ -8,7 +8,6 @@ reweighted by the output likelihood and residual-resampled.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,28 +173,6 @@ def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,
         outside = ~domain.contains(theta_prev + step)
         step[outside] = 0.0
     return theta_prev + step
-
-
-def shrinkage_upper_bound(pmax: float, psi: np.ndarray, vy: np.ndarray,
-                          vtheta: np.ndarray) -> float:
-    """Worst-case admissible shrinkage factor a_max.
-
-    a_max = 1 - sqrt(sigma_min(M) / sigma_max(M)) for
-    M = pmax^2 Psi Vy Psi' Vtheta^{-1}; degenerates to 0 whenever the
-    eigenvalue spread collapses (always the case for scalar parameters).
-    """
-    psi = np.atleast_2d(np.asarray(psi, dtype=float))
-    vy = np.atleast_2d(np.asarray(vy, dtype=float))
-    vtheta = np.atleast_2d(np.asarray(vtheta, dtype=float))
-    m = (pmax ** 2) * psi @ vy @ psi.T @ np.linalg.inv(vtheta)
-    eig = np.real(np.linalg.eigvals(m))
-    smax = float(eig.max())
-    if smax <= 0.0:
-        raise DualPFError("shrinkage bound undefined: zero output sensitivity")
-    smin = float(np.clip(eig.min(), 0.0, None))
-    if m.shape[0] == 1:
-        warnings.warn("shrinkage bound degenerates to 0 for scalar parameters")
-    return 1.0 - float(np.sqrt(smin / smax))
 
 
 def kernel_shrink(centers: np.ndarray, target: np.ndarray, cov: np.ndarray,

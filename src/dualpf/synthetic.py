@@ -6,8 +6,7 @@ import numpy as np
 from .model import ModelSpec, ParamDomain
 
 
-def scalar_growth_model(sigma_w: float = 0.3, sigma_v: float = 0.1,
-                        lower: float = 0.5, upper: float = 1.2) -> ModelSpec:
+def scalar_growth_model() -> ModelSpec:
     """x_{t+1} = theta * x_t + w,  y = x + v.
 
     The parameter only enters the dynamics, so estimating it requires the
@@ -27,9 +26,9 @@ def scalar_growth_model(sigma_w: float = 0.3, sigma_v: float = 0.1,
     return ModelSpec(
         n_x=1, n_theta=1, n_y=1,
         transition=transition, output=output,
-        process_noise_cov=[[sigma_w ** 2]],
-        measurement_noise_cov=[[sigma_v ** 2]],
-        param_domain=ParamDomain([lower], [upper]),
+        process_noise_cov=[[0.3 ** 2]],
+        measurement_noise_cov=[[0.1 ** 2]],
+        param_domain=ParamDomain([0.5], [1.2]),
     )
 
 
@@ -43,7 +42,7 @@ _MIX = np.array([
 ])
 
 
-def mixed_fault_model(sigma_w: float = 0.05, sigma_v: float = 0.05) -> ModelSpec:
+def mixed_fault_model() -> ModelSpec:
     """Two stable coupled states observed through four parameter-scaled taps.
 
     Each output channel is one health parameter times a fixed linear
@@ -73,8 +72,8 @@ def mixed_fault_model(sigma_w: float = 0.05, sigma_v: float = 0.05) -> ModelSpec
     return ModelSpec(
         n_x=2, n_theta=4, n_y=4,
         transition=transition, output=output,
-        process_noise_cov=(sigma_w ** 2) * np.eye(2),
-        measurement_noise_cov=(sigma_v ** 2) * np.eye(4),
+        process_noise_cov=(0.05 ** 2) * np.eye(2),
+        measurement_noise_cov=(0.05 ** 2) * np.eye(4),
         param_domain=ParamDomain(np.full(4, 0.5), np.full(4, 1.2)),
     )
 

@@ -112,6 +112,7 @@ class TestCampaign:
         assert lines[0] == ",eta_c,m_c,eta_t,m_t,no_fault"
         agg = json.loads((tmp_path / "aggregate.json").read_text())
         assert len(agg["labels"]) == 5
+        assert agg["failures"] == []
 
 
 class TestComplexity:

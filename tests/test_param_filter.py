@@ -17,7 +17,6 @@ from dualpf.param_filter import (
     prediction_error,
     predicted_outputs,
     project_step,
-    shrinkage_upper_bound,
     update,
     updating_gain,
 )
@@ -282,28 +281,6 @@ class TestProjectStep:
             min_size=n * d, max_size=n * d))).reshape(n, d)
         out = project_step(base, step, domain)
         assert np.all(domain.contains(out))
-
-
-class TestShrinkageBound:
-    def test_eigenvalue_spread(self):
-        a_max = shrinkage_upper_bound(1.0, np.diag([1.0, 2.0]), np.eye(2),
-                                      np.eye(2))
-        assert a_max == pytest.approx(0.5)
-
-    def test_isotropic_collapses_to_zero(self):
-        a_max = shrinkage_upper_bound(1.0, np.eye(2), 3.0 * np.eye(2),
-                                      np.eye(2))
-        assert a_max == pytest.approx(0.0)
-
-    def test_scalar_warns_and_returns_zero(self):
-        with pytest.warns(UserWarning):
-            a_max = shrinkage_upper_bound(1.0, np.array([[2.0]]), np.eye(1),
-                                          np.eye(1))
-        assert a_max == pytest.approx(0.0)
-
-    def test_zero_sensitivity_rejected(self):
-        with pytest.raises(DualPFError):
-            shrinkage_upper_bound(1.0, np.zeros((2, 2)), np.eye(2), np.eye(2))
 
 
 class TestEvolve:
