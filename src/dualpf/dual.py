@@ -53,9 +53,6 @@ def init(model: ModelSpec, x0_mean, x0_cov, theta0_mean, theta0_cov,
          seed) -> DualEstimatorState:
     """Draw both initial ensembles from their Gaussian priors."""
     rng = as_rng(seed)
-    theta0_mean = np.atleast_1d(np.asarray(theta0_mean, dtype=float))
-    if not model.param_domain.contains(theta0_mean):
-        raise ConfigError("theta0 mean outside the admissible domain")
     sf = init_state_filter(x0_mean, x0_cov, state_cfg, rng)
     pf = init_param_filter(theta0_mean, theta0_cov, model.param_domain,
                            param_cfg, rng)

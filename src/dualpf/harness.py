@@ -19,7 +19,7 @@ import numpy as np
 from . import baselines, diagnosis, dual, gas_turbine, synthetic
 from .baselines import BayesianKSConfig, RMLConfig
 from .diagnosis import CATEGORIES, ConfusionMatrix
-from .errors import ConfigError, DualPFError
+from .errors import CalibrationError, ConfigError, DualPFError
 from .model import (COMPONENTS, Fault, ModelSpec, health_trajectory,
                     simulate, write_trajectory_csv)
 from .param_filter import ParamFilterConfig
@@ -276,45 +276,28 @@ def _write_run_artifacts(outdir: Path, run: dict,
         json.dump(report, fh, indent=2, sort_keys=True)
 
 
-def monte_carlo(config: RunConfig, n_runs: int, base_seed: int,
-                band: diagnosis.ThresholdBand | None = None) -> dict:
-    """Independent seeded repetitions of run_scenario with aggregation.
+def seeded_runs(config: RunConfig, scenarios: list, base_seed: int,
+                band: diagnosis.ThresholdBand | None = None
+                ) -> tuple[list[tuple[RunConfig, dict]], list[dict]]:
+    """run_scenario once per scenario, each on its own seed.
 
-    Runs execute sequentially on per-run seeds spawned from base_seed, so
+    Seeds are spawned from base_seed and the runs execute sequentially, so
     run i equals run_scenario alone at the i-th seed (see
-    test_harness::TestMonteCarlo::test_aggregate_and_determinism).
+    test_harness::TestSeededRuns).  Returns the (config, run) pairs that
+    finished and a {"run": i, "error": message} entry per run that raised a
+    DualPFError.  run_scenario is looked up on this module at every call,
+    so a wrapper installed there sees every run.
     """
-    if n_runs < 1:
-        raise ConfigError("n_runs must be >= 1")
-    seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
+    seeds = np.random.SeedSequence(base_seed).spawn(len(scenarios))
     runs, failures = [], []
-    for i, ss in enumerate(seeds):
-        cfg = replace(config,
-                      seed=int(ss.generate_state(1)[0] % (2 ** 31)),
-                      output_dir=(f"{config.output_dir}/run_{i:03d}"
-                                  if config.output_dir else None))
+    for i, (scenario, ss) in enumerate(zip(scenarios, seeds)):
+        cfg = replace(config, scenario=scenario, output_dir=None,
+                      seed=int(ss.generate_state(1)[0] % (2 ** 31)))
         try:
-            runs.append(run_scenario(cfg, band=band))
+            runs.append((cfg, run_scenario(cfg, band=band)))
         except DualPFError as exc:
             failures.append({"run": i, "error": str(exc)})
-    theta_err = [np.abs(r["theta_hat"] - r["thetas"]) for r in runs]
-    agg = {
-        "n_runs": n_runs,
-        "n_failures": len(failures),
-        "failures": failures,
-        "median_final_abs_error": (
-            np.median([e[-1] for e in theta_err], axis=0).tolist()
-            if runs else None),
-        "median_mae_percent": (
-            {k: float(np.median([r["report"]["mae_percent"][k] for r in runs]))
-             for k in runs[0]["report"]["mae_percent"]} if runs else None),
-    }
-    if config.output_dir:
-        outdir = Path(config.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "aggregate.json", "w") as fh:
-            json.dump(agg, fh, indent=2, sort_keys=True)
-    return {"runs": runs, "aggregate": agg}
+    return runs, failures
 
 
 def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
@@ -325,14 +308,24 @@ def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
     its midpoint until at most BAND_TARGET_FP of the healthy calibration
     runs would raise any detection under the configured persistence rule —
     residuals are strongly autocorrelated, so the pooled envelope alone
-    does not control run-level false alarms.
+    does not control run-level false alarms.  Failed runs are left out;
+    they raise a CalibrationError when too few runs remain and a warning
+    otherwise.
     """
-    cfg = replace(config, scenario="healthy", output_dir=None)
-    mc = monte_carlo(cfg, n_runs, base_seed)
-    residual_runs = [r["residuals"] for r in mc["runs"]]
+    if n_runs < 1:
+        raise ConfigError("n_runs must be >= 1")
+    runs, failures = seeded_runs(config, ["healthy"] * n_runs, base_seed)
+    min_runs = min(n_runs, diagnosis.MIN_CALIBRATION_RUNS)
+    if failures:
+        note = (f"{len(failures)} of {n_runs} calibration runs failed, "
+                f"first: {failures[0]['error']}")
+        if len(runs) < min_runs:
+            raise CalibrationError(f"need >= {min_runs} runs: {note}")
+        warnings.warn(note)
+    residual_runs = [run["residuals"] for _, run in runs]
     band = diagnosis.calibrate_thresholds(
         residual_runs, coverage=coverage or RUN_DEFAULTS["coverage"],
-        min_runs=min(n_runs, diagnosis.MIN_CALIBRATION_RUNS))
+        min_runs=min_runs)
     mid = 0.5 * (band.lower + band.upper)
     half = 0.5 * (band.upper - band.lower)
     scale = 1.0
@@ -370,27 +363,18 @@ def confusion_campaign(base_config: RunConfig, design: list[Fault],
     A run that raises a DualPFError is listed under "failures" and left out
     of the matrix and the labels.
     """
+    runs, failures = seeded_runs(base_config, design, base_seed, band=band)
     matrix = ConfusionMatrix()
-    seeds = np.random.SeedSequence(base_seed).spawn(len(design))
-    labels, failures = [], []
-    particle_steps = 0
-    for i, (fault, ss) in enumerate(zip(design, seeds)):
-        cfg = replace(base_config, scenario=fault, output_dir=None,
-                      seed=int(ss.generate_state(1)[0] % (2 ** 31)))
-        try:
-            run = run_scenario(cfg, band=band)
-        except DualPFError as exc:
-            failures.append({"run": i, "error": str(exc)})
-            continue
-        particle_steps += run["particle_steps"]
+    labels = []
+    for cfg, run in runs:
         actual = ("no_fault" if fault_start_step(cfg) is None
-                  else CATEGORIES[fault.component])
+                  else CATEGORIES[cfg.scenario.component])
         decided = diagnosis.classify(run["decisions"], band=band)
         matrix.add(actual, decided)
         labels.append((actual, decided))
     return {"matrix": matrix, "labels": labels, "failures": failures,
             "metrics": diagnosis.confusion_metrics(matrix),
-            "particle_steps": particle_steps}
+            "particle_steps": sum(run["particle_steps"] for _, run in runs)}
 
 
 def bootstrap_comparison(labels_a: list, labels_b: list, statistic) -> float:

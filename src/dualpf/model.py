@@ -192,8 +192,8 @@ def write_trajectory_csv(path, states: np.ndarray, outputs: np.ndarray,
                          thetas: np.ndarray) -> None:
     """CSV with header t,x_1..x_nx,y_1..y_ny,theta_1..theta_ntheta.
 
-    Row t pairs state x_t with the output and parameter of step t; the
-    output columns of row 0 repeat row 1 semantics and are left empty.
+    One row per step t = 1..T pairs state x_t with the output y_t measured
+    on it and the parameter of step t; the initial state x_0 is not written.
     """
     states = np.atleast_2d(states)
     outputs = np.atleast_2d(outputs)
@@ -211,19 +211,3 @@ def write_trajectory_csv(path, states: np.ndarray, outputs: np.ndarray,
                    + [repr(float(v))
                       for v in thetas[min(t - 1, thetas.shape[0] - 1)]])
             writer.writerow(row)
-
-
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Inverse of write_trajectory_csv; returns arrays keyed x/y/theta."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [list(map(float, r)) for r in reader]
-    data = np.asarray(rows, dtype=float)
-    cols = {name: i for i, name in enumerate(header)}
-    out = {}
-    for key in ("x", "y", "theta"):
-        idx = [cols[c] for c in header if c.startswith(key + "_")]
-        out[key] = data[:, idx]
-    out["t"] = data[:, cols["t"]]
-    return out

@@ -102,15 +102,6 @@ def predicted_outputs(thetas: np.ndarray, x_hat: np.ndarray, model: ModelSpec,
     return np.atleast_2d(model.measure(base, thetas, u=u))
 
 
-def prediction_error(thetas: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
-                     model: ModelSpec, predictor: str = "output",
-                     x_prev: np.ndarray | None = None, u=None) -> np.ndarray:
-    """eps = y - yhat(theta); vectorized over parameter particles."""
-    yhat = predicted_outputs(thetas, x_hat, model, predictor, x_prev, u)
-    eps = np.asarray(y, dtype=float) - yhat
-    return eps if np.asarray(thetas).ndim > 1 else eps[0]
-
-
 def updating_gain(eps: np.ndarray) -> np.ndarray:
     """Euclidean norm of the output-mean-centered prediction error.
 
@@ -127,12 +118,14 @@ def updating_gain(eps: np.ndarray) -> np.ndarray:
 
 def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
                     predictor: str = "output",
-                    x_prev: np.ndarray | None = None, u=None) -> np.ndarray:
-    """dyhat/dtheta per particle, shaped (N, n_theta, n_y).
+                    x_prev: np.ndarray | None = None, u=None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted outputs (N, n_y) and dyhat/dtheta (N, n_theta, n_y).
 
     Central finite differences with a one-sided fallback at the domain
-    boundary.  All 2 n_theta perturbed parameter sets are stacked into one
-    (2 n_theta N, n_theta) batch and predicted in one call.
+    boundary.  The particles and their 2 n_theta perturbed copies are
+    stacked into one ((2 n_theta + 1) N, n_theta) batch and predicted in
+    one call; block 0, the particles themselves, gives the outputs.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n, n_th = thetas.shape
@@ -140,17 +133,17 @@ def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
     eta = FD_STEP * np.maximum(1.0, np.abs(thetas))
     up = np.where(thetas + eta <= domain.upper, thetas + eta, thetas)
     dn = np.where(thetas - eta >= domain.lower, thetas - eta, thetas)
-    # perturbed[0, k] is thetas with column k moved up, perturbed[1, k] down.
-    perturbed = np.tile(thetas, (2, n_th, 1, 1))
+    # Block 1 + k is thetas with column k moved up, block 1 + n_th + k down.
+    stacked = np.tile(thetas, (2 * n_th + 1, 1, 1))
     cols = np.arange(n_th)
-    perturbed[0, cols, :, cols] = up.T
-    perturbed[1, cols, :, cols] = dn.T
-    y = predicted_outputs(perturbed.reshape(-1, n_th), x_hat, model,
-                          predictor, x_prev, u).reshape(2, n_th, n, model.n_y)
+    stacked[1 + cols, :, cols] = up.T
+    stacked[1 + n_th + cols, :, cols] = dn.T
+    y = predicted_outputs(stacked.reshape(-1, n_th), x_hat, model, predictor,
+                          x_prev, u).reshape(2 * n_th + 1, n, model.n_y)
     span = (up - dn).T[:, :, None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        deriv = np.where(span > 0, (y[0] - y[1]) / span, 0.0)
-    return np.ascontiguousarray(deriv.transpose(1, 0, 2))
+        deriv = np.where(span > 0, (y[1:n_th + 1] - y[n_th + 1:]) / span, 0.0)
+    return y[0], np.ascontiguousarray(deriv.transpose(1, 0, 2))
 
 
 def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,
@@ -207,9 +200,10 @@ def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
     if force_zero_error:
         m = thetas
     else:
-        eps = prediction_error(thetas, x_hat, y, model, config.predictor, x_prev, u)
+        yhat, psi = output_jacobian(x_hat, thetas, model, config.predictor,
+                                    x_prev, u)
+        eps = np.asarray(y, dtype=float) - yhat
         gain = updating_gain(eps)
-        psi = output_jacobian(x_hat, thetas, model, config.predictor, x_prev, u)
         raw = config.step_size * gain[:, None] * np.einsum("njy,ny->nj", psi, eps)
         m = project_step(thetas, raw, domain)
 

@@ -45,20 +45,11 @@ class ParticleEnsemble:
     def dim(self) -> int:
         return self.particles.shape[1]
 
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.particles
-
     def ess(self) -> float:
         return 1.0 / float(np.sum(self.weights ** 2))
 
     def is_collapsed(self) -> bool:
         return bool(np.max(self.weights) > 1.0 - WEIGHT_COLLAPSE_TOL)
-
-    @classmethod
-    def uniform(cls, particles: np.ndarray) -> "ParticleEnsemble":
-        particles = np.atleast_2d(np.asarray(particles, dtype=float))
-        n = particles.shape[0]
-        return cls(particles, np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from dualpf import baselines, diagnosis, dual
+from dualpf import baselines, diagnosis, dual, harness
 from dualpf.diagnosis import CATEGORIES, ThresholdBand, classify
-from dualpf.errors import ConfigError
+from dualpf.errors import (CalibrationError, ConfigError,
+                           DegenerateWeightsError)
 from dualpf.harness import (
     ESTIMATORS,
     RUN_DEFAULTS,
@@ -21,9 +22,9 @@ from dualpf.harness import (
     confusion_campaign,
     fault_start_step,
     fp_stat,
-    monte_carlo,
     run_estimator,
     run_scenario,
+    seeded_runs,
     simulate_truth,
     theta_trajectory,
 )
@@ -262,32 +263,41 @@ class TestHealthyBaselineWindow:
         assert run["report"]["mae_percent"]["theta_1"] == want
 
 
-class TestMonteCarlo:
-    def test_n_runs_validated(self):
-        with pytest.raises(ConfigError):
-            monte_carlo(RunConfig(**SMALL_MIXED), 0, 0)
-
-    def test_aggregate_and_determinism(self, tmp_path):
-        cfg = RunConfig(**SMALL_MIXED, output_dir=str(tmp_path / "mc"))
-        docs = []
-        for _ in range(2):
-            mc = monte_carlo(cfg, 2, base_seed=9)
-            agg = mc["aggregate"]
-            assert agg["n_runs"] == 2
-            assert agg["n_failures"] == 0
-            assert len(agg["median_final_abs_error"]) == 4
-            docs.append(json.dumps(agg, sort_keys=True))
-        assert docs[0] == docs[1]
-        assert (tmp_path / "mc" / "aggregate.json").exists()
-        assert (tmp_path / "mc" / "run_000" / "report.json").exists()
+class TestSeededRuns:
+    def test_run_i_matches_run_scenario_alone(self):
         # Run i is run_scenario alone at the i-th spawned seed, whatever
         # runs before it.
+        cfg = RunConfig(**SMALL_MIXED)
+        scenarios = ["healthy", SyntheticFault(1, 0.1, 20)]
+        runs, failures = seeded_runs(cfg, scenarios, base_seed=9)
+        assert failures == []
         seeds = np.random.SeedSequence(9).spawn(2)
-        for run, ss in zip(mc["runs"], seeds):
-            alone = run_scenario(RunConfig(
-                **SMALL_MIXED, seed=int(ss.generate_state(1)[0] % 2 ** 31)))
+        for (run_cfg, run), scenario, ss in zip(runs, scenarios, seeds):
+            seed = int(ss.generate_state(1)[0] % 2 ** 31)
+            assert (run_cfg.scenario, run_cfg.seed) == (scenario, seed)
+            alone = run_scenario(RunConfig(**SMALL_MIXED, scenario=scenario,
+                                           seed=seed))
             assert run["theta_hat"].tobytes() == alone["theta_hat"].tobytes()
             assert run["x_hat"].tobytes() == alone["x_hat"].tobytes()
+
+    def test_module_run_scenario_sees_every_run(self, monkeypatch):
+        seen = []
+
+        def counted(config, band=None):
+            seen.append(config.scenario)
+            return run_scenario(config, band=band)
+        monkeypatch.setattr(harness, "run_scenario", counted)
+        cfg = RunConfig(**{**SMALL_MIXED, "n_particles": 6, "duration": 30})
+        band = calibrate_band(cfg, 3, 0)
+        assert seen == ["healthy"] * 3
+        design = campaign_design(n_per_category=1, start_step=20)[:2]
+        out = confusion_campaign(cfg, design, band, base_seed=1)
+        assert seen[3:] == design
+        assert len(out["labels"]) == 2
+
+    def test_zero_calibration_runs_rejected(self):
+        with pytest.raises(ConfigError, match="n_runs"):
+            calibrate_band(RunConfig(**SMALL_MIXED), 0, 0)
 
 
 class TestCalibration:
@@ -306,6 +316,30 @@ class TestCalibration:
         monkeypatch.setattr(diagnosis, "decide", always_detect)
         with pytest.warns(UserWarning, match="1.000 of the healthy runs"):
             band = calibrate_band(RunConfig(**SMALL_MIXED), 3, 0)
+        assert np.all(band.lower < band.upper)
+
+    def test_too_few_runs_left_names_the_failures(self):
+        cfg = RunConfig(model="mixed", duration=1, n_particles=8)
+        with pytest.raises(CalibrationError,
+                           match="3 of 3 calibration runs failed.*"
+                                 "at least 2 samples"):
+            calibrate_band(cfg, 3, 0)
+
+    def test_dropped_run_is_counted_in_a_warning(self, monkeypatch):
+        monkeypatch.setattr(diagnosis, "MIN_CALIBRATION_RUNS", 2)
+        calls = []
+
+        def second_run_raises(config, band=None):
+            calls.append(config.seed)
+            if len(calls) == 2:
+                raise DegenerateWeightsError("all weights zero")
+            return run_scenario(config, band=band)
+        monkeypatch.setattr(harness, "run_scenario", second_run_raises)
+        with pytest.warns(UserWarning,
+                          match="1 of 3 calibration runs failed.*"
+                                "all weights zero"):
+            band = calibrate_band(RunConfig(**SMALL_MIXED), 3, 0)
+        assert len(calls) == 3
         assert np.all(band.lower < band.upper)
 
     def test_fault_detected_on_correct_component(self):

@@ -14,7 +14,6 @@ from dualpf.param_filter import (
     init_param_filter,
     kernel_shrink,
     output_jacobian,
-    prediction_error,
     predicted_outputs,
     project_step,
     update,
@@ -88,23 +87,21 @@ class TestInit:
 
 
 class TestPredictionError:
+    # eps = y - yhat, with yhat from output_jacobian's block at the particles.
     def test_linear(self):
         m = _scaling_model()
-        eps = prediction_error(np.array([1.0]), np.array([1.0]),
-                               np.array([2.0]), m)
-        assert eps == pytest.approx([1.0])
+        yhat, _ = output_jacobian(np.array([1.0]), np.array([[1.0]]), m)
+        assert 2.0 - yhat[0] == pytest.approx([1.0])
 
     def test_exact_prediction(self):
         m = _scaling_model()
-        eps = prediction_error(np.array([1.0]), np.array([2.0]),
-                               np.array([2.0]), m)
-        assert eps == pytest.approx([0.0])
+        yhat, _ = output_jacobian(np.array([2.0]), np.array([[1.0]]), m)
+        assert 2.0 - yhat[0] == pytest.approx([0.0])
 
     def test_quadratic(self):
         m = _scaling_model(power=2)
-        eps = prediction_error(np.array([1.5]), np.array([2.0]),
-                               np.array([5.0]), m)
-        assert eps == pytest.approx([0.5])
+        yhat, _ = output_jacobian(np.array([2.0]), np.array([[1.5]]), m)
+        assert 5.0 - yhat[0] == pytest.approx([0.5])
 
     def test_one_step_predictor_exposes_dynamics_parameter(self):
         # theta enters only the transition; the one-step-ahead predictor
@@ -151,12 +148,12 @@ class TestUpdatingGain:
 class TestOutputJacobian:
     def test_linear_sensitivity(self):
         m = _scaling_model()
-        jac = output_jacobian(np.array([3.0]), np.array([[1.0]]), m)
+        _, jac = output_jacobian(np.array([3.0]), np.array([[1.0]]), m)
         assert jac[0, 0, 0] == pytest.approx(3.0, abs=1e-6)
 
     def test_quadratic_matches_analytic(self):
         m = _scaling_model(power=2)
-        jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m)
+        _, jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m)
         assert jac[0, 0, 0] == pytest.approx(4.0, abs=1e-5)
 
     def test_second_order_accuracy(self):
@@ -164,12 +161,12 @@ class TestOutputJacobian:
         # eta would be off by about 6 eta, a central one by about eta^2.
         m = _scaling_model(power=3, upper=5.0)
         eta = FD_STEP * 2.0
-        jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m)
+        _, jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m)
         assert abs(jac[0, 0, 0] - 12.0) < 6 * eta / 50
 
     def test_one_sided_at_boundary(self):
         m = _scaling_model(upper=2.0)
-        jac = output_jacobian(np.array([3.0]), np.array([[2.0]]), m)
+        _, jac = output_jacobian(np.array([3.0]), np.array([[2.0]]), m)
         assert jac[0, 0, 0] == pytest.approx(3.0, abs=1e-4)
 
     @staticmethod
@@ -205,10 +202,15 @@ class TestOutputJacobian:
         thetas = as_rng(4).uniform(0.7, 1.1, (20, model.n_theta))
         thetas[0, 1] = model.param_domain.upper[1]
         thetas[1, 2] = model.param_domain.lower[2]
-        got = output_jacobian(x_hat, thetas, model, predictor, x_prev)
+        yhat, got = output_jacobian(x_hat, thetas, model, predictor, x_prev)
+        want_yhat = predicted_outputs(thetas, x_hat, model, predictor, x_prev)
         ref = self._per_column_reference(x_hat, thetas, model, predictor,
                                          x_prev)
         assert got.shape == (20, model.n_theta, model.n_y)
+        if name == "mixed":
+            assert yhat.tobytes() == want_yhat.tobytes()
+        else:
+            assert np.allclose(yhat, want_yhat, rtol=1e-12, atol=0.0)
         if name == "engine" and predictor == "one_step":
             # Each perturbed output comes from an implicit solve converged
             # to FIXED_POINT_TOL, which the 1/FD_STEP of the difference can

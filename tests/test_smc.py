@@ -23,9 +23,15 @@ from dualpf.smc import (
 )
 
 
+def _uniform(particles):
+    particles = np.atleast_2d(particles)
+    return ParticleEnsemble(particles, np.full(len(particles),
+                                               1.0 / len(particles)))
+
+
 class TestParticleEnsemble:
     def test_uniform_weights_and_ess(self):
-        ens = ParticleEnsemble.uniform(np.zeros((8, 2)))
+        ens = _uniform(np.zeros((8, 2)))
         assert np.allclose(ens.weights, 1 / 8)
         assert ens.ess() == pytest.approx(8.0)
         assert not ens.is_collapsed()
@@ -34,10 +40,6 @@ class TestParticleEnsemble:
         ens = ParticleEnsemble(np.zeros((3, 1)), np.array([1.0, 0.0, 0.0]))
         assert ens.is_collapsed()
         assert ens.ess() == pytest.approx(1.0)
-
-    def test_weighted_mean(self):
-        ens = ParticleEnsemble(np.array([[0.0], [2.0]]), np.array([0.25, 0.75]))
-        assert ens.mean() == pytest.approx([1.5])
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -76,7 +78,7 @@ class TestBootstrapResampling:
 
     def test_uniform_frequencies(self):
         n = 10_000
-        ens = ParticleEnsemble.uniform(np.arange(float(n))[:, None])
+        ens = _uniform(np.arange(float(n))[:, None])
         idx = resample_bootstrap(ens, 1)
         # Aggregate into 10 bins; chi-square against the uniform multinomial.
         counts = np.bincount(idx // (n // 10), minlength=10)
@@ -193,19 +195,19 @@ class TestRegularization:
     def test_degenerate_dimension_passes_through(self):
         particles = np.column_stack([np.full(30, 2.5),
                                      as_rng(1).standard_normal(30)])
-        ens = ParticleEnsemble.uniform(particles)
+        ens = _uniform(particles)
         res = regularize(ens, np.eye(2), RegularizationConfig(), 1)
         assert 0 in res.passthrough_dims
         assert np.all(res.particles[:, 0] == 2.5)
 
     def test_single_value_fixed_point(self):
-        ens = ParticleEnsemble.uniform(np.full((20, 1), 3.0))
+        ens = _uniform(np.full((20, 1), 3.0))
         res = regularize(ens, np.eye(1), RegularizationConfig(), 4)
         assert np.all(res.particles == 3.0)
 
     def test_mean_preserved(self):
         rng = as_rng(6)
-        ens = ParticleEnsemble.uniform(rng.standard_normal((10_000, 1)))
+        ens = _uniform(rng.standard_normal((10_000, 1)))
         res = regularize(ens, np.eye(1), RegularizationConfig(), rng)
         assert abs(res.particles.mean()) < 0.05
 
