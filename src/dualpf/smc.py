@@ -3,10 +3,14 @@
 Weighted particle ensembles, weight normalization, bootstrap and residual
 resampling, the sample covariance, Gaussian sampling and the kernel-density
 regularization step used by the regularized particle filters.  Every
-covariance is decomposed once, by `_psd_eigh`.
+eigendecomposition goes through `_psd_eigh`.  Gaussian sampling and
+likelihoods reuse each covariance's factor from a bounded cache keyed on
+its bytes, so a fixed covariance (process, measurement or constant
+evolution noise) is factored once.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,7 +66,7 @@ class RegularizationConfig:
     def __post_init__(self):
         if self.n_reg < 2:
             raise ConfigError("n_reg must be >= 2")
-        if self.bandwidth is not None and self.bandwidth <= 0:
+        if self.bandwidth is not None and not self.bandwidth > 0:
             raise ConfigError("bandwidth must be positive")
 
 
@@ -133,7 +137,10 @@ def sample_cov(particles: np.ndarray) -> np.ndarray:
 def _psd_eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (clamped at zero) and eigenvectors of a PSD covariance."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if not np.allclose(cov, cov.T, atol=1e-10):
+    # An exactly symmetric matrix (every sample_cov result) skips allclose;
+    # the verdict is the same, NaN and inf included.
+    if not (np.array_equal(cov, cov.T)
+            or np.allclose(cov, cov.T, atol=1e-10)):
         raise CovarianceError("covariance not symmetric")
     vals, vecs = np.linalg.eigh(cov)
     if np.any(vals < -PSD_TOL):
@@ -141,24 +148,45 @@ def _psd_eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(vals, 0.0, None), vecs
 
 
+def _cache_key(cov) -> tuple[bytes, tuple[int, ...]]:
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    return cov.tobytes(), cov.shape
+
+
+# Each cache keeps 16 factors: the fixed noise covariances of the models in
+# use, with room for the covariances that change every step.
+@functools.lru_cache(maxsize=16)
+def _sampling_factor(data: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """A with A @ A.T = cov, from `_psd_eigh` (errors are not cached)."""
+    vals, vecs = _psd_eigh(np.frombuffer(data).reshape(shape))
+    a = vecs * np.sqrt(vals)
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _cholesky_factor(data: bytes,
+                     shape: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor and log-determinant of a PD covariance."""
+    chol = np.linalg.cholesky(np.frombuffer(data).reshape(shape))
+    chol.flags.writeable = False
+    return chol, 2.0 * np.sum(np.log(np.diag(chol)))
+
+
 def sample_gaussian(cov: np.ndarray, n: int, seed) -> np.ndarray:
     """Draw n zero-mean samples with the given PSD covariance."""
     rng = as_rng(seed)
-    vals, vecs = _psd_eigh(cov)
-    a = vecs * np.sqrt(vals)
+    a = _sampling_factor(*_cache_key(cov))
     return rng.standard_normal((n, a.shape[0])) @ a.T
 
 
 def gaussian_loglik(residuals: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Log density of N(0, cov) at each residual row."""
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    d = cov.shape[0]
-    chol = np.linalg.cholesky(cov)
+    chol, logdet = _cholesky_factor(*_cache_key(cov))
     sol = np.linalg.solve(chol, residuals.T)
     maha = np.sum(sol ** 2, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (maha + logdet + d * np.log(2.0 * np.pi))
+    return -0.5 * (maha + logdet + chol.shape[0] * np.log(2.0 * np.pi))
 
 
 def likelihood_weights(residuals: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -180,18 +208,20 @@ def optimal_bandwidth(n: int, dim: int) -> float:
     return (4.0 / (n * (dim + 2))) ** (1.0 / (dim + 4))
 
 
-def regular_grid(values: np.ndarray, n_reg: int) -> tuple[np.ndarray, float]:
+def regular_grid(values: np.ndarray,
+                 n_reg: int) -> tuple[np.ndarray, np.ndarray | float]:
     """Uniform grid spanning [min - std, max + std] of a 1-D particle set.
 
     std is the population standard deviation (the particle set is treated
-    as a complete population).
+    as a complete population).  A stack of particle sets (..., N) gives one
+    grid per set, (..., n_reg), and one spacing per set.
     """
     values = np.asarray(values, dtype=float)
-    s = float(values.std())
-    lo = float(values.min()) - s
-    hi = float(values.max()) + s
+    s = values.std(axis=-1)
+    lo = values.min(axis=-1) - s
+    hi = values.max(axis=-1) + s
     dx = (hi - lo) / (n_reg - 1)
-    return lo + dx * np.arange(n_reg), dx
+    return lo[..., None] + dx[..., None] * np.arange(n_reg), dx
 
 
 def _kernel_density_1d(grid: np.ndarray, centers: np.ndarray,
@@ -218,34 +248,47 @@ def regularize(ensemble: ParticleEnsemble, cov: np.ndarray,
     unscaled; dimensions with zero spread pass through unperturbed and are
     reported in `passthrough_dims`.  A `cov` that is not symmetric positive
     semidefinite raises CovarianceError.
+
+    All dimensions are whitened, classified and gridded in one pass; only
+    the kernel density is evaluated one dimension at a time.  A smoothed
+    dimension takes its grid cells (by inverse CDF) and the offsets within
+    them from one `rng.random((2, N))` call: the same uniforms, order and
+    arithmetic as `rng.choice(n_reg, p=density)` followed by
+    `rng.uniform(-dx/2, dx/2)`, so a seed gives the same particles.
     """
     rng = as_rng(seed)
     n, d = ensemble.n, ensemble.dim
+    w = ensemble.weights
     vals, vecs = _psd_eigh(cov)
     live = vals > max(vals.max(initial=0.0), 1.0) * 1e-14
-    scale = np.where(live, np.sqrt(np.where(live, vals, 1.0)), 1.0)
-    z = (ensemble.particles @ vecs) / scale
+    scale = np.sqrt(np.where(live, vals, 1.0))
+    zt = ((ensemble.particles @ vecs) / scale).T.copy()  # (d, N), whitened
 
     b = config.bandwidth if config.bandwidth is not None else optimal_bandwidth(n, d)
-    out = np.empty((n, d))
-    passthrough = []
-    for j in range(d):
-        col = z[:, j]
-        if not live[j] or np.ptp(col) == 0.0 or col.std() == 0.0:
-            passthrough.append(j)
-            if np.ptp(col) == 0.0:
-                out[:, j] = col[0]
-            else:
-                out[:, j] = rng.choice(col, size=n, p=ensemble.weights)
-            continue
-        grid, dx = regular_grid(col, config.n_reg)
-        dens = _kernel_density_1d(grid, col, ensemble.weights, b)
+    flat = np.ptp(zt, axis=1) == 0.0
+    spread = np.flatnonzero(live & ~flat & (zt.std(axis=1) != 0.0)).tolist()
+    grids, dx = regular_grid(zt[spread], config.n_reg)
+    smoothed = {}  # dimension -> (grid, cdf, half cell width)
+    for j, grid, step in zip(spread, grids, dx):
+        dens = _kernel_density_1d(grid, zt[j], w, b)
         total = dens.sum()
         if total <= 0.0:
-            passthrough.append(j)
-            out[:, j] = rng.choice(col, size=n, p=ensemble.weights)
             continue
-        idx = rng.choice(config.n_reg, size=n, p=dens / total)
-        out[:, j] = grid[idx] + rng.uniform(-0.5 * dx, 0.5 * dx, size=n)
+        cdf = np.cumsum(dens / total)
+        cdf /= cdf[-1]
+        smoothed[j] = grid, cdf, 0.5 * step
 
-    return RegularizeResult((out * scale) @ vecs.T, tuple(passthrough))
+    out = np.empty((n, d))
+    for j in range(d):
+        if flat[j]:
+            out[:, j] = zt[j, 0]
+        elif j in smoothed:
+            grid, cdf, half = smoothed[j]
+            cell, offset = rng.random((2, n))
+            out[:, j] = (grid[cdf.searchsorted(cell, side="right")]
+                         + (-half + (half - -half) * offset))
+        else:
+            out[:, j] = rng.choice(zt[j], size=n, p=w)
+
+    passthrough = tuple(j for j in range(d) if j not in smoothed)
+    return RegularizeResult((out * scale) @ vecs.T, passthrough)

@@ -191,6 +191,8 @@ class TestRegularization:
             RegularizationConfig(n_reg=1)
         with pytest.raises(ConfigError):
             RegularizationConfig(bandwidth=-1.0)
+        with pytest.raises(ConfigError):
+            RegularizationConfig(bandwidth=float("nan"))
 
     def test_degenerate_dimension_passes_through(self):
         particles = np.column_stack([np.full(30, 2.5),
@@ -253,3 +255,190 @@ def test_regularize_matches_factor_rebuild_reference(d):
     ref = _factor_rebuild_regularize(ens, cov, RegularizationConfig(), 7)
     assert got.passthrough_dims == ()
     np.testing.assert_allclose(got.particles, ref, rtol=0, atol=1e-9)
+
+
+def _per_dimension_regularize(ensemble, cov, config, seed):
+    """Reference path: one whitened dimension at a time, drawing with
+    `Generator.choice` and `Generator.uniform`."""
+    rng = as_rng(seed)
+    n, d = ensemble.n, ensemble.dim
+    vals, vecs = _psd_eigh(cov)
+    live = vals > max(vals.max(initial=0.0), 1.0) * 1e-14
+    scale = np.where(live, np.sqrt(np.where(live, vals, 1.0)), 1.0)
+    z = (ensemble.particles @ vecs) / scale
+    b = config.bandwidth if config.bandwidth is not None else optimal_bandwidth(n, d)
+    out = np.empty((n, d))
+    passthrough = []
+    for j in range(d):
+        col = z[:, j]
+        if not live[j] or np.ptp(col) == 0.0 or col.std() == 0.0:
+            passthrough.append(j)
+            if np.ptp(col) == 0.0:
+                out[:, j] = col[0]
+            else:
+                out[:, j] = rng.choice(col, size=n, p=ensemble.weights)
+            continue
+        s = float(col.std())
+        lo, hi = float(col.min()) - s, float(col.max()) + s
+        dx = (hi - lo) / (config.n_reg - 1)
+        grid = lo + dx * np.arange(config.n_reg)
+        dens = smc._kernel_density_1d(grid, col, ensemble.weights, b)
+        total = dens.sum()
+        if total <= 0.0:
+            passthrough.append(j)
+            out[:, j] = rng.choice(col, size=n, p=ensemble.weights)
+            continue
+        idx = rng.choice(config.n_reg, size=n, p=dens / total)
+        out[:, j] = grid[idx] + rng.uniform(-0.5 * dx, 0.5 * dx, size=n)
+    return (out * scale) @ vecs.T, tuple(passthrough)
+
+
+def _reference_case(d, n, case):
+    rng = as_rng(1000 * d + n + len(case))
+    mix = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
+    particles = rng.standard_normal((n, d)) @ mix + rng.standard_normal(d)
+    weights = rng.random(n) ** (30 if case == "skewed" else 1)
+    cov = sample_cov(particles)
+    if case == "flat":
+        particles[:, 0] = 2.5
+        cov = np.eye(d)
+    elif case == "dead":
+        vals, vecs = np.linalg.eigh(cov)
+        vals[0] = 0.0
+        cov = (vecs * vals) @ vecs.T
+        cov = 0.5 * (cov + cov.T)
+    return ParticleEnsemble(particles, weights / weights.sum()), cov
+
+
+@pytest.mark.parametrize("case", ["plain", "flat", "dead", "skewed"])
+@pytest.mark.parametrize("n", [41, 150, 5000])
+@pytest.mark.parametrize("d", [1, 2, 4, 6])
+def test_regularize_matches_per_dimension_reference(d, n, case):
+    ens, cov = _reference_case(d, n, case)
+    config = RegularizationConfig()
+    rng_got, rng_ref = as_rng(11), as_rng(11)
+    got = regularize(ens, cov, config, rng_got)
+    ref, ref_passthrough = _per_dimension_regularize(ens, cov, config, rng_ref)
+    assert got.particles.tobytes() == ref.tobytes()
+    assert got.passthrough_dims == ref_passthrough
+    if case == "flat":
+        assert 0 in got.passthrough_dims
+    if case == "dead":
+        assert got.passthrough_dims
+    # Both paths consumed the same stretch of the random stream.
+    assert rng_got.random() == rng_ref.random()
+
+
+def test_regular_grid_stacks_along_last_axis():
+    values = as_rng(2).standard_normal((3, 40))
+    grids, dx = regular_grid(values, 17)
+    assert grids.shape == (3, 17) and dx.shape == (3,)
+    for row, grid, step in zip(values, grids, dx):
+        one_grid, one_dx = regular_grid(row, 17)
+        assert grid.tobytes() == one_grid.tobytes()
+        assert step == one_dx
+
+
+_SYMMETRIC = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize("cov", [
+    _SYMMETRIC,
+    sample_cov(as_rng(4).standard_normal((30, 3))),
+    _SYMMETRIC + np.array([[0.0, 1e-12], [0.0, 0.0]]),   # nearly symmetric
+    _SYMMETRIC + np.array([[0.0, 1e-6], [0.0, 0.0]]),    # asymmetric
+    np.array([[np.nan, 0.5], [0.5, 1.0]]),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[np.inf, 0.5], [0.5, 1.0]]),
+    np.array([[1.0, np.inf], [np.inf, 1.0]]),
+    np.array([[1.0, np.inf], [-np.inf, 1.0]]),
+    np.array([[1.0, np.inf], [0.5, 1.0]]),
+], ids=["symmetric", "sample_cov", "nearly", "asymmetric", "nan-diag",
+        "nan-offdiag", "inf-diag", "inf-offdiag", "inf-signs", "inf-one-side"])
+def test_symmetry_verdict_matches_allclose(cov):
+    expect_symmetric = np.allclose(cov, cov.T, atol=1e-10)
+    try:
+        with np.errstate(invalid="ignore"):
+            _psd_eigh(cov)
+        symmetric = True
+    except CovarianceError as exc:
+        symmetric = "not symmetric" not in str(exc)
+    except np.linalg.LinAlgError:
+        symmetric = True
+    assert symmetric == expect_symmetric
+
+
+class TestFactorCache:
+    def test_fresh_copy_hits_the_cache(self):
+        cov = np.array([[0.3, 0.1], [0.1, 0.2]])
+        sample_gaussian(cov, 4, 0)
+        gaussian_loglik(np.zeros((1, 2)), cov)
+        draws = smc._sampling_factor.cache_info().hits
+        logliks = smc._cholesky_factor.cache_info().hits
+        sample_gaussian(cov.copy(), 4, 0)
+        gaussian_loglik(np.zeros((1, 2)), cov.copy())
+        assert smc._sampling_factor.cache_info().hits == draws + 1
+        assert smc._cholesky_factor.cache_info().hits == logliks + 1
+
+    def test_results_match_uncached_factors(self):
+        cov = np.array([[0.3, 0.1], [0.1, 0.2]])
+        vals, vecs = _psd_eigh(cov)
+        expect = as_rng(3).standard_normal((9, 2)) @ (vecs * np.sqrt(vals)).T
+        for _ in range(2):
+            assert sample_gaussian(cov, 9, 3).tobytes() == expect.tobytes()
+        res = as_rng(4).standard_normal((9, 2))
+        chol = np.linalg.cholesky(cov)
+        maha = np.sum(np.linalg.solve(chol, res.T) ** 2, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        expect = -0.5 * (maha + logdet + 2 * np.log(2.0 * np.pi))
+        for _ in range(2):
+            assert gaussian_loglik(res, cov).tobytes() == expect.tobytes()
+
+    def test_mutated_covariance_gets_a_new_factor(self):
+        cov = np.diag([1.0, 2.0])
+        before = sample_gaussian(cov, 5, 1)
+        cov[0, 0] = 4.0
+        vals, vecs = _psd_eigh(cov)
+        expect = as_rng(1).standard_normal((5, 2)) @ (vecs * np.sqrt(vals)).T
+        after = sample_gaussian(cov, 5, 1)
+        assert after.tobytes() == expect.tobytes()
+        assert not np.array_equal(after, before)
+        ll = gaussian_loglik(np.ones((1, 2)), cov)
+        assert ll == pytest.approx(stats.multivariate_normal(
+            np.zeros(2), cov).logpdf(np.ones(2)))
+
+    def test_factors_are_read_only(self):
+        cov = np.array([[0.5, 0.0], [0.0, 0.25]])
+        a = smc._sampling_factor(cov.tobytes(), cov.shape)
+        chol, _ = smc._cholesky_factor(cov.tobytes(), cov.shape)
+        for factor in (a, chol):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 9.0
+
+    @pytest.mark.parametrize("cov", [
+        np.array([[1.0, 0.5], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, -1.0]]),
+    ], ids=["asymmetric", "negative-eigenvalue"])
+    def test_rejected_sampling_covariance_raises_every_call(self, cov):
+        for _ in range(3):
+            with pytest.raises(CovarianceError):
+                sample_gaussian(cov, 5, 0)
+
+    def test_non_pd_likelihood_covariance_raises_every_call(self):
+        cov = np.array([[1.0, 0.0], [0.0, 0.0]])
+        for _ in range(3):
+            with pytest.raises(np.linalg.LinAlgError):
+                gaussian_loglik(np.zeros((1, 2)), cov)
+
+    def test_cache_stays_bounded(self):
+        for cache in (smc._sampling_factor, smc._cholesky_factor):
+            assert cache.cache_info().maxsize is not None
+        maxsize = smc._sampling_factor.cache_info().maxsize
+        for k in range(3 * maxsize):
+            cov = np.eye(2) * (1.0 + k)
+            sample_gaussian(cov, 2, 0)
+            gaussian_loglik(np.zeros((1, 2)), cov)
+        for cache in (smc._sampling_factor, smc._cholesky_factor):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
