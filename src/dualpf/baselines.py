@@ -17,7 +17,7 @@ import numpy as np
 from . import state_filter
 from .errors import BudgetError, ConfigError, GradientUndefinedError
 from .model import ModelSpec
-from .param_filter import kernel_shrink, project_step
+from .param_filter import draw_prior, kernel_shrink, project_step
 from .smc import (
     DEFAULT_REGULARIZATION,
     ParticleEnsemble,
@@ -56,11 +56,8 @@ def init_bayesian_ks(model: ModelSpec, x0_mean, x0_cov, theta0_mean,
     rng = as_rng(seed)
     n = config.n_particles
     x0_mean = np.atleast_1d(np.asarray(x0_mean, dtype=float))
-    theta0_mean = np.atleast_1d(np.asarray(theta0_mean, dtype=float))
     xs = x0_mean + sample_gaussian(x0_cov, n, rng)
-    ths = theta0_mean + sample_gaussian(theta0_cov, n, rng)
-    ths = project_step(np.broadcast_to(theta0_mean, ths.shape),
-                       ths - theta0_mean, model.param_domain)
+    ths = draw_prior(theta0_mean, theta0_cov, n, model.param_domain, rng)
     particles = np.hstack([xs, ths])
     return BayesianKSState(particles, xs.mean(axis=0), ths.mean(axis=0))
 
@@ -134,9 +131,8 @@ def spsa_gradient(particles: np.ndarray, theta_hat: np.ndarray,
     n_th = theta_hat.shape[0]
     delta = rng.choice([-1.0, 1.0], size=n_th)
     c_t = SPSA_PERTURBATION
-    lo, hi = model.param_domain.lower, model.param_domain.upper
-    th_plus = np.clip(theta_hat + c_t * delta, lo, hi)
-    th_minus = np.clip(theta_hat - c_t * delta, lo, hi)
+    th_plus = model.param_domain.clip(theta_hat + c_t * delta)
+    th_minus = model.param_domain.clip(theta_hat - c_t * delta)
 
     n = particles.shape[0]
     noise = sample_gaussian(model.process_noise_cov, n, rng)

@@ -71,11 +71,12 @@ def cmd_estimate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
+    coverage = (RUN_DEFAULTS["coverage"] if args.coverage is None
+                else args.coverage)
     band = harness.calibrate_band(cfg, args.runs, args.base_seed,
-                                  coverage=args.coverage)
+                                  coverage=coverage)
     doc = {"lower": band.lower.tolist(), "upper": band.upper.tolist(),
-           "coverage": args.coverage or RUN_DEFAULTS["coverage"],
-           "runs": args.runs}
+           "coverage": coverage, "runs": args.runs}
     out = Path(cfg.output_dir or ".") / "band.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:

@@ -96,6 +96,8 @@ def calibrate_thresholds(healthy_residual_runs: list[np.ndarray],
     healthy_residual_runs: list of (T, n_theta) residual trajectories from
     independent healthy Monte-Carlo runs.
     """
+    if not 0.0 < coverage < 1.0:
+        raise ConfigError(f"coverage must be in (0, 1), got {coverage}")
     if len(healthy_residual_runs) < min_runs:
         raise CalibrationError(
             f"need >= {min_runs} runs, got {len(healthy_residual_runs)}")

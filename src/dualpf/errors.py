@@ -28,10 +28,6 @@ class SimulationDivergenceError(DualPFError):
 class FilterDivergenceError(DualPFError):
     """A particle became non-finite during filtering."""
 
-    def __init__(self, particle_index: int, message: str = ""):
-        self.particle_index = particle_index
-        super().__init__(message or f"non-finite particle at index {particle_index}")
-
 
 class PhysicalDomainError(DualPFError):
     """Engine state left the physically valid region."""

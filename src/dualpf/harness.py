@@ -324,7 +324,8 @@ def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
         warnings.warn(note)
     residual_runs = [run["residuals"] for _, run in runs]
     band = diagnosis.calibrate_thresholds(
-        residual_runs, coverage=coverage or RUN_DEFAULTS["coverage"],
+        residual_runs,
+        coverage=RUN_DEFAULTS["coverage"] if coverage is None else coverage,
         min_runs=min_runs)
     mid = 0.5 * (band.lower + band.upper)
     half = 0.5 * (band.upper - band.lower)

@@ -24,7 +24,7 @@ from .smc import (
 )
 
 COV_FLOOR = 1e-12
-PROJECTION_FACTOR = 0.5      # mu: a rejected step is scaled by mu and retried
+PROJECTION_FACTOR = 0.5      # mu: a rejected step is scaled by mu^k
 PROJECTION_MAX_SCALINGS = 64
 FD_STEP = 1e-6               # relative finite-difference step of the Jacobian
 
@@ -65,13 +65,7 @@ class ParamFilterState:
 
 def init_param_filter(mean: np.ndarray, cov: np.ndarray, domain: ParamDomain,
                       config: ParamFilterConfig, seed) -> ParamFilterState:
-    rng = as_rng(seed)
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if not domain.contains(mean):
-        raise ConfigError("initial parameter mean outside the domain")
-    particles = mean + sample_gaussian(cov, config.n_particles, rng)
-    particles = project_step(
-        np.broadcast_to(mean, particles.shape), particles - mean, domain)
+    particles = draw_prior(mean, cov, config.n_particles, domain, seed)
     return ParamFilterState(
         particles=particles,
         estimate=particles.mean(axis=0),
@@ -148,24 +142,44 @@ def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
 
 def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,
                  domain: ParamDomain) -> np.ndarray:
-    """Scale a candidate step by PROJECTION_FACTOR until the endpoint is
-    admissible.
+    """Scale each row's step by PROJECTION_FACTOR^k with the smallest
+    k <= PROJECTION_MAX_SCALINGS that makes its endpoint admissible.
 
     theta_prev is clipped into the domain first (a shrinkage point can round
-    one ulp past a bound), so the result is always admissible; after 64
-    scalings a step still outside is dropped entirely.
+    one ulp past a bound), so the result is always admissible; a row with no
+    admissible k keeps theta_prev.  Every k of every rejected row is tested
+    in one box check.
     """
-    theta_prev = domain.clip(np.atleast_2d(np.asarray(theta_prev, dtype=float)))
-    step = np.atleast_2d(np.asarray(raw_step, dtype=float)).copy()
-    for _ in range(PROJECTION_MAX_SCALINGS):
-        outside = ~domain.contains(theta_prev + step)
-        if not np.any(outside):
-            break
-        step[outside] *= PROJECTION_FACTOR
-    else:
-        outside = ~domain.contains(theta_prev + step)
-        step[outside] = 0.0
-    return theta_prev + step
+    base = domain.clip(np.atleast_2d(np.asarray(theta_prev, dtype=float)))
+    base, step = np.broadcast_arrays(
+        base, np.atleast_2d(np.asarray(raw_step, dtype=float)))
+    step = step.copy()
+    outside = ~domain.contains(base + step)
+    if np.any(outside):
+        rejected = step[outside]
+        # A running product halves in sequence, so candidate k is bit-equal to
+        # the step halved k times, even where the halvings reach subnormals.
+        scaled = np.full((PROJECTION_MAX_SCALINGS + 1, *rejected.shape),
+                         PROJECTION_FACTOR)
+        scaled[0] = rejected
+        scaled = np.multiply.accumulate(scaled)[1:]     # (k, rows, n_theta)
+        ok = domain.contains(base[outside] + scaled)    # (k, rows)
+        first = ok.argmax(axis=0)
+        # Assign 0, not step * 0: an infinite step times 0 is NaN.
+        step[outside] = np.where(ok.any(axis=0)[:, None],
+                                 scaled[first, np.arange(first.size)], 0.0)
+    return base + step
+
+
+def draw_prior(mean: np.ndarray, cov: np.ndarray, n: int, domain: ParamDomain,
+               seed) -> np.ndarray:
+    """n parameter particles from N(mean, cov), each draw's offset from the
+    mean projected into the domain; the mean itself must be admissible."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    if not domain.contains(mean):
+        raise ConfigError("initial parameter mean outside the domain")
+    particles = mean + sample_gaussian(cov, n, as_rng(seed))
+    return project_step(mean, particles - mean, domain)
 
 
 def kernel_shrink(centers: np.ndarray, target: np.ndarray, cov: np.ndarray,

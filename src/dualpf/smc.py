@@ -86,21 +86,6 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def normalize_weights(raw: np.ndarray) -> np.ndarray:
-    """Scale nonnegative raw weights onto the simplex.
-
-    Raises DegenerateWeightsError when the total mass is zero; the caller
-    must treat that as a likelihood collapse.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if np.any(raw < 0) or not np.all(np.isfinite(raw)):
-        raise ConfigError("raw weights must be finite and nonnegative")
-    total = raw.sum()
-    if total <= 0.0:
-        raise DegenerateWeightsError("all weights are zero")
-    return raw / total
-
-
 def resample_bootstrap(ensemble: ParticleEnsemble, seed) -> np.ndarray:
     """Multinomial (bootstrap) resampling: N i.i.d. index draws."""
     rng = as_rng(seed)
@@ -199,8 +184,8 @@ def likelihood_weights(residuals: np.ndarray, cov: np.ndarray) -> np.ndarray:
     finite = np.isfinite(ll)
     if not np.any(finite):
         raise DegenerateWeightsError("all particle likelihoods vanished")
-    shifted = np.where(finite, ll - ll[finite].max(), -np.inf)
-    return normalize_weights(np.exp(shifted))
+    w = np.exp(np.where(finite, ll - ll[finite].max(), -np.inf))
+    return w / w.sum()
 
 
 def optimal_bandwidth(n: int, dim: int) -> float:

@@ -61,7 +61,8 @@ def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
     predicted = np.atleast_2d(model.step_state(particles, theta_hat, noise, u=u))
     bad = ~np.all(np.isfinite(predicted), axis=1)
     if np.any(bad):
-        raise FilterDivergenceError(int(np.flatnonzero(bad)[0]))
+        raise FilterDivergenceError(
+            f"non-finite particle at index {np.flatnonzero(bad)[0]}")
     outputs = np.atleast_2d(model.measure(predicted, theta_hat, u=u))
     return predicted, outputs
 

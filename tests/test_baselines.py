@@ -54,6 +54,12 @@ def _direct_observation_model(sigma_v=0.5):
 
 
 class TestBayesianKS:
+    def test_init_rejects_out_of_domain_parameter(self):
+        m = _output_scaling_model(lower=0.5, upper=1.2)
+        with pytest.raises(ConfigError):
+            init_bayesian_ks(m, np.array([10.0]), np.eye(1), np.array([1.3]),
+                             0.01 * np.eye(1), BayesianKSConfig(), 0)
+
     def test_determinism(self):
         m = _output_scaling_model()
         runs = []

@@ -134,6 +134,17 @@ class TestErrorHandling:
             assert err["error"] == "ConfigError"
             assert "surge" in err["message"]
 
+    @pytest.mark.parametrize("coverage", ["1.5", "0"])
+    def test_coverage_outside_unit_interval_exits_2(self, tmp_path, capsys,
+                                                     coverage):
+        rc = main(["calibrate", *FAST, "--runs", "1", "--coverage", coverage,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "coverage" in err["message"]
+        assert not (tmp_path / "band.json").exists()
+
     def test_invalid_fault_stanza_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         for stanza in ("  component: 0\n  magnitude: 0.7\n",

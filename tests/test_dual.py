@@ -4,7 +4,7 @@ import pytest
 
 from dualpf import dual, synthetic
 from dualpf.dual import history_arrays
-from dualpf.errors import ConfigError
+from dualpf.errors import ConfigError, FilterDivergenceError
 from dualpf.model import ModelSpec, ParamDomain, simulate
 from dualpf.param_filter import ParamFilterConfig
 from dualpf.smc import as_rng
@@ -109,6 +109,15 @@ class TestStep:
         est = _estimator(model, np.array([5.0]), np.array([0.8]), 0)
         with pytest.raises(ConfigError):
             dual.step(est, np.array([1.0, 2.0]))
+
+    def test_divergence_message_names_filter_step_and_particle(self):
+        model = synthetic.mixed_fault_model()
+        est = _estimator(model, synthetic.mixed_equilibrium(), np.ones(4), 0)
+        est.state.particles[3] = np.nan
+        with pytest.raises(FilterDivergenceError) as info:
+            dual.step(est, np.zeros(model.n_y))
+        assert str(info.value) == \
+            "state filter, step 1: non-finite particle at index 3"
 
 
 class TestRun:

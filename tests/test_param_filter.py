@@ -259,30 +259,77 @@ class TestProjectStep:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_boundary_bases_always_projected_inside(self, data):
-        d = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(1, 4))
-        lower = np.array(data.draw(st.lists(
-            st.floats(-10.0, 10.0), min_size=d, max_size=d)))
-        width = np.array(data.draw(st.lists(
-            st.floats(1e-6, 10.0), min_size=d, max_size=d)))
-        domain = ParamDomain(lower, lower + width)
-        # Each base component sits on a face, one ulp past it, or inside.
-        faces = {
-            "lower": domain.lower,
-            "below": np.nextafter(domain.lower, -np.inf),
-            "upper": domain.upper,
-            "above": np.nextafter(domain.upper, np.inf),
-            "middle": 0.5 * (domain.lower + domain.upper),
-        }
-        base = np.empty((n, d))
-        for i in range(n):
-            for k in range(d):
-                base[i, k] = faces[data.draw(st.sampled_from(sorted(faces)))][k]
-        step = np.array(data.draw(st.lists(
-            st.floats(allow_nan=False, allow_infinity=False),
-            min_size=n * d, max_size=n * d))).reshape(n, d)
+        domain, base, step = _boundary_case(data)
         out = project_step(base, step, domain)
         assert np.all(domain.contains(out))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_halving_loop_bit_for_bit(self, data):
+        domain, base, step = _boundary_case(
+            data, special_steps=True, shared_base=data.draw(st.booleans()))
+        out = project_step(base, step, domain)
+        assert out.tobytes() == _halving_reference(base, step, domain).tobytes()
+
+    def test_subnormal_halvings_match_halving_loop(self):
+        # Halving -11 ulps three times rounds twice (-5.5 -> -6, -1.5 -> -2);
+        # one multiply by 2^-3 rounds once (-1.375 -> -1) and would accept a
+        # different step.
+        tiny = np.nextafter(0.0, 1.0)
+        base, step = np.array([[2 * tiny]]), np.array([[-11 * tiny]])
+        out = project_step(base, step, self.DOMAIN)
+        assert out.tobytes() == _halving_reference(
+            base, step, self.DOMAIN).tobytes()
+
+
+def _halving_reference(theta_prev, raw_step, domain):
+    """The retry loop that project_step replaced: halve every rejected row
+    and check again, up to 64 times, then drop a step still outside."""
+    theta_prev = domain.clip(np.atleast_2d(np.asarray(theta_prev, dtype=float)))
+    step = np.atleast_2d(np.asarray(raw_step, dtype=float)).copy()
+    for _ in range(64):
+        outside = ~domain.contains(theta_prev + step)
+        if not np.any(outside):
+            break
+        step[outside] *= 0.5
+    else:
+        outside = ~domain.contains(theta_prev + step)
+        step[outside] = 0.0
+    return theta_prev + step
+
+
+def _boundary_case(data, special_steps=False, shared_base=False):
+    """A random box, bases on its faces, and steps of any finite size.
+
+    special_steps adds NaN, +-inf and zero step entries; shared_base draws
+    one (d,) base for all the (n, d) steps.
+    """
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
+    lower = np.array(data.draw(st.lists(
+        st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+    width = np.array(data.draw(st.lists(
+        st.floats(1e-6, 10.0), min_size=d, max_size=d)))
+    domain = ParamDomain(lower, lower + width)
+    # Each base component sits on a face, one ulp past it, or inside.
+    faces = {
+        "lower": domain.lower,
+        "below": np.nextafter(domain.lower, -np.inf),
+        "upper": domain.upper,
+        "above": np.nextafter(domain.upper, np.inf),
+        "middle": 0.5 * (domain.lower + domain.upper),
+    }
+    base = np.empty((1 if shared_base else n, d))
+    for i in range(base.shape[0]):
+        for k in range(d):
+            base[i, k] = faces[data.draw(st.sampled_from(sorted(faces)))][k]
+    entry = st.floats(allow_nan=False, allow_infinity=False)
+    if special_steps:
+        entry = st.one_of(entry, st.sampled_from(
+            [0.0, -0.0, np.nan, np.inf, -np.inf]))
+    step = np.array(data.draw(st.lists(
+        entry, min_size=n * d, max_size=n * d))).reshape(n, d)
+    return domain, (base[0] if shared_base else base), step
 
 
 class TestEvolve:

@@ -12,7 +12,6 @@ from dualpf.smc import (
     as_rng,
     gaussian_loglik,
     likelihood_weights,
-    normalize_weights,
     optimal_bandwidth,
     regular_grid,
     regularize,
@@ -48,22 +47,6 @@ class TestParticleEnsemble:
     def test_nonfinite_particles_rejected(self):
         with pytest.raises(ConfigError):
             ParticleEnsemble(np.array([[np.inf]]), np.array([1.0]))
-
-
-class TestNormalizeWeights:
-    def test_uniform(self):
-        assert np.allclose(normalize_weights([1, 1, 1, 1]), 0.25)
-
-    def test_single_survivor(self):
-        assert np.allclose(normalize_weights([2, 0, 0]), [1, 0, 0])
-
-    def test_all_zero_raises(self):
-        with pytest.raises(DegenerateWeightsError):
-            normalize_weights([0.0, 0.0, 0.0])
-
-    def test_negative_raises(self):
-        with pytest.raises(ConfigError):
-            normalize_weights([1.0, -0.1])
 
 
 class TestBootstrapResampling:
@@ -167,6 +150,15 @@ class TestLikelihoods:
         w = likelihood_weights(np.array([[0.0], [100.0]]), 1e-4 * np.eye(1))
         assert w[0] == pytest.approx(1.0)
         assert w[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_non_finite_rows_get_zero_weight(self):
+        w = likelihood_weights(np.array([[0.0], [np.nan], [np.inf]]), np.eye(1))
+        assert w.tolist() == [1.0, 0.0, 0.0]
+
+    def test_all_rows_non_finite_raises(self):
+        with pytest.raises(DegenerateWeightsError):
+            likelihood_weights(np.array([[np.nan], [np.inf], [-np.inf]]),
+                               np.eye(1))
 
 
 class TestRegularization:
