@@ -231,11 +231,11 @@ def ef_complexity(method: str, cost: EFCostModel) -> float:
 
 def match_particle_budget(reference: str, cost: EFCostModel,
                           n_reference: int) -> int:
-    """Dual-method particle count with the same flop budget as a baseline.
-
-    Evaluates the closed-form correction factors relating the dual
-    per-particle cost to the Bayesian (reference="bayesian", N_B) or RML
-    (reference="rml", N_M) per-particle cost.
+    """Dual-method particle count from the closed-form correction factors
+    against the Bayesian (reference="bayesian", N_B) or RML (N_M) cost.
+    They are not n_ref * ef_complexity(ref) / ef_complexity("dual"): the
+    Bayesian numerator has 2 n_theta where the polynomials give 2 n_x, and
+    the RML one lacks -c1 n_x (mixed, N_M = 150: 60 particles, not 68.9).
     """
     nx, nt, ny = cost.n_x, cost.n_theta, cost.n_y
     cd = _dual_per_particle(cost)

@@ -71,12 +71,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
-    coverage = (RUN_DEFAULTS["coverage"] if args.coverage is None
-                else args.coverage)
     band = harness.calibrate_band(cfg, args.runs, args.base_seed,
-                                  coverage=coverage)
+                                  coverage=args.coverage)
     doc = {"lower": band.lower.tolist(), "upper": band.upper.tolist(),
-           "coverage": coverage, "runs": args.runs}
+           "coverage": args.coverage, "runs": args.runs}
     out = Path(cfg.output_dir or ".") / "band.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
@@ -166,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--runs", type=int, default=25)
     sp.add_argument("--base-seed", type=int, default=0)
-    sp.add_argument("--coverage", type=float, default=None)
+    sp.add_argument("--coverage", type=float, default=RUN_DEFAULTS["coverage"])
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("diagnose", help="estimate + threshold decisions")

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigError, UndefinedMetricError
+from .errors import ConfigError, UndefinedMetricError
 from .model import COMPONENTS
 from .smc import sample_cov
 
 CONVERGENCE_WINDOW = 200   # healthy-fit horizon and MAE tail, steps (2 s at 10 ms)
-MIN_CALIBRATION_RUNS = 25
 MIN_BAND_WIDTH = 1e-6
 SEVERITY_WINDOW = 100      # steps after detection averaged into the severity
 SHORT_WINDOW_WARNING = "baseline window shorter than the convergence horizon"
@@ -88,19 +87,19 @@ def residual(baseline: HealthyBaseline, theta_hat: np.ndarray) -> np.ndarray:
     return baseline.theta0 - theta_hat
 
 
+def check_coverage(coverage: float) -> None:
+    if not 0.0 < coverage < 1.0:
+        raise ConfigError(f"coverage must be in (0, 1), got {coverage}")
+
+
 def calibrate_thresholds(healthy_residual_runs: list[np.ndarray],
-                         coverage: float = 0.99,
-                         min_runs: int = MIN_CALIBRATION_RUNS) -> ThresholdBand:
+                         coverage: float = 0.99) -> ThresholdBand:
     """Empirical quantile envelope of healthy-condition residuals.
 
     healthy_residual_runs: list of (T, n_theta) residual trajectories from
     independent healthy Monte-Carlo runs.
     """
-    if not 0.0 < coverage < 1.0:
-        raise ConfigError(f"coverage must be in (0, 1), got {coverage}")
-    if len(healthy_residual_runs) < min_runs:
-        raise CalibrationError(
-            f"need >= {min_runs} runs, got {len(healthy_residual_runs)}")
+    check_coverage(coverage)
     pooled = np.concatenate([np.atleast_2d(r) for r in healthy_residual_runs])
     alpha = (1.0 - coverage) / 2.0
     lo = np.quantile(pooled, alpha, axis=0)

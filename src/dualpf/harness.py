@@ -301,32 +301,29 @@ def seeded_runs(config: RunConfig, scenarios: list, base_seed: int,
 
 
 def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
-                   coverage: float | None = None) -> diagnosis.ThresholdBand:
+                   coverage: float = RUN_DEFAULTS["coverage"]
+                   ) -> diagnosis.ThresholdBand:
     """Healthy-condition Monte-Carlo threshold calibration.
 
     Starts from the per-step quantile envelope, then widens the band about
     its midpoint until at most BAND_TARGET_FP of the healthy calibration
     runs would raise any detection under the configured persistence rule —
     residuals are strongly autocorrelated, so the pooled envelope alone
-    does not control run-level false alarms.  Failed runs are left out;
-    they raise a CalibrationError when too few runs remain and a warning
-    otherwise.
+    does not control run-level false alarms.  `coverage` is checked first;
+    failed runs are dropped with a warning, or a CalibrationError if all fail.
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
+    diagnosis.check_coverage(coverage)
     runs, failures = seeded_runs(config, ["healthy"] * n_runs, base_seed)
-    min_runs = min(n_runs, diagnosis.MIN_CALIBRATION_RUNS)
     if failures:
         note = (f"{len(failures)} of {n_runs} calibration runs failed, "
                 f"first: {failures[0]['error']}")
-        if len(runs) < min_runs:
-            raise CalibrationError(f"need >= {min_runs} runs: {note}")
+        if not runs:
+            raise CalibrationError(f"no calibration run finished: {note}")
         warnings.warn(note)
     residual_runs = [run["residuals"] for _, run in runs]
-    band = diagnosis.calibrate_thresholds(
-        residual_runs,
-        coverage=RUN_DEFAULTS["coverage"] if coverage is None else coverage,
-        min_runs=min_runs)
+    band = diagnosis.calibrate_thresholds(residual_runs, coverage=coverage)
     mid = 0.5 * (band.lower + band.upper)
     half = 0.5 * (band.upper - band.lower)
     scale = 1.0

@@ -1,8 +1,8 @@
 """Prediction-error driven parameter particle filter.
 
 Each particle takes a gradient-flavored step scaled by an adaptive gain
-built from the output prediction error, is shrunk toward the previous
-ensemble mean, perturbed with kernel-smoothing noise whose covariance
+built from the output prediction error, is shrunk toward the ensemble
+mean, perturbed with kernel-smoothing noise whose covariance
 preserves the ensemble variance, projected into the admissible box, then
 reweighted by the output likelihood and residual-resampled.
 """
@@ -58,7 +58,6 @@ class ParamFilterConfig:
 class ParamFilterState:
     particles: np.ndarray   # (N, n_theta), all inside the domain
     estimate: np.ndarray    # ensemble mean
-    prev_mean: np.ndarray   # mean at the previous step (shrinkage target)
     cov: np.ndarray         # running posterior covariance
     ess: float = np.nan
 
@@ -69,7 +68,6 @@ def init_param_filter(mean: np.ndarray, cov: np.ndarray, domain: ParamDomain,
     return ParamFilterState(
         particles=particles,
         estimate=particles.mean(axis=0),
-        prev_mean=particles.mean(axis=0),
         cov=sample_cov(particles),
     )
 
@@ -97,17 +95,11 @@ def predicted_outputs(thetas: np.ndarray, x_hat: np.ndarray, model: ModelSpec,
 
 
 def updating_gain(eps: np.ndarray) -> np.ndarray:
-    """Euclidean norm of the output-mean-centered prediction error.
-
-    A positive scalar per particle; vanishes when every output component
-    carries the same error (including any scalar-output model).
+    """Euclidean norm of each row of the (N, n_y) prediction error, centered
+    on its output mean: one gain per particle, which vanishes when every
+    output component carries the same error (as in any scalar-output model).
     """
-    eps = np.asarray(eps, dtype=float)
-    single = eps.ndim == 1
-    eps2 = np.atleast_2d(eps)
-    centered = eps2 - eps2.mean(axis=1, keepdims=True)
-    r = np.linalg.norm(centered, axis=1)
-    return float(r[0]) if single else r
+    return np.linalg.norm(eps - eps.mean(axis=1, keepdims=True), axis=1)
 
 
 def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
@@ -222,7 +214,8 @@ def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
         m = project_step(thetas, raw, domain)
 
     cov = state.cov if config.cov_mode == "running" else config.evolution_cov
-    return kernel_shrink(m, state.prev_mean, cov, config.shrinkage, domain, rng)
+    return kernel_shrink(m, thetas.mean(axis=0), cov, config.shrinkage,
+                         domain, rng)
 
 
 def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
@@ -241,7 +234,6 @@ def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
     return ParamFilterState(
         particles=particles,
         estimate=particles.mean(axis=0),
-        prev_mean=particles.mean(axis=0),
         cov=sample_cov(particles),
         ess=ensemble.ess(),
     )

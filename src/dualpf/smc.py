@@ -4,9 +4,9 @@ Weighted particle ensembles, weight normalization, bootstrap and residual
 resampling, the sample covariance, Gaussian sampling and the kernel-density
 regularization step used by the regularized particle filters.  Every
 eigendecomposition goes through `_psd_eigh`.  Gaussian sampling and
-likelihoods reuse each covariance's factor from a bounded cache keyed on
-its bytes, so a fixed covariance (process, measurement or constant
-evolution noise) is factored once.
+likelihoods share one eigen-factor per covariance, kept in a bounded cache
+keyed on its bytes, so a fixed covariance (process, measurement or
+constant evolution noise) is factored once.
 """
 from __future__ import annotations
 
@@ -61,13 +61,10 @@ class RegularizationConfig:
     """Grid-based Gaussian-kernel regularization settings."""
 
     n_reg: int = 100
-    bandwidth: float | None = None  # None -> optimal-bandwidth rule
 
     def __post_init__(self):
         if self.n_reg < 2:
             raise ConfigError("n_reg must be >= 2")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ConfigError("bandwidth must be positive")
 
 
 # The one setting both regularized filters run with (frozen: it is shared).
@@ -138,40 +135,42 @@ def _cache_key(cov) -> tuple[bytes, tuple[int, ...]]:
     return cov.tobytes(), cov.shape
 
 
-# Each cache keeps 16 factors: the fixed noise covariances of the models in
+# The cache keeps 16 factors: the fixed noise covariances of the models in
 # use, with room for the covariances that change every step.
 @functools.lru_cache(maxsize=16)
-def _sampling_factor(data: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    """A with A @ A.T = cov, from `_psd_eigh` (errors are not cached)."""
+def _cov_factor(data: bytes, shape: tuple[int, ...]) -> tuple:
+    """Read-only (A, W, log det) of a PSD covariance from `_psd_eigh`; errors
+    are not cached.  A = vecs * sqrt(vals) draws samples.  W = vecs /
+    sqrt(vals) whitens residuals; its columns follow the axis each
+    eigenvector mostly lies on, so a diagonal cov is whitened axis by axis.
+    W and log det are None when cov is singular."""
     vals, vecs = _psd_eigh(np.frombuffer(data).reshape(shape))
-    a = vecs * np.sqrt(vals)
-    a.flags.writeable = False
-    return a
-
-
-@functools.lru_cache(maxsize=16)
-def _cholesky_factor(data: bytes,
-                     shape: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor and log-determinant of a PD covariance."""
-    chol = np.linalg.cholesky(np.frombuffer(data).reshape(shape))
-    chol.flags.writeable = False
-    return chol, 2.0 * np.sum(np.log(np.diag(chol)))
+    root = np.sqrt(vals)
+    sample = vecs * root
+    sample.flags.writeable = False
+    if not np.all(vals > 0.0):
+        return sample, None, None
+    order = np.argsort(np.abs(vecs).argmax(axis=0), kind="stable")
+    whiten = vecs[:, order] / root[order]
+    whiten.flags.writeable = False
+    return sample, whiten, 2.0 * float(np.sum(np.log(root[order])))
 
 
 def sample_gaussian(cov: np.ndarray, n: int, seed) -> np.ndarray:
     """Draw n zero-mean samples with the given PSD covariance."""
     rng = as_rng(seed)
-    a = _sampling_factor(*_cache_key(cov))
+    a = _cov_factor(*_cache_key(cov))[0]
     return rng.standard_normal((n, a.shape[0])) @ a.T
 
 
 def gaussian_loglik(residuals: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of N(0, cov) at each residual row."""
+    """Log density of N(0, cov) at each residual row; cov must be regular."""
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
-    chol, logdet = _cholesky_factor(*_cache_key(cov))
-    sol = np.linalg.solve(chol, residuals.T)
-    maha = np.sum(sol ** 2, axis=0)
-    return -0.5 * (maha + logdet + chol.shape[0] * np.log(2.0 * np.pi))
+    _, whiten, logdet = _cov_factor(*_cache_key(cov))
+    if whiten is None:
+        raise CovarianceError("likelihood covariance is singular")
+    maha = np.sum((residuals @ whiten) ** 2, axis=1)
+    return -0.5 * (maha + logdet + whiten.shape[0] * np.log(2.0 * np.pi))
 
 
 def likelihood_weights(residuals: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -249,7 +248,7 @@ def regularize(ensemble: ParticleEnsemble, cov: np.ndarray,
     scale = np.sqrt(np.where(live, vals, 1.0))
     zt = ((ensemble.particles @ vecs) / scale).T.copy()  # (d, N), whitened
 
-    b = config.bandwidth if config.bandwidth is not None else optimal_bandwidth(n, d)
+    b = optimal_bandwidth(n, d)
     flat = np.ptp(zt, axis=1) == 0.0
     spread = np.flatnonzero(live & ~flat & (zt.std(axis=1) != 0.0)).tolist()
     grids, dx = regular_grid(zt[spread], config.n_reg)

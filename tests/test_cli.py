@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dualpf import harness
 from dualpf.cli import main
 
 FAST = ["--model", "mixed", "--n-particles", "8", "--duration", "40"]
@@ -137,13 +138,22 @@ class TestErrorHandling:
     @pytest.mark.parametrize("coverage", ["1.5", "0"])
     def test_coverage_outside_unit_interval_exits_2(self, tmp_path, capsys,
                                                      coverage):
-        rc = main(["calibrate", *FAST, "--runs", "1", "--coverage", coverage,
+        rc = main(["calibrate", *FAST, "--coverage", coverage,
                    "--out", str(tmp_path)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "coverage" in err["message"]
         assert not (tmp_path / "band.json").exists()
+
+    def test_coverage_is_checked_before_any_run(self, monkeypatch, capsys):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a calibration run started")
+        monkeypatch.setattr(harness, "seeded_runs", no_runs)
+        rc = main(["calibrate", "--model", "gas_turbine", "--coverage", "1.5",
+                   "--runs", "25"])
+        assert rc == 2
+        assert "coverage" in json.loads(capsys.readouterr().err)["message"]
 
     def test_invalid_fault_stanza_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"

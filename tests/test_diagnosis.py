@@ -19,7 +19,6 @@ from dualpf.diagnosis import (
     residual,
 )
 from dualpf.errors import (
-    CalibrationError,
     ConfigError,
     UndefinedMetricError,
 )
@@ -99,9 +98,10 @@ class TestCalibration:
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
 
-    def test_too_few_runs(self):
-        with pytest.raises(CalibrationError):
-            calibrate_thresholds([np.zeros((10, 1))] * 5)
+    @pytest.mark.parametrize("coverage", [0.0, 1.0, 1.5, float("nan")])
+    def test_coverage_outside_unit_interval_rejected(self, coverage):
+        with pytest.raises(ConfigError, match="coverage"):
+            calibrate_thresholds([np.zeros((10, 1))], coverage=coverage)
 
     def test_band_ordering_validated(self):
         with pytest.raises(ConfigError):

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from dualpf import dual, synthetic
+from dualpf import dual, param_filter, synthetic
 from dualpf.dual import history_arrays
-from dualpf.errors import ConfigError, FilterDivergenceError
+from dualpf.errors import (ConfigError, DegenerateWeightsError,
+                           FilterDivergenceError)
 from dualpf.model import ModelSpec, ParamDomain, simulate
 from dualpf.param_filter import ParamFilterConfig
 from dualpf.smc import as_rng
@@ -118,6 +119,18 @@ class TestStep:
             dual.step(est, np.zeros(model.n_y))
         assert str(info.value) == \
             "state filter, step 1: non-finite particle at index 3"
+
+    def test_parameter_filter_error_keeps_its_type_and_names_the_filter(
+            self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateWeightsError("all particle likelihoods vanished")
+        monkeypatch.setattr(param_filter, "step", degenerate)
+        model = synthetic.mixed_fault_model()
+        est = _estimator(model, synthetic.mixed_equilibrium(), np.ones(4), 0)
+        with pytest.raises(DegenerateWeightsError) as info:
+            dual.step(est, np.zeros(model.n_y))
+        assert str(info.value).startswith("parameter filter, step 1:")
+        assert est.t == 0
 
 
 class TestRun:

@@ -326,7 +326,6 @@ class TestCalibration:
             calibrate_band(cfg, 3, 0)
 
     def test_dropped_run_is_counted_in_a_warning(self, monkeypatch):
-        monkeypatch.setattr(diagnosis, "MIN_CALIBRATION_RUNS", 2)
         calls = []
 
         def second_run_raises(config, band=None):
@@ -341,6 +340,24 @@ class TestCalibration:
             band = calibrate_band(RunConfig(**SMALL_MIXED), 3, 0)
         assert len(calls) == 3
         assert np.all(band.lower < band.upper)
+
+    def test_one_finished_run_is_enough(self, monkeypatch):
+        calls = []
+
+        def only_last_run_finishes(config, band=None):
+            calls.append(config.seed)
+            if len(calls) < 3:
+                raise DegenerateWeightsError("all weights zero")
+            return run_scenario(config, band=band)
+        monkeypatch.setattr(harness, "run_scenario", only_last_run_finishes)
+        with pytest.warns(UserWarning, match="2 of 3 calibration runs failed"):
+            band = calibrate_band(RunConfig(**SMALL_MIXED), 3, 0)
+        assert np.all(band.lower < band.upper)
+
+    def test_coverage_is_checked_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_scenario", None)
+        with pytest.raises(ConfigError, match="coverage"):
+            calibrate_band(RunConfig(**SMALL_MIXED), 3, 0, coverage=1.0)
 
     def test_fault_detected_on_correct_component(self):
         base = RunConfig(model="mixed", estimator="dual", n_particles=30,

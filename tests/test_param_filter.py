@@ -127,18 +127,19 @@ class TestPredictionError:
 
 class TestUpdatingGain:
     def test_two_sided(self):
-        assert updating_gain(np.array([1.0, -1.0])) == pytest.approx(np.sqrt(2))
+        assert updating_gain(np.array([[1.0, -1.0]])) == \
+            pytest.approx([np.sqrt(2)])
 
     def test_constant_error_vanishes(self):
-        assert updating_gain(np.array([0.7, 0.7, 0.7])) == \
-            pytest.approx(0.0, abs=1e-12)
+        assert updating_gain(np.array([[0.7, 0.7, 0.7]])) == \
+            pytest.approx([0.0], abs=1e-12)
 
     def test_asymmetric(self):
-        assert updating_gain(np.array([3.0, 0.0, 0.0])) == \
-            pytest.approx(np.sqrt(6))
+        assert updating_gain(np.array([[3.0, 0.0, 0.0]])) == \
+            pytest.approx([np.sqrt(6)])
 
     def test_scalar_output_always_zero(self):
-        assert updating_gain(np.array([42.0])) == 0.0
+        assert updating_gain(np.array([[42.0], [-3.0]])).tolist() == [0.0, 0.0]
 
     def test_vectorized_over_particles(self):
         r = updating_gain(np.array([[1.0, -1.0], [2.0, 2.0]]))
@@ -350,11 +351,12 @@ class TestEvolve:
                                 evolution_cov=np.zeros((1, 1)))
         st = init_param_filter(np.array([2.0]), np.zeros((1, 1)),
                                m.param_domain, cfg, 0)
-        st.prev_mean = np.array([1.0])
+        st.particles = np.array([[1.0], [2.0], [3.0]])
         tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, 1,
                        force_zero_error=True)
-        # 0.5 * 2 + 0.5 * 1 = 1.5, up to the floored evolution noise.
-        assert np.allclose(tilde, 1.5, atol=1e-4)
+        # Each particle moves halfway to the ensemble mean 2, up to the
+        # floored evolution noise (the covariance is still the prior's 0).
+        assert np.allclose(tilde, [[1.5], [2.0], [2.5]], atol=1e-4)
 
     def test_variance_approximately_preserved(self):
         m = _scaling_model(upper=3.0)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dualpf import smc
+from dualpf import gas_turbine, smc, synthetic
 from dualpf.errors import ConfigError, CovarianceError, DegenerateWeightsError
 from dualpf.smc import (
     ParticleEnsemble,
@@ -181,10 +181,6 @@ class TestRegularization:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             RegularizationConfig(n_reg=1)
-        with pytest.raises(ConfigError):
-            RegularizationConfig(bandwidth=-1.0)
-        with pytest.raises(ConfigError):
-            RegularizationConfig(bandwidth=float("nan"))
 
     def test_degenerate_dimension_passes_through(self):
         particles = np.column_stack([np.full(30, 2.5),
@@ -220,7 +216,7 @@ def _factor_rebuild_regularize(ensemble, cov, config, seed):
     live = vals > max(vals.max(initial=0.0), 1.0) * 1e-14
     scale = np.where(live, np.sqrt(np.where(live, vals, 1.0)), 1.0)
     z = (ensemble.particles @ vecs) / scale
-    b = config.bandwidth if config.bandwidth is not None else optimal_bandwidth(n, d)
+    b = optimal_bandwidth(n, d)
     out = np.empty((n, d))
     for j in range(d):
         col = z[:, j]
@@ -258,7 +254,7 @@ def _per_dimension_regularize(ensemble, cov, config, seed):
     live = vals > max(vals.max(initial=0.0), 1.0) * 1e-14
     scale = np.where(live, np.sqrt(np.where(live, vals, 1.0)), 1.0)
     z = (ensemble.particles @ vecs) / scale
-    b = config.bandwidth if config.bandwidth is not None else optimal_bandwidth(n, d)
+    b = optimal_bandwidth(n, d)
     out = np.empty((n, d))
     passthrough = []
     for j in range(d):
@@ -360,17 +356,40 @@ def test_symmetry_verdict_matches_allclose(cov):
     assert symmetric == expect_symmetric
 
 
+def _cholesky_loglik(residuals, cov):
+    """Reference likelihood: Cholesky factor, general solve, log-determinant
+    from the factor's diagonal."""
+    chol = np.linalg.cholesky(cov)
+    maha = np.sum(np.linalg.solve(chol, residuals.T) ** 2, axis=0)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (maha + logdet + cov.shape[0] * np.log(2.0 * np.pi))
+
+
+def _measurement_cov(name):
+    if name == "scalar":
+        return synthetic.scalar_growth_model().measurement_noise_cov
+    if name == "mixed":
+        return synthetic.mixed_fault_model().measurement_noise_cov
+    constants, _ = gas_turbine.nominal_constants()
+    return gas_turbine.engine_model(constants).measurement_noise_cov
+
+
 class TestFactorCache:
     def test_fresh_copy_hits_the_cache(self):
         cov = np.array([[0.3, 0.1], [0.1, 0.2]])
         sample_gaussian(cov, 4, 0)
-        gaussian_loglik(np.zeros((1, 2)), cov)
-        draws = smc._sampling_factor.cache_info().hits
-        logliks = smc._cholesky_factor.cache_info().hits
+        hits = smc._cov_factor.cache_info().hits
         sample_gaussian(cov.copy(), 4, 0)
         gaussian_loglik(np.zeros((1, 2)), cov.copy())
-        assert smc._sampling_factor.cache_info().hits == draws + 1
-        assert smc._cholesky_factor.cache_info().hits == logliks + 1
+        assert smc._cov_factor.cache_info().hits == hits + 2
+
+    def test_one_factor_serves_sampling_and_likelihoods(self):
+        cov = np.array([[0.7, 0.2], [0.2, 0.4]])
+        smc._cov_factor.cache_clear()
+        sample_gaussian(cov, 4, 0)
+        gaussian_loglik(np.zeros((1, 2)), cov)
+        info = smc._cov_factor.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_results_match_uncached_factors(self):
         cov = np.array([[0.3, 0.1], [0.1, 0.2]])
@@ -379,12 +398,23 @@ class TestFactorCache:
         for _ in range(2):
             assert sample_gaussian(cov, 9, 3).tobytes() == expect.tobytes()
         res = as_rng(4).standard_normal((9, 2))
-        chol = np.linalg.cholesky(cov)
-        maha = np.sum(np.linalg.solve(chol, res.T) ** 2, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        expect = -0.5 * (maha + logdet + 2 * np.log(2.0 * np.pi))
+        expect = _cholesky_loglik(res, cov)
         for _ in range(2):
-            assert gaussian_loglik(res, cov).tobytes() == expect.tobytes()
+            np.testing.assert_allclose(gaussian_loglik(res, cov), expect,
+                                       rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("model", ["scalar", "mixed", "gas_turbine"])
+    def test_model_likelihoods_match_cholesky_reference(self, model):
+        # The models' measurement covariances are diagonal: whitening axis
+        # by axis, in the covariance's own order, reproduces the
+        # Cholesky-plus-solve likelihood bit for bit.
+        cov = _measurement_cov(model)
+        res = 3.0 * np.sqrt(np.diag(cov)) * as_rng(5).standard_normal(
+            (2000, cov.shape[0]))
+        got = gaussian_loglik(res, cov)
+        expect = _cholesky_loglik(res, cov)
+        assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-15
+        assert got.tobytes() == expect.tobytes()
 
     def test_mutated_covariance_gets_a_new_factor(self):
         cov = np.diag([1.0, 2.0])
@@ -401,9 +431,8 @@ class TestFactorCache:
 
     def test_factors_are_read_only(self):
         cov = np.array([[0.5, 0.0], [0.0, 0.25]])
-        a = smc._sampling_factor(cov.tobytes(), cov.shape)
-        chol, _ = smc._cholesky_factor(cov.tobytes(), cov.shape)
-        for factor in (a, chol):
+        sample, whiten, _ = smc._cov_factor(cov.tobytes(), cov.shape)
+        for factor in (sample, whiten):
             assert not factor.flags.writeable
             with pytest.raises(ValueError):
                 factor[0, 0] = 9.0
@@ -420,17 +449,18 @@ class TestFactorCache:
     def test_non_pd_likelihood_covariance_raises_every_call(self):
         cov = np.array([[1.0, 0.0], [0.0, 0.0]])
         for _ in range(3):
-            with pytest.raises(np.linalg.LinAlgError):
+            with pytest.raises(CovarianceError, match="singular"):
                 gaussian_loglik(np.zeros((1, 2)), cov)
+        # The same factor still samples: a singular covariance is PSD.
+        draws = sample_gaussian(cov, 5, 0)
+        assert np.all(draws[:, 1] == 0.0)
 
     def test_cache_stays_bounded(self):
-        for cache in (smc._sampling_factor, smc._cholesky_factor):
-            assert cache.cache_info().maxsize is not None
-        maxsize = smc._sampling_factor.cache_info().maxsize
-        for k in range(3 * maxsize):
+        info = smc._cov_factor.cache_info()
+        assert info.maxsize is not None
+        for k in range(3 * info.maxsize):
             cov = np.eye(2) * (1.0 + k)
             sample_gaussian(cov, 2, 0)
             gaussian_loglik(np.zeros((1, 2)), cov)
-        for cache in (smc._sampling_factor, smc._cholesky_factor):
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize
+        info = smc._cov_factor.cache_info()
+        assert info.currsize <= info.maxsize
