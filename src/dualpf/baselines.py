@@ -37,12 +37,6 @@ SPSA_PERTURBATION = 0.01   # SPSA scale c_t
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BayesianKSConfig:
-    n_particles: int = 45
-    shrinkage: float = 0.93
-
-
-@dataclass
 class BayesianKSState:
     particles: np.ndarray   # (N, n_x + n_theta)
     x_hat: np.ndarray
@@ -51,19 +45,16 @@ class BayesianKSState:
 
 
 def init_bayesian_ks(model: ModelSpec, x0_mean, x0_cov, theta0_mean,
-                     theta0_cov, config: BayesianKSConfig, seed
-                     ) -> BayesianKSState:
+                     theta0_cov, n: int, seed) -> BayesianKSState:
     rng = as_rng(seed)
-    n = config.n_particles
-    x0_mean = np.atleast_1d(np.asarray(x0_mean, dtype=float))
-    xs = x0_mean + sample_gaussian(x0_cov, n, rng)
+    sf = init_state_filter(x0_mean, x0_cov, StateFilterConfig(n), rng)
     ths = draw_prior(theta0_mean, theta0_cov, n, model.param_domain, rng)
-    particles = np.hstack([xs, ths])
-    return BayesianKSState(particles, xs.mean(axis=0), ths.mean(axis=0))
+    return BayesianKSState(np.hstack([sf.particles, ths]), sf.estimate,
+                           ths.mean(axis=0))
 
 
 def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
-                     model: ModelSpec, config: BayesianKSConfig, seed,
+                     model: ModelSpec, shrinkage: float, seed,
                      u=None) -> BayesianKSState:
     """Joint propagate / reweight / regularize of the augmented vector."""
     rng = as_rng(seed)
@@ -73,7 +64,7 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
 
     # Parameter evolution: shrink toward the ensemble mean, inflate back.
     ths_new = kernel_shrink(ths, ths.mean(axis=0), sample_cov(ths),
-                            config.shrinkage, model.param_domain, rng)
+                            shrinkage, model.param_domain, rng)
 
     # State propagation and reweighting at the evolved parameters.
     xs_new, yhat = state_filter.predict(xs, ths_new, model, rng, u=u)
@@ -94,12 +85,6 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RMLConfig:
-    n_particles: int = 150
-    step_size: float = 0.05
-
-
-@dataclass
 class RMLState:
     filter: StateFilterState
     theta_hat: np.ndarray
@@ -110,14 +95,14 @@ class RMLState:
         return self.filter.estimate
 
 
-def init_rml(model: ModelSpec, x0_mean, x0_cov, theta0_mean,
-             config: RMLConfig, seed) -> RMLState:
+def init_rml(model: ModelSpec, x0_mean, x0_cov, theta0_mean, n: int,
+             seed) -> RMLState:
     rng = as_rng(seed)
     theta0_mean = np.atleast_1d(np.asarray(theta0_mean, dtype=float))
     if not model.param_domain.contains(theta0_mean):
         raise ConfigError("initial parameter outside the domain")
-    sc = StateFilterConfig(n_particles=config.n_particles)
-    return RMLState(init_state_filter(x0_mean, x0_cov, sc, rng), theta0_mean)
+    return RMLState(init_state_filter(x0_mean, x0_cov, StateFilterConfig(n),
+                                      rng), theta0_mean)
 
 
 def spsa_gradient(particles: np.ndarray, theta_hat: np.ndarray,
@@ -154,7 +139,7 @@ def spsa_gradient(particles: np.ndarray, theta_hat: np.ndarray,
 
 
 def rml_spsa_step(state: RMLState, y_t: np.ndarray, model: ModelSpec,
-                  config: RMLConfig, seed, u=None) -> RMLState:
+                  step_size: float, seed, u=None) -> RMLState:
     """Parameter gradient step followed by one state-filter cycle.
 
     An undefined gradient (likelihood underflow in a branch) freezes the
@@ -165,7 +150,7 @@ def rml_spsa_step(state: RMLState, y_t: np.ndarray, model: ModelSpec,
         grad = spsa_gradient(state.filter.particles, state.theta_hat, y_t,
                              model, rng, u=u)
         theta_new = project_step(state.theta_hat[None],
-                                 (config.step_size * grad)[None],
+                                 (step_size * grad)[None],
                                  model.param_domain)[0]
         skipped = state.skipped_steps
     except GradientUndefinedError:

@@ -9,7 +9,6 @@ require a persistence of consecutive out-of-band samples.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,6 @@ from .smc import sample_cov
 CONVERGENCE_WINDOW = 200   # healthy-fit horizon and MAE tail, steps (2 s at 10 ms)
 MIN_BAND_WIDTH = 1e-6
 SEVERITY_WINDOW = 100      # steps after detection averaged into the severity
-SHORT_WINDOW_WARNING = "baseline window shorter than the convergence horizon"
 CATEGORIES = COMPONENTS + ("no_fault",)
 
 
@@ -59,24 +57,20 @@ class ConfusionMatrix:
     counts: np.ndarray = field(
         default_factory=lambda: np.zeros((5, 5), dtype=int))
 
-    def add(self, actual: str, decided: str, n: int = 1):
+    def add(self, actual: str, decided: str, n: int):
         self.counts[CATEGORIES.index(actual), CATEGORIES.index(decided)] += n
 
 
 def fit_healthy_baseline(theta_estimates: np.ndarray,
-                         window: int | None = None) -> HealthyBaseline:
-    """Gaussian fit over the trailing window of healthy estimates."""
-    theta_estimates = np.atleast_2d(np.asarray(theta_estimates, dtype=float))
-    if window is None:
-        window = theta_estimates.shape[0]
+                         window: int) -> HealthyBaseline:
+    """Gaussian fit over the trailing window of healthy estimates; a window
+    shorter than CONVERGENCE_WINDOW is flagged in `short_window`."""
     if window < 2:
         raise ConfigError("need at least 2 samples to fit a baseline")
-    tail = theta_estimates[-window:]
-    short = window < CONVERGENCE_WINDOW
-    if short:
-        warnings.warn(SHORT_WINDOW_WARNING)
+    tail = np.atleast_2d(np.asarray(theta_estimates, dtype=float))[-window:]
     return HealthyBaseline(theta0=tail.mean(axis=0), window=window,
-                           fit_cov=sample_cov(tail), short_window=short)
+                           fit_cov=sample_cov(tail),
+                           short_window=window < CONVERGENCE_WINDOW)
 
 
 def residual(baseline: HealthyBaseline, theta_hat: np.ndarray) -> np.ndarray:
@@ -93,7 +87,7 @@ def check_coverage(coverage: float) -> None:
 
 
 def calibrate_thresholds(healthy_residual_runs: list[np.ndarray],
-                         coverage: float = 0.99) -> ThresholdBand:
+                         coverage: float) -> ThresholdBand:
     """Empirical quantile envelope of healthy-condition residuals.
 
     healthy_residual_runs: list of (T, n_theta) residual trajectories from
@@ -110,7 +104,7 @@ def calibrate_thresholds(healthy_residual_runs: list[np.ndarray],
 
 
 def decide(residuals: np.ndarray, band: ThresholdBand,
-           persistence: int = 5) -> list[ComponentDecision]:
+           persistence: int) -> list[ComponentDecision]:
     """Per-component persistence test against the band.
 
     A component is flagged when its residual stays outside the band for
@@ -141,22 +135,18 @@ def decide(residuals: np.ndarray, band: ThresholdBand,
     return out
 
 
-def classify(decisions: list[ComponentDecision],
-             band: ThresholdBand | None = None) -> str:
+def classify(decisions: list[ComponentDecision], band: ThresholdBand) -> str:
     """Single 5-way label for a run.
 
     Among detected components, picks the one with the largest severity
-    magnitude (normalized by the band half-width when a band is given, so
-    components with looser thresholds are not favored); no_fault when
-    nothing was detected.
+    magnitude normalized by the band half-width, so components with looser
+    thresholds are not favored; no_fault when nothing was detected.
     """
     best, best_score = None, -np.inf
     for j, d in enumerate(decisions):
         if not d.detected:
             continue
-        score = abs(d.severity)
-        if band is not None:
-            score /= 0.5 * (band.upper[j] - band.lower[j])
+        score = abs(d.severity) / (0.5 * (band.upper[j] - band.lower[j]))
         if score > best_score:
             best, best_score = j, score
     return CATEGORIES[best] if best is not None else "no_fault"

@@ -132,7 +132,7 @@ def turbine_exit_temp(t_cc, p_cc, p_nlt, theta_eta_t, c: EngineConstants):
 
 
 def derivatives(state: np.ndarray, health: np.ndarray, c: EngineConstants,
-                fuel_flow: float | None = None) -> np.ndarray:
+                fuel_flow: float) -> np.ndarray:
     """Continuous-time right-hand side; vectorized over leading axes.
 
     The state is not checked here: this is the per-sweep right-hand side of
@@ -142,17 +142,16 @@ def derivatives(state: np.ndarray, health: np.ndarray, c: EngineConstants,
     t_cc, s, p_cc, p_nlt = _split_state(state)
     health = np.asarray(health, dtype=float)
     th_ec, th_mc, th_et, th_mt = (health[..., i] for i in range(4))
-    mdot_f = c.mdot_f_ref if fuel_flow is None else fuel_flow
 
     t_comp = compressor_exit_temp(p_cc, th_ec, c)
     t_turb = turbine_exit_temp(t_cc, p_cc, p_nlt, th_et, c)
     mdot_c = th_mc * compressor_flow(s, p_cc, c)
     mdot_t = th_mt * turbine_flow(p_cc, t_cc, c)
-    net_mass = mdot_c + mdot_f - mdot_t
+    net_mass = mdot_c + fuel_flow - mdot_t
 
     # Energy balance of the resident combustion-chamber gas.
     d_tcc = (c.c_p * (mdot_c * t_comp - mdot_t * t_cc)
-             + c.eta_cc * c.H_u * mdot_f
+             + c.eta_cc * c.H_u * fuel_flow
              - c.c_v * t_cc * net_mass) / (c.c_v * c.m_cc)
 
     # Pressure follows temperature and net mass storage (ideal gas).
@@ -225,8 +224,8 @@ def implicit_euler_step(rhs, state: np.ndarray,
 
 
 def step_backward_euler(state: np.ndarray, health: np.ndarray,
-                        c: EngineConstants, fuel_flow: float | None = None,
-                        dt: float = DT_DEFAULT) -> np.ndarray:
+                        c: EngineConstants, fuel_flow: float,
+                        dt: float) -> np.ndarray:
     """One implicit-Euler step of the engine dynamics.
 
     The physical domain is checked once per step, on the entry state and on
@@ -272,20 +271,19 @@ def fuel_trajectory(T: int, c: EngineConstants, step: int) -> np.ndarray:
                     c.mdot_f_ref * (1.0 + FUEL_STEP_FRACTION), c.mdot_f_ref)
 
 
-def engine_model(constants: EngineConstants | None = None) -> ModelSpec:
+def engine_model(c: EngineConstants) -> ModelSpec:
     """Discrete-time ModelSpec view of the engine for the estimators.
 
     The exogenous input u is the fuel flow (kg/s); defaults to nominal.
     Process and measurement noise standard deviations are 0.1% of each
     state's and each channel's nominal value; the step is DT_DEFAULT.
     """
-    c = constants if constants is not None else nominal_constants()[0]
     process_noise_std = 1e-3 * NOMINAL_STATE
     measurement_noise_std = 1e-3 * outputs(NOMINAL_STATE, np.ones(4), c)
 
     def transition(x, eff, w, u=None):
         fuel = c.mdot_f_ref if u is None else float(u)
-        return step_backward_euler(x, eff, c, fuel) + w
+        return step_backward_euler(x, eff, c, fuel, DT_DEFAULT) + w
 
     def output(x, eff, u=None):
         return outputs(x, eff, c)

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, diagnosis, dual, gas_turbine, synthetic
-from .baselines import BayesianKSConfig, RMLConfig
 from .diagnosis import CATEGORIES, ConfusionMatrix
 from .errors import CalibrationError, ConfigError, DualPFError
 from .model import (COMPONENTS, Fault, ModelSpec, health_trajectory,
@@ -79,6 +78,10 @@ class RunConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.step_size is not None and not self.step_size > 0.0:
             raise ConfigError("step_size must be positive")
+        if not 0.0 < self.shrinkage <= 1.0:
+            raise ConfigError("shrinkage must be in (0, 1]")
+        if self.persistence < 1:
+            raise ConfigError("persistence must be >= 1")
         if self.predictor is None:
             # The scalar model measures y = x, so under "output" the
             # Jacobian is 0 and theta is unidentifiable.
@@ -95,23 +98,18 @@ def build_model(config: RunConfig) -> tuple[ModelSpec, np.ndarray]:
     return gas_turbine.engine_model(constants), x0
 
 
-def _resolve_scenario(config: RunConfig
-                      ) -> tuple[tuple[Fault, ...], int | None]:
-    """Faults of the configured scenario, and the fuel-step index (engine
-    only).  Raises ConfigError for a name the model does not define."""
+def _faults(config: RunConfig) -> tuple[Fault, ...]:
+    """Faults of the configured scenario.  Raises ConfigError for a name the
+    model does not define."""
     scen = config.scenario
     named = gas_turbine.SCENARIOS if config.model == "gas_turbine" else {}
     if isinstance(scen, Fault):
-        faults = (scen,)
-    elif scen == "healthy":
-        faults = ()
-    elif isinstance(scen, str) and scen in named:
-        faults = named[scen]
-    else:
-        raise ConfigError(
-            f"unknown scenario {scen!r} for model {config.model!r}")
-    fuel_step = gas_turbine.FUEL_STEP if config.model == "gas_turbine" else None
-    return faults, fuel_step
+        return (scen,)
+    if scen == "healthy":
+        return ()
+    if isinstance(scen, str) and scen in named:
+        return named[scen]
+    raise ConfigError(f"unknown scenario {scen!r} for model {config.model!r}")
 
 
 def _theta0_for(config: RunConfig, model: ModelSpec) -> np.ndarray:
@@ -123,26 +121,25 @@ def _theta0_for(config: RunConfig, model: ModelSpec) -> np.ndarray:
 
 def theta_trajectory(config: RunConfig, model: ModelSpec) -> np.ndarray:
     """Per-step true health vector for the configured scenario."""
-    faults, _ = _resolve_scenario(config)
-    return health_trajectory(_theta0_for(config, model), faults,
+    return health_trajectory(_theta0_for(config, model), _faults(config),
                              config.duration)
 
 
 def fuel_trajectory(config: RunConfig) -> np.ndarray | None:
-    _, fuel_step = _resolve_scenario(config)
-    if fuel_step is None:
+    """Per-step fuel flow of an engine run (its FUEL_STEP excitation)."""
+    if config.model != "gas_turbine":
         return None
     constants, _ = gas_turbine.nominal_constants()
-    return gas_turbine.fuel_trajectory(config.duration, constants, fuel_step)
+    return gas_turbine.fuel_trajectory(config.duration, constants,
+                                       gas_turbine.FUEL_STEP)
 
 
-def simulate_truth(config: RunConfig, seed=None):
+def simulate_truth(config: RunConfig):
     """(model, states, outputs, thetas, u) for the configured scenario."""
     model, x0 = build_model(config)
     thetas = theta_trajectory(config, model)
     u = fuel_trajectory(config)
-    states, ys = simulate(model, x0, thetas, config.duration,
-                          seed if seed is not None else config.seed,
+    states, ys = simulate(model, x0, thetas, config.duration, config.seed,
                           u_trajectory=u)
     return model, states, ys, thetas, u
 
@@ -152,14 +149,16 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
                   u_trajectory: np.ndarray | None = None) -> dict:
     """Run the configured estimator over ys; returns dense estimate arrays.
 
-    Each estimator contributes an initial state and a step closure; one loop
-    runs them all.  The closures look their step function up on its module
-    at every call, so a wrapper installed there sees every step.
+    Each estimator sets its initial state, the module and name of its step
+    function and the step's arguments after (state, y); one loop runs them
+    all.  The step is looked up on its module at every step, so a wrapper
+    installed there sees every step.
     """
     rng = as_rng(seed)
     theta0 = _theta0_for(config, model)
     theta0_cov = (config.theta0_std ** 2) * np.eye(model.n_theta)
     x0_cov = (config.x0_std ** 2) * np.eye(model.n_x)
+    n = config.n_particles
     T = ys.shape[0]
     t_start = time.perf_counter()
     step_size = config.step_size
@@ -169,48 +168,37 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
 
     if config.estimator == "dual":
         pc = ParamFilterConfig(
-            n_particles=config.n_particles,
-            shrinkage=config.shrinkage,
-            step_size=step_size,
-            evolution_cov=theta0_cov.copy(),
-            predictor=config.predictor,
-            cov_mode=config.cov_mode,
-        )
-        sc = StateFilterConfig(n_particles=config.n_particles)
-        st = dual.init(model, x0_mean, x0_cov, theta0, theta0_cov, sc, pc, rng)
-
-        def step(st, y, u):
-            return dual.step(st, y, u=u)
+            n_particles=n, shrinkage=config.shrinkage, step_size=step_size,
+            evolution_cov=theta0_cov.copy(), predictor=config.predictor,
+            cov_mode=config.cov_mode)
+        st = dual.init(model, x0_mean, x0_cov, theta0, theta0_cov,
+                       StateFilterConfig(n), pc, rng)
+        module, name, args = dual, "step", ()
     elif config.estimator == "bayesian":
-        bc = BayesianKSConfig(n_particles=config.n_particles,
-                              shrinkage=config.shrinkage)
         st = baselines.init_bayesian_ks(model, x0_mean, x0_cov, theta0,
-                                        theta0_cov, bc, rng)
-
-        def step(st, y, u):
-            return baselines.bayesian_ks_step(st, y, model, bc, rng, u=u)
+                                        theta0_cov, n, rng)
+        module, name = baselines, "bayesian_ks_step"
+        args = (model, config.shrinkage, rng)
     else:
-        rc = RMLConfig(n_particles=config.n_particles, step_size=step_size)
-        st = baselines.init_rml(model, x0_mean, x0_cov, theta0, rc, rng)
-
-        def step(st, y, u):
-            return baselines.rml_spsa_step(st, y, model, rc, rng, u=u)
+        st = baselines.init_rml(model, x0_mean, x0_cov, theta0, n, rng)
+        module, name, args = baselines, "rml_spsa_step", (model, step_size, rng)
 
     theta_hat = np.empty((T, model.n_theta))
     x_hat = np.empty((T, model.n_x))
     for t in range(T):
-        st = step(st, ys[t], None if u_trajectory is None else u_trajectory[t])
+        u = None if u_trajectory is None else u_trajectory[t]
+        st = getattr(module, name)(st, ys[t], *args, u=u)
         theta_hat[t], x_hat[t] = st.theta_hat, st.x_hat
     return {"theta_hat": theta_hat, "x_hat": x_hat,
             "elapsed_s": time.perf_counter() - t_start,
-            "particle_steps": config.n_particles * T}
+            "particle_steps": n * T}
 
 
 def fault_start_step(config: RunConfig) -> int | None:
     """First step at which a fault acts; None if none starts within the run."""
-    faults, _ = _resolve_scenario(config)
-    return min((f.start_step for f in faults if f.component is not None
-                and f.start_step < config.duration), default=None)
+    return min((f.start_step for f in _faults(config)
+                if f.component is not None and f.start_step < config.duration),
+               default=None)
 
 
 def run_scenario(config: RunConfig,
@@ -225,11 +213,7 @@ def run_scenario(config: RunConfig,
     start = fault_start_step(config)
     window_end = start if start is not None else theta_hat.shape[0]
     window = min(diagnosis.CONVERGENCE_WINDOW, window_end)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore",
-                                message=diagnosis.SHORT_WINDOW_WARNING)
-        baseline = diagnosis.fit_healthy_baseline(theta_hat[:window_end],
-                                                  window=window)
+    baseline = diagnosis.fit_healthy_baseline(theta_hat[:window_end], window)
     residuals = diagnosis.residual(baseline, theta_hat)
     decisions = None
     metrics = None
@@ -368,7 +352,7 @@ def confusion_campaign(base_config: RunConfig, design: list[Fault],
         actual = ("no_fault" if fault_start_step(cfg) is None
                   else CATEGORIES[cfg.scenario.component])
         decided = diagnosis.classify(run["decisions"], band=band)
-        matrix.add(actual, decided)
+        matrix.add(actual, decided, 1)
         labels.append((actual, decided))
     return {"matrix": matrix, "labels": labels, "failures": failures,
             "metrics": diagnosis.confusion_metrics(matrix),

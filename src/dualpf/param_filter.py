@@ -58,18 +58,14 @@ class ParamFilterConfig:
 class ParamFilterState:
     particles: np.ndarray   # (N, n_theta), all inside the domain
     estimate: np.ndarray    # ensemble mean
-    cov: np.ndarray         # running posterior covariance
     ess: float = np.nan
 
 
 def init_param_filter(mean: np.ndarray, cov: np.ndarray, domain: ParamDomain,
                       config: ParamFilterConfig, seed) -> ParamFilterState:
     particles = draw_prior(mean, cov, config.n_particles, domain, seed)
-    return ParamFilterState(
-        particles=particles,
-        estimate=particles.mean(axis=0),
-        cov=sample_cov(particles),
-    )
+    return ParamFilterState(particles=particles,
+                            estimate=particles.mean(axis=0))
 
 
 def predicted_outputs(thetas: np.ndarray, x_hat: np.ndarray, model: ModelSpec,
@@ -213,7 +209,8 @@ def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
         raw = config.step_size * gain[:, None] * np.einsum("njy,ny->nj", psi, eps)
         m = project_step(thetas, raw, domain)
 
-    cov = state.cov if config.cov_mode == "running" else config.evolution_cov
+    cov = (sample_cov(thetas) if config.cov_mode == "running"
+           else config.evolution_cov)
     return kernel_shrink(m, thetas.mean(axis=0), cov, config.shrinkage,
                          domain, rng)
 
@@ -234,7 +231,6 @@ def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
     return ParamFilterState(
         particles=particles,
         estimate=particles.mean(axis=0),
-        cov=sample_cov(particles),
         ess=ensemble.ess(),
     )
 

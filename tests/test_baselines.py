@@ -4,9 +4,7 @@ import pytest
 
 from dualpf import baselines
 from dualpf.baselines import (
-    BayesianKSConfig,
     EFCostModel,
-    RMLConfig,
     complexity_report,
     ef_complexity,
     init_bayesian_ks,
@@ -16,8 +14,11 @@ from dualpf.baselines import (
     spsa_gradient,
 )
 from dualpf.errors import ConfigError, GradientUndefinedError
+from dualpf.harness import RUN_DEFAULTS
 from dualpf.model import ModelSpec, ParamDomain, simulate
 from dualpf.smc import as_rng
+
+SHRINKAGE = RUN_DEFAULTS["shrinkage"]
 
 
 def _output_scaling_model(sigma_w=0.3, sigma_v=0.2, lower=0.5, upper=1.2):
@@ -58,7 +59,7 @@ class TestBayesianKS:
         m = _output_scaling_model(lower=0.5, upper=1.2)
         with pytest.raises(ConfigError):
             init_bayesian_ks(m, np.array([10.0]), np.eye(1), np.array([1.3]),
-                             0.01 * np.eye(1), BayesianKSConfig(), 0)
+                             0.01 * np.eye(1), RUN_DEFAULTS["n_bayesian"], 0)
 
     def test_determinism(self):
         m = _output_scaling_model()
@@ -66,32 +67,30 @@ class TestBayesianKS:
         for _ in range(2):
             rng = as_rng(5)
             st = init_bayesian_ks(m, np.array([10.0]), np.eye(1),
-                                  np.array([0.8]), 0.01 * np.eye(1),
-                                  BayesianKSConfig(n_particles=40), rng)
+                                  np.array([0.8]), 0.01 * np.eye(1), 40, rng)
             for _ in range(10):
                 st = baselines.bayesian_ks_step(st, np.array([8.0]), m,
-                                                BayesianKSConfig(40), rng)
+                                                SHRINKAGE, rng)
             runs.append(st.particles)
         assert np.array_equal(runs[0], runs[1])
 
     def test_unit_shrinkage_with_collapsed_init_freezes_parameters(self):
         m = _output_scaling_model()
-        cfg = BayesianKSConfig(n_particles=30, shrinkage=1.0)
         rng = as_rng(0)
         st = init_bayesian_ks(m, np.array([10.0]), np.eye(1),
-                              np.array([0.8]), np.zeros((1, 1)), cfg, rng)
+                              np.array([0.8]), np.zeros((1, 1)), 30, rng)
         for _ in range(15):
-            st = baselines.bayesian_ks_step(st, np.array([8.0]), m, cfg, rng)
+            st = baselines.bayesian_ks_step(st, np.array([8.0]), m, 1.0, rng)
         assert np.all(st.particles[:, 1] == 0.8)
 
     def test_parameters_stay_in_domain(self):
         m = _output_scaling_model()
-        cfg = BayesianKSConfig(n_particles=60)
         rng = as_rng(3)
         st = init_bayesian_ks(m, np.array([10.0]), np.eye(1),
-                              np.array([1.0]), 0.05 * np.eye(1), cfg, rng)
+                              np.array([1.0]), 0.05 * np.eye(1), 60, rng)
         for _ in range(40):
-            st = baselines.bayesian_ks_step(st, np.array([9.0]), m, cfg, rng)
+            st = baselines.bayesian_ks_step(st, np.array([9.0]), m,
+                                            SHRINKAGE, rng)
             assert np.all(m.param_domain.contains(st.particles[:, 1:]))
 
     def test_constant_parameter_convergence(self):
@@ -103,12 +102,11 @@ class TestBayesianKS:
             T = 500
             _, ys = simulate(m, np.array([10.0]),
                              np.full((T, 1), theta_true), T, rng)
-            cfg = BayesianKSConfig(n_particles=500)
             st = init_bayesian_ks(m, np.array([10.0]), np.eye(1),
                                   np.array([0.85]), 0.01 * np.eye(1),
-                                  cfg, rng)
+                                  500, rng)
             for t in range(T):
-                st = baselines.bayesian_ks_step(st, ys[t], m, cfg, rng)
+                st = baselines.bayesian_ks_step(st, ys[t], m, SHRINKAGE, rng)
             errs.append(abs(st.theta_hat[0] - theta_true))
         assert np.median(errs) < 0.05 * theta_true
 
@@ -140,26 +138,23 @@ class TestRmlSpsa:
 
     def test_zero_step_size_keeps_parameter_constant(self):
         m = _output_scaling_model()
-        cfg = RMLConfig(n_particles=30, step_size=0.0)
         rng = as_rng(2)
-        st = init_rml(m, np.array([10.0]), np.eye(1), np.array([0.8]),
-                      cfg, rng)
+        st = init_rml(m, np.array([10.0]), np.eye(1), np.array([0.8]), 30, rng)
         for _ in range(10):
-            st = rml_spsa_step(st, np.array([8.0]), m, cfg, rng)
+            st = rml_spsa_step(st, np.array([8.0]), m, 0.0, rng)
         assert st.theta_hat[0] == 0.8
 
     def test_undefined_gradient_freezes_and_tallies(self, monkeypatch):
         m = _output_scaling_model()
-        cfg = RMLConfig(n_particles=30)
         rng = as_rng(4)
-        st = init_rml(m, np.array([10.0]), np.eye(1), np.array([0.8]),
-                      cfg, rng)
+        st = init_rml(m, np.array([10.0]), np.eye(1), np.array([0.8]), 30, rng)
 
         def boom(*args, **kwargs):
             raise GradientUndefinedError("forced")
 
         monkeypatch.setattr(baselines, "spsa_gradient", boom)
-        st = rml_spsa_step(st, np.array([8.0]), m, cfg, rng)
+        st = rml_spsa_step(st, np.array([8.0]), m,
+                           RUN_DEFAULTS["step_size_rml"], rng)
         assert st.theta_hat[0] == 0.8
         assert st.skipped_steps == 1
 
@@ -167,7 +162,7 @@ class TestRmlSpsa:
         m = _output_scaling_model()
         with pytest.raises(ConfigError):
             init_rml(m, np.array([10.0]), np.eye(1), np.array([5.0]),
-                     RMLConfig(), 0)
+                     RUN_DEFAULTS["n_rml"], 0)
 
     def test_tracks_parameter_on_observable_model(self):
         m = _output_scaling_model()
@@ -178,11 +173,10 @@ class TestRmlSpsa:
             T = 400
             _, ys = simulate(m, np.array([10.0]),
                              np.full((T, 1), theta_true), T, rng)
-            cfg = RMLConfig(n_particles=100, step_size=2e-4)
             st = init_rml(m, np.array([10.0]), np.eye(1), np.array([1.0]),
-                          cfg, rng)
+                          100, rng)
             for t in range(T):
-                st = rml_spsa_step(st, ys[t], m, cfg, rng)
+                st = rml_spsa_step(st, ys[t], m, 2e-4, rng)
             errs.append(abs(st.theta_hat[0] - theta_true))
         assert np.median(errs) < 0.05 * theta_true
 

@@ -155,6 +155,18 @@ class TestErrorHandling:
         assert rc == 2
         assert "coverage" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_persistence_is_checked_before_any_run(self, tmp_path,
+                                                   monkeypatch, capsys):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a calibration run started")
+        monkeypatch.setattr(harness, "seeded_runs", no_runs)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("persistence: 0\n")
+        rc = main(["calibrate", "--model", "gas_turbine", "--config", str(cfg),
+                   "--runs", "25"])
+        assert rc == 2
+        assert "persistence" in json.loads(capsys.readouterr().err)["message"]
+
     def test_invalid_fault_stanza_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         for stanza in ("  component: 0\n  magnitude: 0.7\n",

@@ -1,5 +1,6 @@
 """Unit tests for residual generation, calibration and confusion analysis."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,35 +27,35 @@ from dualpf.errors import (
 
 class TestBaselineFit:
     def test_constant_estimates(self):
-        with pytest.warns(UserWarning):
-            b = fit_healthy_baseline(np.full((50, 2), 0.97))
+        # A short window is flagged on the baseline, not warned about.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = fit_healthy_baseline(np.full((50, 2), 0.97), 50)
         assert np.allclose(b.theta0, 0.97)
         assert np.allclose(b.fit_cov, 0.0)
         assert b.short_window
 
     def test_two_sample_mean(self):
-        with pytest.warns(UserWarning):
-            b = fit_healthy_baseline(np.array([[0.9], [1.1]]))
+        b = fit_healthy_baseline(np.array([[0.9], [1.1]]), 2)
         assert b.theta0 == pytest.approx([1.0])
 
     def test_large_sample_concentration(self):
         rng = np.random.default_rng(0)
         samples = 1.0 + 0.01 * rng.standard_normal((10_000, 1))
-        b = fit_healthy_baseline(samples)
+        b = fit_healthy_baseline(samples, 10_000)
         assert abs(b.theta0[0] - 1.0) < 0.001
         assert not b.short_window
 
     def test_too_few_samples(self):
         with pytest.raises(ConfigError):
-            fit_healthy_baseline(np.array([[1.0]]))
+            fit_healthy_baseline(np.array([[1.0]]), 1)
 
 
 class TestResidual:
     BASE = None
 
     def _baseline(self):
-        with pytest.warns(UserWarning):
-            return fit_healthy_baseline(np.full((10, 2), 1.0))
+        return fit_healthy_baseline(np.full((10, 2), 1.0), 10)
 
     def test_zero_at_baseline(self):
         b = self._baseline()
@@ -79,7 +80,7 @@ class TestResidual:
 class TestCalibration:
     def test_zero_residuals_get_minimum_width(self):
         runs = [np.zeros((100, 2)) for _ in range(30)]
-        band = calibrate_thresholds(runs)
+        band = calibrate_thresholds(runs, coverage=0.99)
         assert np.allclose(band.upper - band.lower, 2e-6)
 
     def test_gaussian_quantile_envelope(self):
@@ -93,8 +94,8 @@ class TestCalibration:
     def test_determinism(self):
         rng = np.random.default_rng(2)
         runs = [rng.standard_normal((50, 1)) for _ in range(25)]
-        a = calibrate_thresholds(runs)
-        b = calibrate_thresholds(runs)
+        a = calibrate_thresholds(runs, coverage=0.99)
+        b = calibrate_thresholds(runs, coverage=0.99)
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
 
@@ -144,9 +145,11 @@ class TestDecide:
 
 
 class TestClassify:
+    UNIT_BAND = ThresholdBand(-np.ones(4), np.ones(4))
+
     def test_no_detection_is_no_fault(self):
         decisions = [ComponentDecision(False) for _ in range(4)]
-        assert classify(decisions) == "no_fault"
+        assert classify(decisions, self.UNIT_BAND) == "no_fault"
 
     def test_largest_severity_wins(self):
         decisions = [
@@ -155,7 +158,7 @@ class TestClassify:
             ComponentDecision(False),
             ComponentDecision(False),
         ]
-        assert classify(decisions) == "m_c"
+        assert classify(decisions, self.UNIT_BAND) == "m_c"
 
     def test_band_normalization_changes_winner(self):
         decisions = [
@@ -190,7 +193,7 @@ class TestConfusionMetrics:
 
     def test_add_bookkeeping(self):
         m = ConfusionMatrix()
-        m.add("eta_c", "m_t")
+        m.add("eta_c", "m_t", 1)
         m.add("no_fault", "no_fault", n=3)
         assert m.counts[0, 3] == 1
         assert m.counts[4, 4] == 3
@@ -226,8 +229,7 @@ class TestMae:
 
 class TestReport:
     def test_json_round_trip(self):
-        with pytest.warns(UserWarning):
-            base = fit_healthy_baseline(np.full((10, 4), 1.0))
+        base = fit_healthy_baseline(np.full((10, 4), 1.0), 10)
         band = ThresholdBand(np.full(4, -0.02), np.full(4, 0.02))
         decisions = [ComponentDecision(False) for _ in range(4)]
         decisions[2] = ComponentDecision(True, 40, 0.06)

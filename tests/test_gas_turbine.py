@@ -41,14 +41,15 @@ def constants():
 
 class TestEquilibrium:
     def test_nominal_derivatives_vanish(self, constants):
-        d = derivatives(NOMINAL_STATE, HEALTHY, constants)
+        d = derivatives(NOMINAL_STATE, HEALTHY, constants, constants.mdot_f_ref)
         assert np.allclose(d / np.maximum(np.abs(NOMINAL_STATE), 1.0), 0.0,
                            atol=1e-10)
 
     def test_implicit_steps_hold_equilibrium(self, constants):
         state = NOMINAL_STATE.copy()
         for _ in range(100):
-            state = step_backward_euler(state, HEALTHY, constants)
+            state = step_backward_euler(state, HEALTHY, constants,
+                                        constants.mdot_f_ref, DT_DEFAULT)
         drift = np.max(np.abs(state - NOMINAL_STATE) / NOMINAL_STATE)
         assert drift < 1e-6 * 100
 
@@ -63,7 +64,7 @@ class TestStructuralIdentities:
             rng.uniform(200.0, 450.0, 200),
         ])
         health = rng.uniform(0.5, 1.2, (200, 4))
-        d = derivatives(states, health, constants)
+        d = derivatives(states, health, constants, constants.mdot_f_ref)
         t_cc, s, p_cc = states[:, 0], states[:, 1], states[:, 2]
         net = (health[:, 1] * compressor_flow(s, p_cc, constants)
                + constants.mdot_f_ref
@@ -102,7 +103,7 @@ class TestStructuralIdentities:
         # Choose the nozzle pressure that makes outflow equal inflow.
         state[3] = c.P_nlt_ref * m_in / c.mdot_n_ref
         assert nozzle_flow(state[3], c) == pytest.approx(m_in)
-        d = derivatives(state, health, c)
+        d = derivatives(state, health, c, c.mdot_f_ref)
         assert d[3] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -201,7 +202,8 @@ class TestImplicitEuler:
         states = NOMINAL_STATE * (1.0 + 0.01 * rng.standard_normal((n, 4)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            step_backward_euler(states, health, constants)
+            step_backward_euler(states, health, constants,
+                                constants.mdot_f_ref, DT_DEFAULT)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_newton_trajectory_matches_fixed_point_reference(
@@ -227,7 +229,8 @@ class TestImplicitEuler:
         newton = reference = NOMINAL_STATE.copy()
         worst = 0.0
         for t in range(T):
-            newton = step_backward_euler(newton, health[t], c, fuel[t]) + noise[t]
+            newton = (step_backward_euler(newton, health[t], c, fuel[t],
+                                          DT_DEFAULT) + noise[t])
             reference = fixed_point_step(reference, health[t], fuel[t]) + noise[t]
             worst = max(worst, np.max(np.abs(newton - reference)
                                       / np.abs(reference)))
@@ -236,11 +239,13 @@ class TestImplicitEuler:
     def test_domain_checked_on_entry_and_result(self, constants, monkeypatch):
         with pytest.raises(PhysicalDomainError):
             step_backward_euler(np.array([1300.0, -1.0, 800.0, 300.0]),
-                                HEALTHY, constants)
+                                HEALTHY, constants, constants.mdot_f_ref,
+                                DT_DEFAULT)
         monkeypatch.setattr(gas_turbine, "implicit_euler_step",
                             lambda rhs, state, dt: -state)
         with pytest.raises(PhysicalDomainError):
-            step_backward_euler(NOMINAL_STATE, HEALTHY, constants)
+            step_backward_euler(NOMINAL_STATE, HEALTHY, constants,
+                                constants.mdot_f_ref, DT_DEFAULT)
 
 
 class TestFaultScenarios:
@@ -288,8 +293,8 @@ class TestFaultScenarios:
 
 
 class TestEngineModel:
-    def test_model_spec_dimensions(self):
-        model = engine_model()
+    def test_model_spec_dimensions(self, constants):
+        model = engine_model(constants)
         assert (model.n_x, model.n_theta, model.n_y) == (4, 4, 5)
         assert model.param_domain is HEALTH_DOMAIN
 
@@ -308,9 +313,11 @@ class TestEngineModel:
     def test_single_state_broadcasts_against_batched_health(self, constants):
         health = np.ones((5, 4))
         health[:, 0] = np.linspace(0.8, 1.0, 5)
-        single = step_backward_euler(NOMINAL_STATE, health, constants)
+        fuel = constants.mdot_f_ref
+        single = step_backward_euler(NOMINAL_STATE, health, constants, fuel,
+                                     DT_DEFAULT)
         tiled = step_backward_euler(np.tile(NOMINAL_STATE, (5, 1)), health,
-                                    constants)
+                                    constants, fuel, DT_DEFAULT)
         assert np.array_equal(single, tiled)
 
     def test_faulty_health_shifts_equilibrium(self, constants):

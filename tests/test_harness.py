@@ -46,6 +46,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(model="cartpole")
 
+    @pytest.mark.parametrize("persistence", [0, -1])
+    def test_persistence_below_one_rejected(self, persistence):
+        with pytest.raises(ConfigError, match="persistence"):
+            RunConfig(persistence=persistence)
+
+    @pytest.mark.parametrize("shrinkage", [0.0, -0.5, 1.5, float("nan")])
+    def test_shrinkage_outside_unit_interval_rejected(self, shrinkage):
+        with pytest.raises(ConfigError, match="shrinkage"):
+            RunConfig(estimator="bayesian", shrinkage=shrinkage)
+
     @pytest.mark.parametrize("estimator", ["dual", "rml"])
     @pytest.mark.parametrize("step_size", [0.0, -0.1])
     def test_non_positive_step_size_rejected(self, estimator, step_size):
@@ -197,20 +207,43 @@ class TestEstimatorLoop:
         assert out["failures"] == []
         assert out["particle_steps"] == 3 * 10 * 40
 
-    def test_dual_matches_a_direct_dual_run(self):
-        cfg = RunConfig(**SMALL_MIXED, scenario=SyntheticFault(1, 0.1, 20))
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_matches_a_direct_run(self, estimator):
+        cfg = RunConfig(**{**SMALL_MIXED, "estimator": estimator},
+                        scenario=SyntheticFault(1, 0.1, 20))
         model, states, ys, _, u = simulate_truth(cfg)
         got = run_estimator(model, ys, cfg, 7, states[0], u_trajectory=u)
         theta0_cov = (cfg.theta0_std ** 2) * np.eye(4)
-        pc = ParamFilterConfig(
-            n_particles=10, shrinkage=cfg.shrinkage,
-            step_size=RUN_DEFAULTS["step_size_pe"],
-            evolution_cov=theta0_cov.copy(), predictor=cfg.predictor,
-            cov_mode=cfg.cov_mode)
-        est = dual.init(model, states[0], (cfg.x0_std ** 2) * np.eye(2),
-                        np.ones(4), theta0_cov,
-                        StateFilterConfig(n_particles=10), pc, 7)
-        want = dual.history_arrays(dual.run(est, ys, u_trajectory=u))
+        x0_cov = (cfg.x0_std ** 2) * np.eye(2)
+        if estimator == "dual":
+            pc = ParamFilterConfig(
+                n_particles=10, shrinkage=cfg.shrinkage,
+                step_size=RUN_DEFAULTS["step_size_pe"],
+                evolution_cov=theta0_cov.copy(), predictor=cfg.predictor,
+                cov_mode=cfg.cov_mode)
+            est = dual.init(model, states[0], x0_cov, np.ones(4), theta0_cov,
+                            StateFilterConfig(n_particles=10), pc, 7)
+            want = dual.history_arrays(dual.run(est, ys, u_trajectory=u))
+        else:
+            rng = np.random.default_rng(7)
+            if estimator == "bayesian":
+                st = baselines.init_bayesian_ks(model, states[0], x0_cov,
+                                                np.ones(4), theta0_cov, 10,
+                                                rng)
+                step = baselines.bayesian_ks_step
+                arg = RUN_DEFAULTS["shrinkage"]
+            else:
+                st = baselines.init_rml(model, states[0], x0_cov, np.ones(4),
+                                        10, rng)
+                step = baselines.rml_spsa_step
+                arg = RUN_DEFAULTS["step_size_rml"]
+            want = {"theta_hat": [], "x_hat": []}
+            for t in range(ys.shape[0]):
+                st = step(st, ys[t], model, arg, rng,
+                          u=None if u is None else u[t])
+                want["theta_hat"].append(st.theta_hat)
+                want["x_hat"].append(st.x_hat)
+            want = {k: np.vstack(v) for k, v in want.items()}
         assert got["theta_hat"].tobytes() == want["theta_hat"].tobytes()
         assert got["x_hat"].tobytes() == want["x_hat"].tobytes()
 
@@ -232,7 +265,7 @@ class TestHealthyBaselineWindow:
         assert "at least 2 samples" in out["failures"][0]["error"]
         assert len(out["labels"]) == 1
 
-    def test_only_the_short_window_warning_is_silenced(self, monkeypatch):
+    def test_short_window_is_flagged_and_warnings_pass(self, monkeypatch):
         fit = diagnosis.fit_healthy_baseline
 
         def noisy_fit(*args, **kwargs):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpf.errors import ConfigError, DualPFError
-from dualpf.gas_turbine import NOMINAL_STATE, engine_model
+from dualpf.gas_turbine import NOMINAL_STATE, engine_model, nominal_constants
 from dualpf.model import ModelSpec, ParamDomain
 from dualpf.param_filter import (
     FD_STEP,
@@ -197,7 +197,7 @@ class TestOutputJacobian:
             model = mixed_fault_model()
             x_prev = mixed_equilibrium() + 0.02
         else:
-            model = engine_model()
+            model = engine_model(nominal_constants()[0])
             x_prev = NOMINAL_STATE * 1.001
         x_hat = 1.01 * x_prev
         thetas = as_rng(4).uniform(0.7, 1.1, (20, model.n_theta))
@@ -348,6 +348,7 @@ class TestEvolve:
     def test_shrinkage_arithmetic(self):
         m = _scaling_model(upper=3.0)
         cfg = ParamFilterConfig(n_particles=3, shrinkage=0.5,
+                                cov_mode="initial",
                                 evolution_cov=np.zeros((1, 1)))
         st = init_param_filter(np.array([2.0]), np.zeros((1, 1)),
                                m.param_domain, cfg, 0)
@@ -355,8 +356,23 @@ class TestEvolve:
         tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, 1,
                        force_zero_error=True)
         # Each particle moves halfway to the ensemble mean 2, up to the
-        # floored evolution noise (the covariance is still the prior's 0).
+        # floored evolution noise (the evolution covariance is 0).
         assert np.allclose(tilde, [[1.5], [2.0], [2.5]], atol=1e-4)
+
+    def test_running_mode_uses_the_given_particles(self):
+        # The running covariance is the sample covariance of the particles
+        # evolve is handed, not of the ensemble drawn at init.
+        m = _scaling_model(upper=3.0)
+        cfg = ParamFilterConfig(n_particles=3, shrinkage=0.5,
+                                cov_mode="running")
+        st = init_param_filter(np.array([2.0]), np.zeros((1, 1)),
+                               m.param_domain, cfg, 0)
+        st.particles = np.array([[1.0], [2.0], [3.0]])
+        tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, 1,
+                       force_zero_error=True)
+        want = kernel_shrink(st.particles, st.particles.mean(axis=0),
+                             sample_cov(st.particles), 0.5, m.param_domain, 1)
+        assert tilde.tobytes() == want.tobytes()
 
     def test_variance_approximately_preserved(self):
         m = _scaling_model(upper=3.0)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dualpf import state_filter
-from dualpf.baselines import BayesianKSConfig, bayesian_ks_step, init_bayesian_ks
+from dualpf.baselines import bayesian_ks_step, init_bayesian_ks
 from dualpf.errors import FilterDivergenceError
 from dualpf.model import ModelSpec, ParamDomain
 from dualpf.smc import as_rng, sample_cov
@@ -92,10 +92,9 @@ class TestPredict:
     def test_bayesian_step_shares_the_divergence_check(self):
         model = _diverging_model()
         st = init_bayesian_ks(model, np.ones(1), np.eye(1), THETA,
-                              0.01 * np.eye(1), BayesianKSConfig(n_particles=4),
-                              0)
+                              0.01 * np.eye(1), 4, 0)
         with pytest.raises(FilterDivergenceError):
-            bayesian_ks_step(st, np.ones(1), model, BayesianKSConfig(), 1)
+            bayesian_ks_step(st, np.ones(1), model, 0.93, 1)
 
 
 class TestUpdate:
