@@ -5,10 +5,12 @@ complexity.  Configuration comes from flags plus an optional YAML file;
 the shipped run defaults pin every run constant so repeated
 invocations with the same seed are byte-identical except timing fields.
 Failures exit nonzero after printing a machine-readable error JSON.
+This is the only module of the package that writes files.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -21,23 +23,33 @@ from .baselines import EFCostModel, complexity_report
 from .errors import ConfigError, DualPFError
 from .harness import RUN_DEFAULTS, RunConfig
 from .model import Fault
+from .param_filter import COV_MODES, PREDICTORS
 
 
-def _load_config(args) -> RunConfig:
-    overrides = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            overrides.update(yaml.safe_load(fh) or {})
+def _load_config(args) -> tuple[RunConfig, Path]:
+    """RunConfig from the YAML file and the flags, which win, and the output
+    directory (--out or the YAML `output_dir:` key, default ".")."""
+    doc = None
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"invalid YAML in {args.config}: {exc}") from exc
+    overrides = {} if doc is None else doc
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{args.config} does not hold a YAML mapping")
     for key in ("model", "estimator", "n_particles", "duration", "seed",
                 "scenario", "predictor", "cov_mode", "output_dir"):
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             overrides[key] = val
     fault = overrides.pop("fault", None)
+    outdir = overrides.pop("output_dir", None) or "."
     try:
         if fault is not None:
             overrides["scenario"] = Fault(**fault)
-        return RunConfig(**overrides)
+        return RunConfig(**overrides), Path(outdir)
     except TypeError as exc:   # unknown key or wrongly typed value
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -45,77 +57,100 @@ def _load_config(args) -> RunConfig:
 def _band_from_file(path) -> diagnosis.ThresholdBand:
     with open(path) as fh:
         doc = json.load(fh)
-    return diagnosis.ThresholdBand(np.asarray(doc["lower"]),
-                                   np.asarray(doc["upper"]))
+    return diagnosis.ThresholdBand(doc["lower"], doc["upper"])
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+
+
+def _write_csv(path: Path, **columns: np.ndarray) -> None:
+    """One row per step t = 1..T: t, then row t - 1 of each (T, k) array as
+    columns name_1..name_k, floats by repr."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"{name}_{i + 1}"
+                                 for name, a in columns.items()
+                                 for i in range(a.shape[1])])
+        for t, row in enumerate(np.hstack(list(columns.values())), start=1):
+            writer.writerow([t] + [repr(float(v)) for v in row])
+
+
+def _write_run(outdir: Path, run: dict,
+               band: diagnosis.ThresholdBand | None = None) -> None:
+    """trajectory.csv, residuals.csv and report.json; a band adds the
+    diagnosis block to the report.  Row t of trajectory.csv holds state x_t,
+    the output measured on it and the parameter of step t."""
+    _write_csv(outdir / "trajectory.csv", x=run["states"][1:], y=run["ys"],
+               theta=run["thetas"])
+    _write_csv(outdir / "residuals.csv", r=run["residuals"])
+    report = run["report"]
+    if band is not None:
+        report = {**report, "diagnosis": diagnosis.report(
+            run["baseline"], band, run["decisions"])}
+    _write_json(outdir / "report.json", report)
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    model, states, ys, thetas, _ = harness.simulate_truth(cfg)
-    outdir = Path(cfg.output_dir or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    from .model import write_trajectory_csv
-    write_trajectory_csv(outdir / "trajectory.csv", states, ys, thetas)
+    cfg, outdir = _load_config(args)
+    _, states, ys, thetas, _ = harness.simulate_truth(cfg)
+    _write_csv(outdir / "trajectory.csv", x=states[1:], y=ys, theta=thetas)
     print(f"wrote {outdir / 'trajectory.csv'} ({cfg.duration} steps)")
     return 0
 
 
 def cmd_estimate(args) -> int:
-    cfg = _load_config(args)
-    if cfg.output_dir is None:
-        cfg.output_dir = "."
+    cfg, outdir = _load_config(args)
     run = harness.run_scenario(cfg)
+    _write_run(outdir, run)
     print(json.dumps(run["report"]["mae_percent"], indent=2, sort_keys=True))
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
+    cfg, outdir = _load_config(args)
     band = harness.calibrate_band(cfg, args.runs, args.base_seed,
                                   coverage=args.coverage)
-    doc = {"lower": band.lower.tolist(), "upper": band.upper.tolist(),
-           "coverage": args.coverage, "runs": args.runs}
-    out = Path(cfg.output_dir or ".") / "band.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-    print(f"wrote {out}")
+    _write_json(outdir / "band.json",
+                {"lower": band.lower.tolist(), "upper": band.upper.tolist(),
+                 "coverage": args.coverage, "runs": args.runs})
+    print(f"wrote {outdir / 'band.json'}")
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    cfg = _load_config(args)
-    if cfg.output_dir is None:
-        cfg.output_dir = "."
+    cfg, outdir = _load_config(args)
     band = _band_from_file(args.band)
     run = harness.run_scenario(cfg, band=band)
-    labels = diagnosis.CATEGORIES
-    for j, d in enumerate(run["decisions"]):
+    _write_run(outdir, run, band)
+    for name, d in zip(diagnosis.CATEGORIES, run["decisions"]):
         status = (f"detected at step {d.t_detect}, severity {d.severity:+.4f}"
                   if d.detected else "no fault")
-        print(f"{labels[j]}: {status}")
+        print(f"{name}: {status}")
     return 0
 
 
 def cmd_campaign(args) -> int:
-    cfg = _load_config(args)
+    cfg, outdir = _load_config(args)
     band = (_band_from_file(args.band) if args.band
             else harness.calibrate_band(cfg, args.calibration_runs,
                                         args.base_seed))
-    design = harness.campaign_design(n_per_category=args.runs_per_category)
+    n_theta = harness.build_model(cfg)[0].n_theta
+    design = [f for f in harness.campaign_design(args.runs_per_category)
+              if f.component is None or f.component < n_theta]
     result = harness.confusion_campaign(cfg, design, band,
                                         args.base_seed + 1)
-    outdir = Path(cfg.output_dir or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "confusion.csv", "w") as fh:
         fh.write("," + ",".join(diagnosis.CATEGORIES) + "\n")
         for name, row in zip(diagnosis.CATEGORIES, result["matrix"].counts):
             fh.write(name + "," + ",".join(map(str, row)) + "\n")
-    with open(outdir / "aggregate.json", "w") as fh:
-        json.dump({"metrics": result["metrics"],
-                   "labels": result["labels"],
-                   "failures": result["failures"]},
-                  fh, indent=2, sort_keys=True)
+    _write_json(outdir / "aggregate.json",
+                {"metrics": result["metrics"], "labels": result["labels"],
+                 "failures": result["failures"]})
     print(json.dumps(result["metrics"], indent=2, sort_keys=True))
     return 0
 
@@ -147,9 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--duration", type=int, help="steps")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--scenario")
-        sp.add_argument("--predictor", choices=("output", "one_step"))
-        sp.add_argument("--cov-mode", dest="cov_mode",
-                        choices=("running", "initial"))
+        sp.add_argument("--predictor", choices=PREDICTORS)
+        sp.add_argument("--cov-mode", dest="cov_mode", choices=COV_MODES)
         sp.add_argument("--out", dest="output_dir")
 
     sp = sub.add_parser("simulate", help="simulate a truth trajectory")

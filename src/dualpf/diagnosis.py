@@ -8,7 +8,6 @@ require a persistence of consecutive out-of-band samples.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,9 +180,10 @@ def mae_percent(estimates: np.ndarray, truth: np.ndarray, nominal: float,
     return 100.0 * float(np.mean(np.abs(est - tru))) / abs(nominal)
 
 
-def report_to_json(baseline: HealthyBaseline, band: ThresholdBand,
-                   decisions: list[ComponentDecision]) -> str:
-    doc = {
+def report(baseline: HealthyBaseline, band: ThresholdBand,
+           decisions: list[ComponentDecision]) -> dict:
+    """JSON-ready summary of one diagnosed run: baseline, band, decisions."""
+    return {
         "baseline": {"theta0": baseline.theta0.tolist(),
                      "window": baseline.window,
                      "fit_cov": baseline.fit_cov.tolist(),
@@ -195,4 +195,3 @@ def report_to_json(baseline: HealthyBaseline, band: ThresholdBand,
             for j, d in enumerate(decisions)
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -180,8 +180,7 @@ def outputs(state: np.ndarray, health: np.ndarray,
     return np.stack(np.broadcast_arrays(y1, p_cc, s, p_nlt, y5), axis=-1)
 
 
-def implicit_euler_step(rhs, state: np.ndarray,
-                        dt: float = DT_DEFAULT) -> np.ndarray:
+def implicit_euler_step(rhs, state: np.ndarray, dt: float) -> np.ndarray:
     """Implicit (backward) Euler step solved by simplified Newton.
 
     rhs(z) is the continuous-time derivative, vectorized over leading axes.

@@ -1,27 +1,24 @@
-"""Scenario execution, Monte-Carlo campaigns and report emission.
+"""Scenario execution and Monte-Carlo campaigns.
 
 Single entry points used by both the CLI and the test suite: simulate a
 truth trajectory with fault injection, run one of the three estimators on
 the noisy outputs, turn parameter estimates into residuals/decisions, and
-aggregate campaigns into confusion matrices and MAE tables.
+aggregate campaigns into confusion matrices and MAE tables.  Every result
+is returned; nothing here writes a file.
 """
 from __future__ import annotations
 
-import csv
-import json
 import time
 import warnings
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import baselines, diagnosis, dual, gas_turbine, synthetic
 from .diagnosis import CATEGORIES, ConfusionMatrix
 from .errors import CalibrationError, ConfigError, DualPFError
-from .model import (COMPONENTS, Fault, ModelSpec, health_trajectory,
-                    simulate, write_trajectory_csv)
-from .param_filter import ParamFilterConfig
+from .model import COMPONENTS, Fault, ModelSpec, health_trajectory, simulate
+from .param_filter import COV_MODES, PREDICTORS, ParamFilterConfig
 from .smc import as_rng
 from .state_filter import StateFilterConfig
 
@@ -54,7 +51,7 @@ SyntheticFault = Fault
 class RunConfig:
     model: str = "mixed"            # "scalar" | "mixed" | "gas_turbine"
     estimator: str = "dual"
-    n_particles: int = 50
+    n_particles: int = RUN_DEFAULTS["n_particles"]
     duration: int = 300             # steps
     seed: int = 0
     scenario: str | Fault = "healthy"  # or a gas_turbine.SCENARIOS name
@@ -65,7 +62,6 @@ class RunConfig:
     theta0_std: float = 0.05
     x0_std: float = 0.5
     persistence: int = RUN_DEFAULTS["persistence"]
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -86,6 +82,10 @@ class RunConfig:
             # The scalar model measures y = x, so under "output" the
             # Jacobian is 0 and theta is unidentifiable.
             self.predictor = "one_step" if self.model == "scalar" else "output"
+        if self.predictor not in PREDICTORS:
+            raise ConfigError(f"unknown predictor {self.predictor!r}")
+        if self.cov_mode not in COV_MODES:
+            raise ConfigError(f"unknown cov_mode {self.cov_mode!r}")
 
 
 def build_model(config: RunConfig) -> tuple[ModelSpec, np.ndarray]:
@@ -203,7 +203,7 @@ def fault_start_step(config: RunConfig) -> int | None:
 
 def run_scenario(config: RunConfig,
                  band: diagnosis.ThresholdBand | None = None) -> dict:
-    """Single truth + estimation + diagnosis run; optionally writes files."""
+    """Single truth + estimation + diagnosis run."""
     model, states, ys, thetas, u = simulate_truth(config)
     x0 = states[0]
     result = run_estimator(model, ys, config, config.seed, x0,
@@ -215,10 +215,8 @@ def run_scenario(config: RunConfig,
     window = min(diagnosis.CONVERGENCE_WINDOW, window_end)
     baseline = diagnosis.fit_healthy_baseline(theta_hat[:window_end], window)
     residuals = diagnosis.residual(baseline, theta_hat)
-    decisions = None
-    metrics = None
-    if band is not None:
-        decisions = diagnosis.decide(residuals, band, config.persistence)
+    decisions = (None if band is None
+                 else diagnosis.decide(residuals, band, config.persistence))
     mae = {}
     tail = slice(-diagnosis.CONVERGENCE_WINDOW, None)
     for j in range(model.n_theta):
@@ -231,33 +229,11 @@ def run_scenario(config: RunConfig,
         "elapsed_s": result["elapsed_s"],
         "baseline_theta0": baseline.theta0.tolist(),
     }
-    out = {"model": model, "states": states, "ys": ys, "thetas": thetas,
-           "theta_hat": theta_hat, "x_hat": result["x_hat"],
-           "residuals": residuals, "baseline": baseline,
-           "decisions": decisions, "report": report,
-           "particle_steps": result["particle_steps"]}
-    if config.output_dir:
-        _write_run_artifacts(Path(config.output_dir), out, band)
-    return out
-
-
-def _write_run_artifacts(outdir: Path, run: dict,
-                         band: diagnosis.ThresholdBand | None):
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(outdir / "trajectory.csv", run["states"],
-                         run["ys"], run["thetas"])
-    res = run["residuals"]
-    with open(outdir / "residuals.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"r_{j+1}" for j in range(res.shape[1])])
-        for t in range(res.shape[0]):
-            writer.writerow([t + 1] + [repr(float(v)) for v in res[t]])
-    report = dict(run["report"])
-    if band is not None and run["decisions"] is not None:
-        report["diagnosis"] = json.loads(diagnosis.report_to_json(
-            run["baseline"], band, run["decisions"]))
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    return {"model": model, "states": states, "ys": ys, "thetas": thetas,
+            "theta_hat": theta_hat, "x_hat": result["x_hat"],
+            "residuals": residuals, "baseline": baseline,
+            "decisions": decisions, "report": report,
+            "particle_steps": result["particle_steps"]}
 
 
 def seeded_runs(config: RunConfig, scenarios: list, base_seed: int,
@@ -275,7 +251,7 @@ def seeded_runs(config: RunConfig, scenarios: list, base_seed: int,
     seeds = np.random.SeedSequence(base_seed).spawn(len(scenarios))
     runs, failures = [], []
     for i, (scenario, ss) in enumerate(zip(scenarios, seeds)):
-        cfg = replace(config, scenario=scenario, output_dir=None,
+        cfg = replace(config, scenario=scenario,
                       seed=int(ss.generate_state(1)[0] % (2 ** 31)))
         try:
             runs.append((cfg, run_scenario(cfg, band=band)))

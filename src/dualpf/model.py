@@ -12,7 +12,6 @@ has none).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -186,28 +185,3 @@ def simulate(model: ModelSpec, x0: np.ndarray, theta_trajectory: np.ndarray,
         states[t + 1] = x_next
         outputs[t] = model.measure(x_next, theta, u=u) + meas_noise[t]
     return states, outputs
-
-
-def write_trajectory_csv(path, states: np.ndarray, outputs: np.ndarray,
-                         thetas: np.ndarray) -> None:
-    """CSV with header t,x_1..x_nx,y_1..y_ny,theta_1..theta_ntheta.
-
-    One row per step t = 1..T pairs state x_t with the output y_t measured
-    on it and the parameter of step t; the initial state x_0 is not written.
-    """
-    states = np.atleast_2d(states)
-    outputs = np.atleast_2d(outputs)
-    thetas = np.atleast_2d(thetas)
-    n_x, n_y, n_th = states.shape[1], outputs.shape[1], thetas.shape[1]
-    header = (["t"] + [f"x_{i+1}" for i in range(n_x)]
-              + [f"y_{i+1}" for i in range(n_y)]
-              + [f"theta_{i+1}" for i in range(n_th)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(1, states.shape[0]):
-            row = ([t] + [repr(float(v)) for v in states[t]]
-                   + [repr(float(v)) for v in outputs[t - 1]]
-                   + [repr(float(v))
-                      for v in thetas[min(t - 1, thetas.shape[0] - 1)]])
-            writer.writerow(row)

@@ -27,6 +27,8 @@ COV_FLOOR = 1e-12
 PROJECTION_FACTOR = 0.5      # mu: a rejected step is scaled by mu^k
 PROJECTION_MAX_SCALINGS = 64
 FD_STEP = 1e-6               # relative finite-difference step of the Jacobian
+PREDICTORS = ("output", "one_step")
+COV_MODES = ("running", "initial")
 
 
 @dataclass
@@ -35,22 +37,22 @@ class ParamFilterConfig:
     shrinkage: float = 0.93                 # a in A = a I, 0 < a <= 1
     step_size: float = 0.9                  # gamma > 0
     evolution_cov: np.ndarray | None = None  # initial parameter covariance
-    cov_mode: str = "running"               # "running" | "initial"
-    predictor: str = "output"               # "output" | "one_step"
+    cov_mode: str = "running"               # one of COV_MODES
+    predictor: str = "output"               # one of PREDICTORS
 
     def __post_init__(self):
         if not 0.0 < self.shrinkage <= 1.0:
             raise ConfigError("shrinkage must be in (0, 1]")
         if not self.step_size > 0.0:
             raise ConfigError("step_size must be positive")
-        if self.cov_mode not in ("running", "initial"):
+        if self.cov_mode not in COV_MODES:
             raise ConfigError(f"unknown cov_mode {self.cov_mode!r}")
         if self.evolution_cov is not None:
             self.evolution_cov = np.atleast_2d(
                 np.asarray(self.evolution_cov, dtype=float))
         elif self.cov_mode == "initial":
             raise ConfigError('cov_mode "initial" needs an evolution_cov')
-        if self.predictor not in ("output", "one_step"):
+        if self.predictor not in PREDICTORS:
             raise ConfigError(f"unknown predictor {self.predictor!r}")
 
 
@@ -69,8 +71,8 @@ def init_param_filter(mean: np.ndarray, cov: np.ndarray, domain: ParamDomain,
 
 
 def predicted_outputs(thetas: np.ndarray, x_hat: np.ndarray, model: ModelSpec,
-                      predictor: str = "output",
-                      x_prev: np.ndarray | None = None, u=None) -> np.ndarray:
+                      predictor: str, x_prev: np.ndarray | None,
+                      u) -> np.ndarray:
     """Per-particle output prediction.
 
     "output" evaluates the measurement map at the current state estimate.
@@ -99,8 +101,7 @@ def updating_gain(eps: np.ndarray) -> np.ndarray:
 
 
 def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
-                    predictor: str = "output",
-                    x_prev: np.ndarray | None = None, u=None
+                    predictor: str, x_prev: np.ndarray | None, u
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted outputs (N, n_y) and dyhat/dtheta (N, n_theta, n_y).
 

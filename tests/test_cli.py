@@ -1,10 +1,14 @@
 """End-to-end tests for the command-line interface."""
+import csv
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from dualpf import harness
 from dualpf.cli import main
+from dualpf.harness import RunConfig
 
 FAST = ["--model", "mixed", "--n-particles", "8", "--duration", "40"]
 
@@ -43,6 +47,34 @@ class TestSimulate:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 16
 
+    def test_trajectory_round_trip(self, tmp_path):
+        rc = main(["simulate", "--model", "mixed", "--duration", "5",
+                   "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        _, states, ys, thetas, _ = harness.simulate_truth(
+            RunConfig(model="mixed", duration=5, seed=1))
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+
+        def cols(prefix, n):
+            return np.array([[float(r[f"{prefix}_{i + 1}"]) for i in range(n)]
+                             for r in rows])
+        assert np.array_equal(cols("x", 2), states[1:])
+        assert np.array_equal(cols("y", 4), ys)
+        assert np.array_equal(cols("theta", 4), thetas)
+        assert [int(r["t"]) for r in rows] == list(range(1, 6))
+
+    def test_header_names(self, tmp_path):
+        for model, header in [
+                ("scalar", "t,x_1,y_1,theta_1"),
+                ("gas_turbine", "t,x_1,x_2,x_3,x_4,y_1,y_2,y_3,y_4,y_5,"
+                                "theta_1,theta_2,theta_3,theta_4")]:
+            rc = main(["simulate", "--model", model, "--duration", "2",
+                       "--out", str(tmp_path / model)])
+            assert rc == 0
+            path = tmp_path / model / "trajectory.csv"
+            assert path.read_text().splitlines()[0] == header
+
 
 class TestEstimate:
     def test_prints_mae_and_writes_report(self, tmp_path, capsys):
@@ -52,6 +84,29 @@ class TestEstimate:
         assert set(mae) == {f"theta_{j}" for j in range(1, 5)}
         assert all(v >= 0 for v in mae.values())
         assert (tmp_path / "report.json").exists()
+
+    def test_out_writes_the_three_run_files(self, tmp_path):
+        out = tmp_path / "nested" / "est"
+        rc = main(["estimate", *FAST, "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["report.json", "residuals.csv", "trajectory.csv"]
+        lines = (out / "residuals.csv").read_text().splitlines()
+        assert lines[0] == "t,r_1,r_2,r_3,r_4"
+        assert len(lines) == 41
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["model"] == "mixed"
+        assert "output_dir" not in doc["config"]
+        assert "diagnosis" not in doc
+
+    def test_yaml_output_dir_is_the_out_default(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"output_dir: {tmp_path / 'yaml'}\n")
+        assert main(["estimate", *FAST, "--config", str(cfg)]) == 0
+        assert (tmp_path / "yaml" / "report.json").exists()
+        assert main(["estimate", *FAST, "--config", str(cfg),
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "report.json").exists()
 
     def test_yaml_fault_stanza(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -94,6 +149,17 @@ class TestCalibrateAndDiagnose:
         for name in ("eta_c", "m_c", "eta_t", "m_t"):
             assert any(line == f"{name}: no fault" for line in lines)
 
+    def test_diagnose_report_carries_the_diagnosis(self, tmp_path):
+        band = tmp_path / "band.json"
+        band.write_text(json.dumps({"lower": [-10.0] * 4,
+                                    "upper": [10.0] * 4}))
+        rc = main(["diagnose", *FAST, "--band", str(band),
+                   "--out", str(tmp_path / "diag")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "diag" / "report.json").read_text())
+        assert doc["diagnosis"]["band"]["upper"] == [10.0] * 4
+        assert not doc["diagnosis"]["decisions"]["eta_c"]["detected"]
+
     def test_missing_band_file_exits_3(self, tmp_path, capsys):
         rc = main(["diagnose", *FAST, "--band", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)])
@@ -114,6 +180,18 @@ class TestCampaign:
         agg = json.loads((tmp_path / "aggregate.json").read_text())
         assert len(agg["labels"]) == 5
         assert agg["failures"] == []
+
+    def test_scalar_campaign_plans_only_its_components(self, tmp_path):
+        # The scalar model has one health parameter: the design keeps the
+        # healthy runs and the component-0 faults only.
+        rc = main(["campaign", "--model", "scalar", "--n-particles", "8",
+                   "--duration", "150", "--calibration-runs", "3",
+                   "--runs-per-category", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        agg = json.loads((tmp_path / "aggregate.json").read_text())
+        assert agg["failures"] == []
+        assert Counter(a for a, _ in agg["labels"]) == \
+            {"eta_c": 2, "no_fault": 2}
 
 
 class TestComplexity:
@@ -166,6 +244,32 @@ class TestErrorHandling:
                    "--runs", "25"])
         assert rc == 2
         assert "persistence" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_unknown_predictor_is_checked_before_any_run(self, tmp_path,
+                                                         monkeypatch, capsys):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a calibration run started")
+        monkeypatch.setattr(harness, "seeded_runs", no_runs)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("predictor: foo\n")
+        rc = main(["calibrate", "--model", "gas_turbine", "--config", str(cfg),
+                   "--runs", "25"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "predictor" in err["message"]
+
+    @pytest.mark.parametrize("text", ["- a\n", "just a string\n",
+                                      "model: [mixed\n"],
+                             ids=["list", "string", "syntax-error"])
+    def test_config_that_is_not_a_mapping_exits_2(self, tmp_path, capsys,
+                                                  text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        rc = main(["estimate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_invalid_fault_stanza_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"

@@ -16,7 +16,7 @@ from dualpf.diagnosis import (
     decide,
     fit_healthy_baseline,
     mae_percent,
-    report_to_json,
+    report,
     residual,
 )
 from dualpf.errors import (
@@ -233,7 +233,7 @@ class TestReport:
         band = ThresholdBand(np.full(4, -0.02), np.full(4, 0.02))
         decisions = [ComponentDecision(False) for _ in range(4)]
         decisions[2] = ComponentDecision(True, 40, 0.06)
-        doc = json.loads(report_to_json(base, band, decisions))
+        doc = json.loads(json.dumps(report(base, band, decisions)))
         assert doc["decisions"]["eta_t"]["detected"]
         assert doc["decisions"]["eta_t"]["t_detect"] == 40
         assert doc["band"]["upper"] == [0.02] * 4

@@ -1,5 +1,4 @@
 """Unit tests for scenario execution and Monte-Carlo campaign plumbing."""
-import json
 import warnings
 
 import numpy as np
@@ -61,6 +60,12 @@ class TestRunConfig:
     def test_non_positive_step_size_rejected(self, estimator, step_size):
         with pytest.raises(ConfigError, match="step_size"):
             RunConfig(estimator=estimator, step_size=step_size)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("key", ["predictor", "cov_mode"])
+    def test_unknown_predictor_or_cov_mode_rejected(self, estimator, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(estimator=estimator, **{key: "foo"})
 
     def test_predictor_default_depends_on_model(self):
         assert RunConfig(model="scalar").predictor == "one_step"
@@ -140,17 +145,17 @@ class TestModelsAndTrajectories:
 
 
 class TestRunScenario:
-    def test_artifacts_and_report(self, tmp_path):
-        cfg = RunConfig(**SMALL_MIXED, seed=1, output_dir=str(tmp_path))
-        run = run_scenario(cfg)
+    def test_writes_no_files(self, tmp_path, monkeypatch):
+        # Only the CLI writes files; a run leaves its working directory as
+        # it found it.
+        monkeypatch.chdir(tmp_path)
+        run = run_scenario(RunConfig(**SMALL_MIXED, seed=1))
         assert run["theta_hat"].shape == (40, 4)
         assert run["residuals"].shape == (40, 4)
         assert set(run["report"]["mae_percent"]) == \
             {f"theta_{j}" for j in range(1, 5)}
-        for name in ("trajectory.csv", "residuals.csv", "report.json"):
-            assert (tmp_path / name).exists()
-        doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["config"]["model"] == "mixed"
+        assert run["report"]["config"]["model"] == "mixed"
+        assert list(tmp_path.iterdir()) == []
 
     def test_gas_turbine_healthy_run_stays_in_domain(self):
         cfg = RunConfig(model="gas_turbine", estimator="dual",

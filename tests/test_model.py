@@ -1,6 +1,4 @@
 """Unit tests for the state-space model abstraction and simulation."""
-import csv
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from dualpf.model import (
     ParamDomain,
     health_trajectory,
     simulate,
-    write_trajectory_csv,
 )
 
 
@@ -203,29 +200,3 @@ class TestSimulate:
                  u_trajectory=np.array([10.0, 20.0, 30.0]))
         assert seen == [10.0, 20.0, 30.0]
 
-
-class TestTrajectoryCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        states = rng.standard_normal((6, 2))
-        ys = rng.standard_normal((5, 3))
-        thetas = rng.uniform(0.5, 1.2, (5, 4))
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, states, ys, thetas)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-
-        def cols(prefix, n):
-            return np.array([[float(r[f"{prefix}_{i + 1}"]) for i in range(n)]
-                             for r in rows])
-        assert np.array_equal(cols("x", 2), states[1:])
-        assert np.array_equal(cols("y", 3), ys)
-        assert np.array_equal(cols("theta", 4), thetas)
-        assert [int(r["t"]) for r in rows] == list(range(1, 6))
-
-    def test_header_names(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, np.zeros((2, 1)), np.zeros((1, 2)),
-                             np.zeros((1, 1)))
-        header = path.read_text().splitlines()[0]
-        assert header == "t,x_1,y_1,y_2,theta_1"

@@ -90,17 +90,20 @@ class TestPredictionError:
     # eps = y - yhat, with yhat from output_jacobian's block at the particles.
     def test_linear(self):
         m = _scaling_model()
-        yhat, _ = output_jacobian(np.array([1.0]), np.array([[1.0]]), m)
+        yhat, _ = output_jacobian(np.array([1.0]), np.array([[1.0]]), m,
+                                  "output", None, None)
         assert 2.0 - yhat[0] == pytest.approx([1.0])
 
     def test_exact_prediction(self):
         m = _scaling_model()
-        yhat, _ = output_jacobian(np.array([2.0]), np.array([[1.0]]), m)
+        yhat, _ = output_jacobian(np.array([2.0]), np.array([[1.0]]), m,
+                                  "output", None, None)
         assert 2.0 - yhat[0] == pytest.approx([0.0])
 
     def test_quadratic(self):
         m = _scaling_model(power=2)
-        yhat, _ = output_jacobian(np.array([2.0]), np.array([[1.5]]), m)
+        yhat, _ = output_jacobian(np.array([2.0]), np.array([[1.5]]), m,
+                                  "output", None, None)
         assert 5.0 - yhat[0] == pytest.approx([0.5])
 
     def test_one_step_predictor_exposes_dynamics_parameter(self):
@@ -117,12 +120,12 @@ class TestPredictionError:
                       measurement_noise_cov=[[1.0]],
                       param_domain=ParamDomain([0.0], [2.0]))
         thetas = np.array([[0.5], [1.5]])
-        yhat = predicted_outputs(thetas, np.array([9.0]), m,
-                                 predictor="one_step", x_prev=np.array([2.0]))
+        yhat = predicted_outputs(thetas, np.array([9.0]), m, "one_step",
+                                 np.array([2.0]), None)
         assert np.allclose(yhat, [[1.0], [3.0]])
         with pytest.raises(ConfigError):
-            predicted_outputs(thetas, np.array([9.0]), m,
-                              predictor="one_step")
+            predicted_outputs(thetas, np.array([9.0]), m, "one_step", None,
+                              None)
 
 
 class TestUpdatingGain:
@@ -149,12 +152,14 @@ class TestUpdatingGain:
 class TestOutputJacobian:
     def test_linear_sensitivity(self):
         m = _scaling_model()
-        _, jac = output_jacobian(np.array([3.0]), np.array([[1.0]]), m)
+        _, jac = output_jacobian(np.array([3.0]), np.array([[1.0]]), m,
+                                 "output", None, None)
         assert jac[0, 0, 0] == pytest.approx(3.0, abs=1e-6)
 
     def test_quadratic_matches_analytic(self):
         m = _scaling_model(power=2)
-        _, jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m)
+        _, jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m,
+                                 "output", None, None)
         assert jac[0, 0, 0] == pytest.approx(4.0, abs=1e-5)
 
     def test_second_order_accuracy(self):
@@ -162,12 +167,14 @@ class TestOutputJacobian:
         # eta would be off by about 6 eta, a central one by about eta^2.
         m = _scaling_model(power=3, upper=5.0)
         eta = FD_STEP * 2.0
-        _, jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m)
+        _, jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m,
+                                 "output", None, None)
         assert abs(jac[0, 0, 0] - 12.0) < 6 * eta / 50
 
     def test_one_sided_at_boundary(self):
         m = _scaling_model(upper=2.0)
-        _, jac = output_jacobian(np.array([3.0]), np.array([[2.0]]), m)
+        _, jac = output_jacobian(np.array([3.0]), np.array([[2.0]]), m,
+                                 "output", None, None)
         assert jac[0, 0, 0] == pytest.approx(3.0, abs=1e-4)
 
     @staticmethod
@@ -183,8 +190,10 @@ class TestOutputJacobian:
                                   thetas[:, k] + eta, thetas[:, k])
             t_dn[:, k] = np.where(thetas[:, k] - eta >= domain.lower[k],
                                   thetas[:, k] - eta, thetas[:, k])
-            y_up = predicted_outputs(t_up, x_hat, model, predictor, x_prev)
-            y_dn = predicted_outputs(t_dn, x_hat, model, predictor, x_prev)
+            y_up = predicted_outputs(t_up, x_hat, model, predictor, x_prev,
+                                     None)
+            y_dn = predicted_outputs(t_dn, x_hat, model, predictor, x_prev,
+                                     None)
             span = (t_up[:, k] - t_dn[:, k])[:, None]
             jac[:, k, :] = (y_up - y_dn) / span
         return jac
@@ -203,8 +212,10 @@ class TestOutputJacobian:
         thetas = as_rng(4).uniform(0.7, 1.1, (20, model.n_theta))
         thetas[0, 1] = model.param_domain.upper[1]
         thetas[1, 2] = model.param_domain.lower[2]
-        yhat, got = output_jacobian(x_hat, thetas, model, predictor, x_prev)
-        want_yhat = predicted_outputs(thetas, x_hat, model, predictor, x_prev)
+        yhat, got = output_jacobian(x_hat, thetas, model, predictor, x_prev,
+                                    None)
+        want_yhat = predicted_outputs(thetas, x_hat, model, predictor, x_prev,
+                                      None)
         ref = self._per_column_reference(x_hat, thetas, model, predictor,
                                          x_prev)
         assert got.shape == (20, model.n_theta, model.n_y)
