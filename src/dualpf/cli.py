@@ -54,10 +54,26 @@ def _load_config(args) -> tuple[RunConfig, Path]:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def _band_from_file(path) -> diagnosis.ThresholdBand:
+def _band_from_file(path, cfg: RunConfig) -> diagnosis.ThresholdBand:
+    """The band of a band.json, checked against the configured model: a
+    JSON object whose "lower" and "upper" are lists of n_theta numbers."""
     with open(path) as fh:
-        doc = json.load(fh)
-    return diagnosis.ThresholdBand(doc["lower"], doc["upper"])
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not JSON: {exc}") from exc
+    bounds = [doc.get(key) if isinstance(doc, dict) else None
+              for key in ("lower", "upper")]
+    if not all(isinstance(b, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in b) for b in bounds):
+        raise ConfigError(f'{path} needs "lower" and "upper" lists of numbers')
+    band = diagnosis.ThresholdBand(*bounds)
+    n_theta = harness.build_model(cfg)[0].n_theta
+    if band.lower.shape != (n_theta,):
+        raise ConfigError(f"{path} holds a {band.lower.size}-component band; "
+                          f"model {cfg.model!r} has n_theta = {n_theta}")
+    return band
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -123,7 +139,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg, outdir = _load_config(args)
-    band = _band_from_file(args.band)
+    band = _band_from_file(args.band, cfg)
     run = harness.run_scenario(cfg, band=band)
     _write_run(outdir, run, band)
     for name, d in zip(diagnosis.CATEGORIES, run["decisions"]):
@@ -135,7 +151,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_campaign(args) -> int:
     cfg, outdir = _load_config(args)
-    band = (_band_from_file(args.band) if args.band
+    band = (_band_from_file(args.band, cfg) if args.band
             else harness.calibrate_band(cfg, args.calibration_runs,
                                         args.base_seed))
     n_theta = harness.build_model(cfg)[0].n_theta

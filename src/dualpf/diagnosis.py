@@ -38,6 +38,9 @@ class ThresholdBand:
     def __post_init__(self):
         self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
+            raise ConfigError("band lower and upper must be vectors of one "
+                              "length")
         if not np.all(self.lower < self.upper):
             raise ConfigError("band requires lower < upper componentwise")
 
@@ -115,6 +118,9 @@ def decide(residuals: np.ndarray, band: ThresholdBand,
         raise ConfigError("persistence must be >= 1")
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     t_len, n_th = residuals.shape
+    if band.lower.shape != (n_th,):
+        raise ConfigError(f"{band.lower.size}-component band for "
+                          f"{n_th}-component residuals")
     out = []
     outside = (residuals < band.lower) | (residuals > band.upper)
     for j in range(n_th):

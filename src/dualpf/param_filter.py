@@ -100,33 +100,52 @@ def updating_gain(eps: np.ndarray) -> np.ndarray:
     return np.linalg.norm(eps - eps.mean(axis=1, keepdims=True), axis=1)
 
 
+def perturbation_stack(thetas: np.ndarray, domain: ParamDomain) -> np.ndarray:
+    """The particles and their 2 n_theta perturbed copies as one
+    ((2 n_theta + 1) N, n_theta) stack.
+
+    Block 0 is the particles, block 1 + k has column k moved up and block
+    1 + n_theta + k has it moved down, by FD_STEP relative, or not at all
+    where that would leave the domain (a one-sided difference).
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    n_th = thetas.shape[1]
+    eta = FD_STEP * np.maximum(1.0, np.abs(thetas))
+    up = np.where(thetas + eta <= domain.upper, thetas + eta, thetas)
+    dn = np.where(thetas - eta >= domain.lower, thetas - eta, thetas)
+    stacked = np.tile(thetas, (2 * n_th + 1, 1, 1))
+    cols = np.arange(n_th)
+    stacked[1 + cols, :, cols] = up.T
+    stacked[1 + n_th + cols, :, cols] = dn.T
+    return stacked.reshape(-1, n_th)
+
+
+def finite_difference(stacked: np.ndarray, y: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted outputs (N, n_y) and dyhat/dtheta (N, n_theta, n_y) from
+    a `perturbation_stack` and its predicted outputs."""
+    n_th = stacked.shape[1]
+    blocks = stacked.reshape(2 * n_th + 1, -1, n_th)
+    y = y.reshape(2 * n_th + 1, blocks.shape[1], -1)
+    cols = np.arange(n_th)
+    up, dn = blocks[1 + cols, :, cols], blocks[1 + n_th + cols, :, cols]
+    span = (up - dn)[:, :, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        deriv = np.where(span > 0, (y[1:n_th + 1] - y[n_th + 1:]) / span, 0.0)
+    return y[0], np.ascontiguousarray(deriv.transpose(1, 0, 2))
+
+
 def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
                     predictor: str, x_prev: np.ndarray | None, u
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted outputs (N, n_y) and dyhat/dtheta (N, n_theta, n_y).
 
     Central finite differences with a one-sided fallback at the domain
-    boundary.  The particles and their 2 n_theta perturbed copies are
-    stacked into one ((2 n_theta + 1) N, n_theta) batch and predicted in
-    one call; block 0, the particles themselves, gives the outputs.
+    boundary; the whole `perturbation_stack` is predicted in one call.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    n, n_th = thetas.shape
-    domain = model.param_domain
-    eta = FD_STEP * np.maximum(1.0, np.abs(thetas))
-    up = np.where(thetas + eta <= domain.upper, thetas + eta, thetas)
-    dn = np.where(thetas - eta >= domain.lower, thetas - eta, thetas)
-    # Block 1 + k is thetas with column k moved up, block 1 + n_th + k down.
-    stacked = np.tile(thetas, (2 * n_th + 1, 1, 1))
-    cols = np.arange(n_th)
-    stacked[1 + cols, :, cols] = up.T
-    stacked[1 + n_th + cols, :, cols] = dn.T
-    y = predicted_outputs(stacked.reshape(-1, n_th), x_hat, model, predictor,
-                          x_prev, u).reshape(2 * n_th + 1, n, model.n_y)
-    span = (up - dn).T[:, :, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        deriv = np.where(span > 0, (y[1:n_th + 1] - y[n_th + 1:]) / span, 0.0)
-    return y[0], np.ascontiguousarray(deriv.transpose(1, 0, 2))
+    stacked = perturbation_stack(thetas, model.param_domain)
+    y = predicted_outputs(stacked, x_hat, model, predictor, x_prev, u)
+    return finite_difference(stacked, y)
 
 
 def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,
@@ -190,11 +209,14 @@ def kernel_shrink(centers: np.ndarray, target: np.ndarray, cov: np.ndarray,
 def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
            model: ModelSpec, config: ParamFilterConfig, seed,
            x_prev: np.ndarray | None = None, u=None,
-           force_zero_error: bool = False) -> np.ndarray:
+           force_zero_error: bool = False,
+           jacobian: tuple[np.ndarray, np.ndarray] | None = None
+           ) -> np.ndarray:
     """Intermediate particles: gradient step, shrinkage, evolution noise.
 
     `force_zero_error` bypasses the prediction-error term (used by the
-    non-dispersion diagnostics).
+    non-dispersion diagnostics).  `jacobian`, when given, is this step's
+    `output_jacobian` of the particles, computed by the caller.
     """
     rng = as_rng(seed)
     thetas = state.particles
@@ -203,8 +225,10 @@ def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
     if force_zero_error:
         m = thetas
     else:
-        yhat, psi = output_jacobian(x_hat, thetas, model, config.predictor,
-                                    x_prev, u)
+        if jacobian is None:
+            jacobian = output_jacobian(x_hat, thetas, model, config.predictor,
+                                       x_prev, u)
+        yhat, psi = jacobian
         eps = np.asarray(y, dtype=float) - yhat
         gain = updating_gain(eps)
         raw = config.step_size * gain[:, None] * np.einsum("njy,ny->nj", psi, eps)
@@ -238,8 +262,11 @@ def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
 
 def step(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
          model: ModelSpec, config: ParamFilterConfig, seed,
-         x_prev: np.ndarray | None = None, u=None) -> ParamFilterState:
-    """One full parameter-filter cycle."""
+         x_prev: np.ndarray | None = None, u=None,
+         jacobian: tuple[np.ndarray, np.ndarray] | None = None
+         ) -> ParamFilterState:
+    """One full parameter-filter cycle; `jacobian` as in `evolve`."""
     rng = as_rng(seed)
-    tilde = evolve(state, x_hat, y, model, config, rng, x_prev=x_prev, u=u)
+    tilde = evolve(state, x_hat, y, model, config, rng, x_prev=x_prev, u=u,
+                   jacobian=jacobian)
     return update(tilde, x_hat, y, model, config, rng, x_prev=x_prev, u=u)

@@ -49,16 +49,21 @@ def init_state_filter(mean: np.ndarray, cov: np.ndarray,
 
 
 def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
-            seed, u=None) -> tuple[np.ndarray, np.ndarray]:
+            seed, u=None, predicted: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate the ensemble one step at the frozen parameter estimate
     (or at one parameter row per particle).
 
-    Returns the predicted particles and their predicted outputs.
+    `predicted`, when given, holds the particles already pushed through the
+    transition with this step's process noise (see `dual.step`), and the
+    noise draw and the transition are skipped.  Returns the predicted
+    particles and their predicted outputs.
     """
-    rng = as_rng(seed)
-    n = particles.shape[0]
-    noise = sample_gaussian(model.process_noise_cov, n, rng)
-    predicted = np.atleast_2d(model.step_state(particles, theta_hat, noise, u=u))
+    if predicted is None:
+        noise = sample_gaussian(model.process_noise_cov, particles.shape[0],
+                                as_rng(seed))
+        predicted = model.step_state(particles, theta_hat, noise, u=u)
+    predicted = np.atleast_2d(predicted)
     bad = ~np.all(np.isfinite(predicted), axis=1)
     if np.any(bad):
         raise FilterDivergenceError(
@@ -75,10 +80,13 @@ def update(predicted_outputs: np.ndarray, y: np.ndarray,
 
 
 def step(state: StateFilterState, theta_hat: np.ndarray, y: np.ndarray,
-         model: ModelSpec, seed, u=None) -> StateFilterState:
-    """Full predict / weight / regularized-resample cycle."""
+         model: ModelSpec, seed, u=None,
+         predicted: np.ndarray | None = None) -> StateFilterState:
+    """Full predict / weight / regularized-resample cycle; `predicted` as
+    in `predict`."""
     rng = as_rng(seed)
-    predicted, outputs = predict(state.particles, theta_hat, model, rng, u=u)
+    predicted, outputs = predict(state.particles, theta_hat, model, rng, u=u,
+                                 predicted=predicted)
     weights = update(outputs, y, model)
     ensemble = ParticleEnsemble(predicted, weights)
     result = regularize(ensemble, sample_cov(predicted),

@@ -271,6 +271,45 @@ class TestErrorHandling:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("text", [
+        "lower: [-1]\n", '{"upper": [1, 1, 1, 1]}',
+        '{"lower": ["a", -1, -1, -1], "upper": [1, 1, 1, 1]}',
+        '{"lower": [-1, -1, -1, -1], "upper": [1, 1, 1]}',
+        '[[-1, -1, -1, -1], [1, 1, 1, 1]]'],
+        ids=["not-json", "no-lower", "non-numeric", "unequal", "list"])
+    @pytest.mark.parametrize("command", ["diagnose", "campaign"])
+    def test_malformed_band_file_exits_2_before_any_run(
+            self, tmp_path, monkeypatch, capsys, text, command):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run_scenario", no_runs)
+        band = tmp_path / "band.json"
+        band.write_text(text)
+        rc = main([command, *FAST, "--band", str(band),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model, width", [("scalar", 4), ("mixed", 1)])
+    @pytest.mark.parametrize("command", ["diagnose", "campaign"])
+    def test_band_width_must_match_the_model(self, tmp_path, monkeypatch,
+                                              capsys, model, width, command):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run_scenario", no_runs)
+        band = tmp_path / "band.json"
+        band.write_text(json.dumps({"lower": [-1.0] * width,
+                                    "upper": [1.0] * width}))
+        rc = main([command, "--model", model, "--n-particles", "8",
+                   "--duration", "30", "--band", str(band),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{width}-component band" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_fault_stanza_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         for stanza in ("  component: 0\n  magnitude: 0.7\n",

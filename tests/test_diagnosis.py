@@ -108,9 +108,23 @@ class TestCalibration:
         with pytest.raises(ConfigError):
             ThresholdBand(np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([-1.0, -1.0], [1.0]), ([[-1.0]], [[1.0]])])
+    def test_band_must_be_two_vectors_of_one_length(self, lower, upper):
+        with pytest.raises(ConfigError, match="one length"):
+            ThresholdBand(lower, upper)
+
 
 class TestDecide:
     BAND = ThresholdBand(np.array([-0.02]), np.array([0.02]))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_band_width_must_match_the_residuals(self, width):
+        # A 1-wide band would broadcast over 4 components and a 3-wide one
+        # fail to; both are rejected, whatever the residuals hold.
+        band = ThresholdBand(-np.ones(width), np.ones(width))
+        with pytest.raises(ConfigError, match="band"):
+            decide(np.zeros((20, 4)), band, persistence=3)
 
     def test_inside_band_never_fires(self):
         res = 0.01 * np.ones((50, 1))

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from dualpf import dual, param_filter, synthetic
+from dualpf import dual, param_filter, state_filter, synthetic
 from dualpf.dual import history_arrays
 from dualpf.errors import (ConfigError, DegenerateWeightsError,
-                           FilterDivergenceError)
+                           FilterDivergenceError, PhysicalDomainError)
+from dualpf.gas_turbine import NOMINAL_STATE, engine_model, nominal_constants
 from dualpf.model import ModelSpec, ParamDomain, simulate
 from dualpf.param_filter import ParamFilterConfig
 from dualpf.smc import as_rng
@@ -131,6 +132,109 @@ class TestStep:
             dual.step(est, np.zeros(model.n_y))
         assert str(info.value).startswith("parameter filter, step 1:")
         assert est.t == 0
+
+
+def _recording(base, calls=None, bad_above=None):
+    """`base` with a transition that records the rows of each call and
+    raises PhysicalDomainError on a row whose parameter exceeds
+    `bad_above`."""
+    def transition(x, eff, w, u=None):
+        eff = np.asarray(eff, dtype=float)
+        if calls is not None:
+            calls.append(np.broadcast_shapes(np.shape(x), eff.shape)[0])
+        if bad_above is not None and np.any(eff > bad_above):
+            raise PhysicalDomainError("parameter row left the domain")
+        return base.transition(x, eff, w, u=u)
+
+    return ModelSpec(n_x=base.n_x, n_theta=base.n_theta, n_y=base.n_y,
+                     transition=transition, output=base.output,
+                     process_noise_cov=base.process_noise_cov,
+                     measurement_noise_cov=base.measurement_noise_cov,
+                     param_domain=base.param_domain)
+
+
+class TestSharedTransition:
+    """Under one_step the state prediction and the parameter filter's
+    finite-difference rows share one model call."""
+
+    @staticmethod
+    def _case(name):
+        if name == "scalar":
+            model = synthetic.scalar_growth_model()
+            x0, theta0, u = np.array([5.0]), np.array([0.8]), None
+        elif name == "mixed":
+            model = synthetic.mixed_fault_model()
+            x0, theta0, u = synthetic.mixed_equilibrium(), np.ones(4), None
+        else:
+            c = nominal_constants()[0]
+            model = engine_model(c)
+            x0, theta0 = NOMINAL_STATE, np.ones(4)
+            u = np.full(6, c.mdot_f_ref)
+        thetas = np.tile(0.97 * theta0, (6, 1))
+        _, ys = simulate(model, x0, thetas, 6, 2, u_trajectory=u)
+        return model, x0, theta0, ys, u
+
+    @pytest.mark.parametrize("name", ["scalar", "mixed", "engine"])
+    def test_matches_the_filters_run_in_sequence(self, name):
+        model, x0, theta0, ys, u = self._case(name)
+        kwargs = dict(x0_cov=np.diag(1e-6 * np.maximum(x0, 1.0) ** 2),
+                      theta0_cov=1e-4 * np.eye(model.n_theta),
+                      param_kwargs=dict(predictor="one_step"), n_particles=12)
+        est = _estimator(model, x0, theta0, 3, **kwargs)
+        ref = _estimator(model, x0, theta0, 3, **kwargs)
+        for t in range(ys.shape[0]):
+            u_t = None if u is None else u[t]
+            dual.step(est, ys[t], u=u_t)
+            x_prev = ref.state.estimate
+            ref.state = state_filter.step(ref.state, ref.params.estimate,
+                                          ys[t], model, ref.rng, u=u_t)
+            ref.params = param_filter.step(ref.params, ref.state.estimate,
+                                           ys[t], model, ref.param_config,
+                                           ref.rng, x_prev=x_prev, u=u_t)
+            assert est.state.particles.tobytes() == \
+                ref.state.particles.tobytes()
+            assert est.params.particles.tobytes() == \
+                ref.params.particles.tobytes()
+        assert est.rng.random() == ref.rng.random()
+
+    @pytest.mark.parametrize("predictor, rows", [
+        ("one_step", [12 + 3 * 12, 12]), ("output", [12])])
+    def test_one_call_carries_both_filters_rows(self, predictor, rows):
+        calls = []
+        model = _recording(synthetic.scalar_growth_model(), calls)
+        est = _estimator(model, np.array([5.0]), np.array([0.8]), 0,
+                         param_kwargs=dict(predictor=predictor),
+                         n_particles=12)
+        dual.step(est, np.array([5.0]))
+        assert calls == rows
+
+    def test_divergence_message_names_filter_step_and_particle(self):
+        # The non-finite check runs on the state filter's rows of the shared
+        # call, so the message is the one of the output predictor.
+        model = synthetic.mixed_fault_model()
+        est = _estimator(model, synthetic.mixed_equilibrium(), np.ones(4), 0,
+                         param_kwargs=dict(predictor="one_step"))
+        est.state.particles[3] = np.nan
+        with pytest.raises(FilterDivergenceError) as info:
+            dual.step(est, np.zeros(model.n_y))
+        assert str(info.value) == \
+            "state filter, step 1: non-finite particle at index 3"
+
+    def test_parameter_row_error_keeps_its_type_and_names_the_step(self):
+        model = _recording(synthetic.scalar_growth_model(), bad_above=1.1)
+        est = _estimator(model, np.array([5.0]), np.array([0.8]), 0,
+                         param_kwargs=dict(predictor="one_step"))
+        # The state rows run at the mean, 0.8 + 0.4 / 30; only the
+        # parameter filter's rows of particle 3 pass 1.1.
+        est.params.particles[:] = 0.8
+        est.params.particles[3] = 1.2
+        est.params.estimate = est.params.particles.mean(axis=0)
+        with pytest.raises(PhysicalDomainError) as info:
+            dual.step(est, np.array([5.0]))
+        assert str(info.value) == ("state and parameter filters, step 1: "
+                                   "parameter row left the domain")
+        assert est.t == 0
+        assert est.history == []
 
 
 class TestRun:
