@@ -151,12 +151,12 @@ def cmd_diagnose(args) -> int:
 
 def cmd_campaign(args) -> int:
     cfg, outdir = _load_config(args)
-    band = (_band_from_file(args.band, cfg) if args.band
-            else harness.calibrate_band(cfg, args.calibration_runs,
-                                        args.base_seed))
     n_theta = harness.build_model(cfg)[0].n_theta
     design = [f for f in harness.campaign_design(args.runs_per_category)
               if f.component is None or f.component < n_theta]
+    band = (_band_from_file(args.band, cfg) if args.band
+            else harness.calibrate_band(cfg, args.calibration_runs,
+                                        args.base_seed))
     result = harness.confusion_campaign(cfg, design, band,
                                         args.base_seed + 1)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -2,18 +2,19 @@
 
 Within each time step the state filter runs first against the parameter
 estimate frozen at the previous step, then the parameter filter runs
-against the freshly produced state estimate.  The loop therefore realizes
-the decoupled factorization where each marginal filter conditions on the
-other filter's most recent output.
+against one state estimate, its anchor: the freshly produced one under the
+"output" predictor.  The loop therefore realizes the decoupled
+factorization where each marginal filter conditions on the other filter's
+most recent output.
 
-Under the "one_step" predictor the parameter filter reads the state
-estimate of the previous step, not this step's, so the two filters'
-transitions are independent and one model call evaluates both: the state
-filter's N particles at the previous parameter estimate and the parameter
-filter's (2 n_theta + 1) N finite-difference rows at the previous state
-estimate.  On the gas turbine that makes two implicit solves per dual step
-instead of three, with every estimate bit-identical to running the filters
-one after the other.
+Under the "one_step" predictor the anchor is the state estimate of the
+previous step, not this step's, so the two filters' transitions are
+independent and one model call evaluates both: the state filter's N
+particles at the previous parameter estimate and the parameter filter's
+(2 n_theta + 1) N finite-difference rows at the previous state estimate.
+On the gas turbine that makes two implicit solves per dual step instead of
+three, with every estimate bit-identical to running the filters one after
+the other.
 """
 from __future__ import annotations
 
@@ -69,66 +70,56 @@ def init(model: ModelSpec, x0_mean, x0_cov, theta0_mean, theta0_cov,
                               param_config=param_cfg, rng=rng)
 
 
-def _shared_transition(est: DualEstimatorState, u) -> tuple[np.ndarray, ...]:
+def _shared_transition(est: DualEstimatorState, u
+                       ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Both filters' transitions of one step in one `model.step_state` call:
     the predicted state particles at the previous parameter estimate
     (process noise drawn from est.rng where `state_filter.predict` draws
-    it), the parameter filter's `perturbation_stack` pushed noise-free from
-    the previous state estimate, and that stack."""
+    it) and the parameter filter's `output_jacobian`, its rows pushed
+    noise-free from the previous state estimate."""
     model, particles = est.model, est.state.particles
     n = particles.shape[0]
     noise = sample_gaussian(model.process_noise_cov, n, est.rng)
     stacked = param_filter.perturbation_stack(est.params.particles,
                                               model.param_domain)
     m = stacked.shape[0]
-    rows = model.step_state(
+    rows = np.atleast_2d(model.step_state(
         np.concatenate([particles,
                         np.broadcast_to(est.state.estimate, (m, model.n_x))]),
         np.concatenate([np.broadcast_to(est.params.estimate,
                                         (n, model.n_theta)), stacked]),
-        np.concatenate([noise, np.zeros((m, model.n_x))]), u=u)
-    rows = np.atleast_2d(rows)
-    return rows[:n], rows[n:], stacked
+        np.concatenate([noise, np.zeros((m, model.n_x))]), u=u))
+    return rows[:n], param_filter.finite_difference(
+        stacked, model.measure(rows[n:], stacked, u=u))
 
 
 def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState:
     """One joint cycle: state update at frozen theta, then parameter update.
 
-    The parameter filter's one-step-ahead predictor (when configured) is
-    anchored at the state estimate from before this step's state update, so
-    neither filter ever reads the other's same-step intermediate quantities
-    out of order; an error raised by the model call the two filters then
-    share (`_shared_transition`) names both.
+    The parameter filter's anchor is picked once, so neither filter reads
+    the other's same-step intermediate quantities out of order.  An error
+    names its phase and the step; one raised by the model call the two
+    filters share under "one_step" (`_shared_transition`) names both.
     """
     y_t = np.atleast_1d(np.asarray(y_t, dtype=float))
     if y_t.shape[0] != est.model.n_y:
         raise ConfigError("observation dimension mismatch")
-    model, t = est.model, est.t + 1
-    theta_prev = est.params.estimate
+    model, t, config = est.model, est.t + 1, est.param_config
+    one_step = config.predictor == "one_step"
     x_prev = est.state.estimate
-    predicted = param_rows = None
-    if est.param_config.predictor == "one_step":
-        try:
-            predicted, *param_rows = _shared_transition(est, u)
-        except DualPFError as exc:
-            raise type(exc)(
-                f"state and parameter filters, step {t}: {exc}") from exc
+    phase = "state and parameter filters"
     try:
-        est.state = state_filter.step(est.state, theta_prev, y_t, model,
-                                      est.rng, u=u, predicted=predicted)
+        predicted, jacobian = (_shared_transition(est, u) if one_step
+                               else (None, None))
+        phase = "state filter"
+        est.state = state_filter.step(est.state, est.params.estimate, y_t,
+                                      model, est.rng, u=u, predicted=predicted)
+        phase = "parameter filter"
+        anchor = x_prev if one_step else est.state.estimate
+        est.params = param_filter.step(est.params, anchor, y_t, model, config,
+                                       est.rng, u=u, jacobian=jacobian)
     except DualPFError as exc:
-        raise type(exc)(f"state filter, step {t}: {exc}") from exc
-    try:
-        jacobian = None
-        if param_rows is not None:
-            states, stacked = param_rows
-            jacobian = param_filter.finite_difference(
-                stacked, model.measure(states, stacked, u=u))
-        est.params = param_filter.step(est.params, est.state.estimate, y_t,
-                                       model, est.param_config, est.rng,
-                                       x_prev=x_prev, u=u, jacobian=jacobian)
-    except DualPFError as exc:
-        raise type(exc)(f"parameter filter, step {t}: {exc}") from exc
+        raise type(exc)(f"{phase}, step {t}: {exc}") from exc
     est.t = t
     est.history.append(HistoryRow(
         t=est.t,

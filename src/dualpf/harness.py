@@ -8,6 +8,7 @@ is returned; nothing here writes a file.
 """
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -18,7 +19,7 @@ from . import baselines, diagnosis, dual, gas_turbine, synthetic
 from .diagnosis import CATEGORIES, ConfusionMatrix
 from .errors import CalibrationError, ConfigError, DualPFError
 from .model import COMPONENTS, Fault, ModelSpec, health_trajectory, simulate
-from .param_filter import COV_MODES, PREDICTORS, ParamFilterConfig
+from .param_filter import ParamFilterConfig, check_settings
 from .smc import as_rng
 from .state_filter import StateFilterConfig
 
@@ -56,36 +57,34 @@ class RunConfig:
     seed: int = 0
     scenario: str | Fault = "healthy"  # or a gas_turbine.SCENARIOS name
     shrinkage: float = RUN_DEFAULTS["shrinkage"]
-    step_size: float | None = None  # default depends on estimator
-    predictor: str | None = None    # default depends on model
+    step_size: float | None = None  # None: the estimator's default
+    predictor: str | None = None    # None: the model's default
     cov_mode: str = "initial"
     theta0_std: float = 0.05
     x0_std: float = 0.5
     persistence: int = RUN_DEFAULTS["persistence"]
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
-        if self.n_particles < 2:
-            raise ConfigError("n_particles must be >= 2")
+        for key, low in (("n_particles", 2), ("duration", 1), ("seed", 0),
+                         ("persistence", 1)):
+            val = getattr(self, key)
+            if not isinstance(val, numbers.Integral) or isinstance(val, bool):
+                raise ConfigError(f"{key} must be an integer, got {val!r}")
+            if val < low:
+                raise ConfigError(f"{key} must be >= {low}")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.step_size is not None and not self.step_size > 0.0:
-            raise ConfigError("step_size must be positive")
-        if not 0.0 < self.shrinkage <= 1.0:
-            raise ConfigError("shrinkage must be in (0, 1]")
-        if self.persistence < 1:
-            raise ConfigError("persistence must be >= 1")
+        if self.step_size is None:
+            self.step_size = RUN_DEFAULTS["step_size_rml" if self.estimator
+                                          == "rml" else "step_size_pe"]
         if self.predictor is None:
-            # The scalar model measures y = x, so under "output" the
-            # Jacobian is 0 and theta is unidentifiable.
-            self.predictor = "one_step" if self.model == "scalar" else "output"
-        if self.predictor not in PREDICTORS:
-            raise ConfigError(f"unknown predictor {self.predictor!r}")
-        if self.cov_mode not in COV_MODES:
-            raise ConfigError(f"unknown cov_mode {self.cov_mode!r}")
+            # Only the mixed model's outputs carry all of theta: "output"
+            # leaves the scalar theta and the engine's m_c, m_t unseen.
+            self.predictor = "output" if self.model == "mixed" else "one_step"
+        check_settings(self.shrinkage, self.step_size, self.predictor,
+                       self.cov_mode)
 
 
 def build_model(config: RunConfig) -> tuple[ModelSpec, np.ndarray]:
@@ -161,16 +160,12 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
     n = config.n_particles
     T = ys.shape[0]
     t_start = time.perf_counter()
-    step_size = config.step_size
-    if step_size is None:
-        step_size = RUN_DEFAULTS["step_size_rml" if config.estimator == "rml"
-                                 else "step_size_pe"]
 
     if config.estimator == "dual":
         pc = ParamFilterConfig(
-            n_particles=n, shrinkage=config.shrinkage, step_size=step_size,
-            evolution_cov=theta0_cov.copy(), predictor=config.predictor,
-            cov_mode=config.cov_mode)
+            n_particles=n, shrinkage=config.shrinkage,
+            step_size=config.step_size, evolution_cov=theta0_cov.copy(),
+            predictor=config.predictor, cov_mode=config.cov_mode)
         st = dual.init(model, x0_mean, x0_cov, theta0, theta0_cov,
                        StateFilterConfig(n), pc, rng)
         module, name, args = dual, "step", ()
@@ -181,7 +176,8 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
         args = (model, config.shrinkage, rng)
     else:
         st = baselines.init_rml(model, x0_mean, x0_cov, theta0, n, rng)
-        module, name, args = baselines, "rml_spsa_step", (model, step_size, rng)
+        module, name = baselines, "rml_spsa_step"
+        args = (model, config.step_size, rng)
 
     theta_hat = np.empty((T, model.n_theta))
     x_hat = np.empty((T, model.n_x))
@@ -248,6 +244,8 @@ def seeded_runs(config: RunConfig, scenarios: list, base_seed: int,
     DualPFError.  run_scenario is looked up on this module at every call,
     so a wrapper installed there sees every run.
     """
+    if base_seed < 0:
+        raise ConfigError("base_seed must be >= 0")
     seeds = np.random.SeedSequence(base_seed).spawn(len(scenarios))
     runs, failures = [], []
     for i, (scenario, ss) in enumerate(zip(scenarios, seeds)):
@@ -306,6 +304,8 @@ def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
 def campaign_design(n_per_category: int = 7,
                     start_step: int = 120) -> list[Fault]:
     """Mixed-fault design: n healthy runs plus n per fault component."""
+    if n_per_category < 1:
+        raise ConfigError("n_per_category must be >= 1")
     design = [Fault() for _ in range(n_per_category)]
     for j in range(len(COMPONENTS)):
         for i in range(n_per_category):

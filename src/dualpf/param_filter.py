@@ -4,7 +4,10 @@ Each particle takes a gradient-flavored step scaled by an adaptive gain
 built from the output prediction error, is shrunk toward the ensemble
 mean, perturbed with kernel-smoothing noise whose covariance
 preserves the ensemble variance, projected into the admissible box, then
-reweighted by the output likelihood and residual-resampled.
+reweighted by the output likelihood and residual-resampled.  Outputs are
+predicted from one anchor state x, which the caller picks: this step's
+state estimate under the "output" predictor, the previous one under
+"one_step".
 """
 from __future__ import annotations
 
@@ -31,6 +34,19 @@ PREDICTORS = ("output", "one_step")
 COV_MODES = ("running", "initial")
 
 
+def check_settings(shrinkage: float, step_size: float, predictor: str,
+                   cov_mode: str) -> None:
+    """Raise ConfigError for a parameter-filter setting outside its range."""
+    if not 0.0 < shrinkage <= 1.0:
+        raise ConfigError("shrinkage must be in (0, 1]")
+    if not step_size > 0.0:
+        raise ConfigError("step_size must be positive")
+    if predictor not in PREDICTORS:
+        raise ConfigError(f"unknown predictor {predictor!r}")
+    if cov_mode not in COV_MODES:
+        raise ConfigError(f"unknown cov_mode {cov_mode!r}")
+
+
 @dataclass
 class ParamFilterConfig:
     n_particles: int = 50
@@ -41,19 +57,13 @@ class ParamFilterConfig:
     predictor: str = "output"               # one of PREDICTORS
 
     def __post_init__(self):
-        if not 0.0 < self.shrinkage <= 1.0:
-            raise ConfigError("shrinkage must be in (0, 1]")
-        if not self.step_size > 0.0:
-            raise ConfigError("step_size must be positive")
-        if self.cov_mode not in COV_MODES:
-            raise ConfigError(f"unknown cov_mode {self.cov_mode!r}")
+        check_settings(self.shrinkage, self.step_size, self.predictor,
+                       self.cov_mode)
         if self.evolution_cov is not None:
             self.evolution_cov = np.atleast_2d(
                 np.asarray(self.evolution_cov, dtype=float))
         elif self.cov_mode == "initial":
             raise ConfigError('cov_mode "initial" needs an evolution_cov')
-        if self.predictor not in PREDICTORS:
-            raise ConfigError(f"unknown predictor {self.predictor!r}")
 
 
 @dataclass
@@ -70,26 +80,20 @@ def init_param_filter(mean: np.ndarray, cov: np.ndarray, domain: ParamDomain,
                             estimate=particles.mean(axis=0))
 
 
-def predicted_outputs(thetas: np.ndarray, x_hat: np.ndarray, model: ModelSpec,
-                      predictor: str, x_prev: np.ndarray | None,
-                      u) -> np.ndarray:
-    """Per-particle output prediction.
+def predicted_outputs(thetas: np.ndarray, x: np.ndarray, model: ModelSpec,
+                      predictor: str, u) -> np.ndarray:
+    """Per-particle output prediction from the anchor state x.
 
-    "output" evaluates the measurement map at the current state estimate.
-    "one_step" pushes the previous state estimate through the noise-free
-    transition at the candidate parameter first, so models whose
-    measurement map does not carry the parameter still expose it.
+    "output" evaluates the measurement map at x.  "one_step" first pushes x
+    through the noise-free transition at each candidate parameter, so models
+    whose measurement map does not carry the parameter still expose it.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    states = np.broadcast_to(x, (thetas.shape[0], model.n_x))
     if predictor == "one_step":
-        if x_prev is None:
-            raise ConfigError("one_step predictor needs the previous state estimate")
-        base = np.broadcast_to(x_prev, (thetas.shape[0], model.n_x))
         states = np.atleast_2d(
-            model.step_state(base, thetas, np.zeros(model.n_x), u=u))
-        return np.atleast_2d(model.measure(states, thetas, u=u))
-    base = np.broadcast_to(x_hat, (thetas.shape[0], model.n_x))
-    return np.atleast_2d(model.measure(base, thetas, u=u))
+            model.step_state(states, thetas, np.zeros(model.n_x), u=u))
+    return np.atleast_2d(model.measure(states, thetas, u=u))
 
 
 def updating_gain(eps: np.ndarray) -> np.ndarray:
@@ -135,16 +139,15 @@ def finite_difference(stacked: np.ndarray, y: np.ndarray
     return y[0], np.ascontiguousarray(deriv.transpose(1, 0, 2))
 
 
-def output_jacobian(x_hat: np.ndarray, thetas: np.ndarray, model: ModelSpec,
-                    predictor: str, x_prev: np.ndarray | None, u
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def output_jacobian(x: np.ndarray, thetas: np.ndarray, model: ModelSpec,
+                    predictor: str, u) -> tuple[np.ndarray, np.ndarray]:
     """Predicted outputs (N, n_y) and dyhat/dtheta (N, n_theta, n_y).
 
     Central finite differences with a one-sided fallback at the domain
     boundary; the whole `perturbation_stack` is predicted in one call.
     """
     stacked = perturbation_stack(thetas, model.param_domain)
-    y = predicted_outputs(stacked, x_hat, model, predictor, x_prev, u)
+    y = predicted_outputs(stacked, x, model, predictor, u)
     return finite_difference(stacked, y)
 
 
@@ -206,9 +209,8 @@ def kernel_shrink(centers: np.ndarray, target: np.ndarray, cov: np.ndarray,
     return project_step(shrunk, zeta, domain)
 
 
-def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
-           model: ModelSpec, config: ParamFilterConfig, seed,
-           x_prev: np.ndarray | None = None, u=None,
+def evolve(state: ParamFilterState, x: np.ndarray, y: np.ndarray,
+           model: ModelSpec, config: ParamFilterConfig, seed, u=None,
            force_zero_error: bool = False,
            jacobian: tuple[np.ndarray, np.ndarray] | None = None
            ) -> np.ndarray:
@@ -226,8 +228,7 @@ def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
         m = thetas
     else:
         if jacobian is None:
-            jacobian = output_jacobian(x_hat, thetas, model, config.predictor,
-                                       x_prev, u)
+            jacobian = output_jacobian(x, thetas, model, config.predictor, u)
         yhat, psi = jacobian
         eps = np.asarray(y, dtype=float) - yhat
         gain = updating_gain(eps)
@@ -240,12 +241,12 @@ def evolve(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
                          domain, rng)
 
 
-def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
+def update(theta_tilde: np.ndarray, x: np.ndarray, y: np.ndarray,
            model: ModelSpec, config: ParamFilterConfig, seed,
-           x_prev: np.ndarray | None = None, u=None) -> ParamFilterState:
+           u=None) -> ParamFilterState:
     """Likelihood reweighting and residual resampling of the intermediates."""
     rng = as_rng(seed)
-    yhat = predicted_outputs(theta_tilde, x_hat, model, config.predictor, x_prev, u)
+    yhat = predicted_outputs(theta_tilde, x, model, config.predictor, u)
     weights = likelihood_weights(np.asarray(y, dtype=float) - yhat,
                                  model.measurement_noise_cov)
     ensemble = ParticleEnsemble(theta_tilde, weights)
@@ -260,13 +261,11 @@ def update(theta_tilde: np.ndarray, x_hat: np.ndarray, y: np.ndarray,
     )
 
 
-def step(state: ParamFilterState, x_hat: np.ndarray, y: np.ndarray,
-         model: ModelSpec, config: ParamFilterConfig, seed,
-         x_prev: np.ndarray | None = None, u=None,
+def step(state: ParamFilterState, x: np.ndarray, y: np.ndarray,
+         model: ModelSpec, config: ParamFilterConfig, seed, u=None,
          jacobian: tuple[np.ndarray, np.ndarray] | None = None
          ) -> ParamFilterState:
     """One full parameter-filter cycle; `jacobian` as in `evolve`."""
     rng = as_rng(seed)
-    tilde = evolve(state, x_hat, y, model, config, rng, x_prev=x_prev, u=u,
-                   jacobian=jacobian)
-    return update(tilde, x_hat, y, model, config, rng, x_prev=x_prev, u=u)
+    tilde = evolve(state, x, y, model, config, rng, u=u, jacobian=jacobian)
+    return update(tilde, x, y, model, config, rng, u=u)

@@ -128,6 +128,17 @@ class TestEstimate:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["config"]["predictor"] == predictor
 
+    @pytest.mark.parametrize("estimator, step_size", [
+        ("dual", harness.RUN_DEFAULTS["step_size_pe"]),
+        ("rml", harness.RUN_DEFAULTS["step_size_rml"])])
+    def test_resolved_step_size_in_report(self, tmp_path, estimator,
+                                          step_size):
+        rc = main(["estimate", *FAST, "--estimator", estimator,
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["step_size"] == step_size
+
 
 class TestCalibrateAndDiagnose:
     def test_calibrate_writes_band(self, tmp_path):
@@ -258,6 +269,53 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "predictor" in err["message"]
+
+    @pytest.mark.parametrize("flags, text", [
+        (["--seed", "-1"], ""), ([], "seed: -1\n"),
+        ([], "n_particles: 10.5\n"), ([], "duration: 40.5\n"),
+        ([], "duration: true\n"), ([], "persistence: 2.5\n")],
+        ids=["seed-flag", "seed-yaml", "n_particles", "duration",
+             "duration-bool", "persistence"])
+    def test_bad_run_setting_exits_2_before_any_run(
+            self, tmp_path, monkeypatch, capsys, flags, text):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run_scenario", no_runs)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        rc = main(["estimate", "--model", "mixed", "--config", str(cfg),
+                   *flags, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "campaign"])
+    def test_negative_base_seed_exits_2_before_any_run(
+            self, tmp_path, monkeypatch, capsys, command):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run_scenario", no_runs)
+        rc = main([command, *FAST, "--base-seed", "-1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "base_seed" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_empty_campaign_design_exits_2_before_calibration(
+            self, tmp_path, monkeypatch, capsys, n):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a calibration run started")
+        monkeypatch.setattr(harness, "seeded_runs", no_runs)
+        rc = main(["campaign", *FAST, "--runs-per-category", n,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "n_per_category" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ["- a\n", "just a string\n",
                                       "model: [mixed\n"],

@@ -188,9 +188,8 @@ class TestSharedTransition:
             x_prev = ref.state.estimate
             ref.state = state_filter.step(ref.state, ref.params.estimate,
                                           ys[t], model, ref.rng, u=u_t)
-            ref.params = param_filter.step(ref.params, ref.state.estimate,
-                                           ys[t], model, ref.param_config,
-                                           ref.rng, x_prev=x_prev, u=u_t)
+            ref.params = param_filter.step(ref.params, x_prev, ys[t], model,
+                                           ref.param_config, ref.rng, u=u_t)
             assert est.state.particles.tobytes() == \
                 ref.state.particles.tobytes()
             assert est.params.particles.tobytes() == \

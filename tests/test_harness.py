@@ -27,7 +27,7 @@ from dualpf.harness import (
     simulate_truth,
     theta_trajectory,
 )
-from dualpf.param_filter import ParamFilterConfig
+from dualpf.param_filter import ParamFilterConfig, output_jacobian
 from dualpf.state_filter import StateFilterConfig
 
 SMALL_MIXED = dict(model="mixed", estimator="dual", n_particles=10,
@@ -70,11 +70,48 @@ class TestRunConfig:
     def test_predictor_default_depends_on_model(self):
         assert RunConfig(model="scalar").predictor == "one_step"
         assert RunConfig(model="mixed").predictor == "output"
-        assert RunConfig(model="gas_turbine").predictor == "output"
+        assert RunConfig(model="gas_turbine").predictor == "one_step"
         assert RunConfig(model="scalar", predictor="output").predictor == \
             "output"
         assert RunConfig(model="mixed", predictor="one_step").predictor == \
             "one_step"
+
+    @pytest.mark.parametrize("model", ["scalar", "mixed", "gas_turbine"])
+    def test_default_predictor_sees_every_parameter(self, model):
+        # No row of dyhat/dtheta at the nominal state is all zero under the
+        # model's default predictor; where that default is one_step, the
+        # output predictor would leave some row at exactly 0.
+        cfg = RunConfig(model=model, duration=1)
+        spec, x0 = build_model(cfg)
+        theta0 = theta_trajectory(cfg, spec)[:1]
+        u = harness.fuel_trajectory(cfg)
+        u = None if u is None else u[0]
+
+        def zero_rows(predictor):
+            _, jac = output_jacobian(x0, theta0, spec, predictor, u)
+            return np.flatnonzero(np.all(jac[0] == 0.0, axis=1)).tolist()
+
+        assert zero_rows(cfg.predictor) == []
+        if cfg.predictor == "one_step":
+            assert zero_rows("output") == {"scalar": [0],
+                                           "gas_turbine": [1, 3]}[model]
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_particles", 10.5), ("n_particles", True), ("duration", 40.5),
+        ("duration", True), ("seed", 1.0), ("seed", -1),
+        ("persistence", 2.5)])
+    def test_non_integer_or_negative_count_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("estimator, step_size", [
+        ("dual", RUN_DEFAULTS["step_size_pe"]),
+        ("bayesian", RUN_DEFAULTS["step_size_pe"]),
+        ("rml", RUN_DEFAULTS["step_size_rml"])])
+    def test_step_size_default_depends_on_estimator(self, estimator,
+                                                    step_size):
+        assert RunConfig(estimator=estimator).step_size == step_size
+        assert RunConfig(estimator=estimator, step_size=0.2).step_size == 0.2
 
     def test_fault_start_step(self):
         assert fault_start_step(RunConfig(scenario="healthy")) is None
@@ -171,7 +208,8 @@ class TestRunScenario:
         # bound 1.2, where a shrinkage point can round one ulp past it; the
         # run must still complete with every particle admissible.
         cfg = RunConfig(model="gas_turbine", estimator="dual", duration=600,
-                        seed=1, scenario="scenario_I_concurrent")
+                        seed=1, scenario="scenario_I_concurrent",
+                        predictor="output")
         th = run_scenario(cfg)["theta_hat"]
         assert th.shape == (600, 4)
         # theta_hat is the ensemble mean, which may round an ulp past 1.2.
@@ -333,6 +371,11 @@ class TestSeededRuns:
         assert seen[3:] == design
         assert len(out["labels"]) == 2
 
+    def test_negative_base_seed_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_scenario", None)
+        with pytest.raises(ConfigError, match="base_seed"):
+            seeded_runs(RunConfig(**SMALL_MIXED), ["healthy"], base_seed=-1)
+
     def test_zero_calibration_runs_rejected(self):
         with pytest.raises(ConfigError, match="n_runs"):
             calibrate_band(RunConfig(**SMALL_MIXED), 0, 0)
@@ -421,6 +464,11 @@ class TestCampaigns:
         for j in range(4):
             assert sum(f.component == j for f in design) == 7
         assert all(f.magnitude > 0 for f in design if f.component is not None)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_design_rejected(self, n):
+        with pytest.raises(ConfigError, match="n_per_category"):
+            campaign_design(n_per_category=n)
 
     def test_confusion_bookkeeping(self):
         base = RunConfig(model="mixed", estimator="dual", n_particles=8,

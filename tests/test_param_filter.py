@@ -91,19 +91,19 @@ class TestPredictionError:
     def test_linear(self):
         m = _scaling_model()
         yhat, _ = output_jacobian(np.array([1.0]), np.array([[1.0]]), m,
-                                  "output", None, None)
+                                  "output", None)
         assert 2.0 - yhat[0] == pytest.approx([1.0])
 
     def test_exact_prediction(self):
         m = _scaling_model()
         yhat, _ = output_jacobian(np.array([2.0]), np.array([[1.0]]), m,
-                                  "output", None, None)
+                                  "output", None)
         assert 2.0 - yhat[0] == pytest.approx([0.0])
 
     def test_quadratic(self):
         m = _scaling_model(power=2)
         yhat, _ = output_jacobian(np.array([2.0]), np.array([[1.5]]), m,
-                                  "output", None, None)
+                                  "output", None)
         assert 5.0 - yhat[0] == pytest.approx([0.5])
 
     def test_one_step_predictor_exposes_dynamics_parameter(self):
@@ -120,12 +120,9 @@ class TestPredictionError:
                       measurement_noise_cov=[[1.0]],
                       param_domain=ParamDomain([0.0], [2.0]))
         thetas = np.array([[0.5], [1.5]])
-        yhat = predicted_outputs(thetas, np.array([9.0]), m, "one_step",
-                                 np.array([2.0]), None)
+        yhat = predicted_outputs(thetas, np.array([2.0]), m, "one_step",
+                                 None)
         assert np.allclose(yhat, [[1.0], [3.0]])
-        with pytest.raises(ConfigError):
-            predicted_outputs(thetas, np.array([9.0]), m, "one_step", None,
-                              None)
 
 
 class TestUpdatingGain:
@@ -153,13 +150,13 @@ class TestOutputJacobian:
     def test_linear_sensitivity(self):
         m = _scaling_model()
         _, jac = output_jacobian(np.array([3.0]), np.array([[1.0]]), m,
-                                 "output", None, None)
+                                 "output", None)
         assert jac[0, 0, 0] == pytest.approx(3.0, abs=1e-6)
 
     def test_quadratic_matches_analytic(self):
         m = _scaling_model(power=2)
         _, jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m,
-                                 "output", None, None)
+                                 "output", None)
         assert jac[0, 0, 0] == pytest.approx(4.0, abs=1e-5)
 
     def test_second_order_accuracy(self):
@@ -168,17 +165,17 @@ class TestOutputJacobian:
         m = _scaling_model(power=3, upper=5.0)
         eta = FD_STEP * 2.0
         _, jac = output_jacobian(np.array([1.0]), np.array([[2.0]]), m,
-                                 "output", None, None)
+                                 "output", None)
         assert abs(jac[0, 0, 0] - 12.0) < 6 * eta / 50
 
     def test_one_sided_at_boundary(self):
         m = _scaling_model(upper=2.0)
         _, jac = output_jacobian(np.array([3.0]), np.array([[2.0]]), m,
-                                 "output", None, None)
+                                 "output", None)
         assert jac[0, 0, 0] == pytest.approx(3.0, abs=1e-4)
 
     @staticmethod
-    def _per_column_reference(x_hat, thetas, model, predictor, x_prev):
+    def _per_column_reference(x, thetas, model, predictor):
         # Two predicted_outputs calls per parameter column.
         n, n_th = thetas.shape
         domain = model.param_domain
@@ -190,10 +187,8 @@ class TestOutputJacobian:
                                   thetas[:, k] + eta, thetas[:, k])
             t_dn[:, k] = np.where(thetas[:, k] - eta >= domain.lower[k],
                                   thetas[:, k] - eta, thetas[:, k])
-            y_up = predicted_outputs(t_up, x_hat, model, predictor, x_prev,
-                                     None)
-            y_dn = predicted_outputs(t_dn, x_hat, model, predictor, x_prev,
-                                     None)
+            y_up = predicted_outputs(t_up, x, model, predictor, None)
+            y_dn = predicted_outputs(t_dn, x, model, predictor, None)
             span = (t_up[:, k] - t_dn[:, k])[:, None]
             jac[:, k, :] = (y_up - y_dn) / span
         return jac
@@ -208,16 +203,13 @@ class TestOutputJacobian:
         else:
             model = engine_model(nominal_constants()[0])
             x_prev = NOMINAL_STATE * 1.001
-        x_hat = 1.01 * x_prev
+        x = x_prev if predictor == "one_step" else 1.01 * x_prev
         thetas = as_rng(4).uniform(0.7, 1.1, (20, model.n_theta))
         thetas[0, 1] = model.param_domain.upper[1]
         thetas[1, 2] = model.param_domain.lower[2]
-        yhat, got = output_jacobian(x_hat, thetas, model, predictor, x_prev,
-                                    None)
-        want_yhat = predicted_outputs(thetas, x_hat, model, predictor, x_prev,
-                                      None)
-        ref = self._per_column_reference(x_hat, thetas, model, predictor,
-                                         x_prev)
+        yhat, got = output_jacobian(x, thetas, model, predictor, None)
+        want_yhat = predicted_outputs(thetas, x, model, predictor, None)
+        ref = self._per_column_reference(x, thetas, model, predictor)
         assert got.shape == (20, model.n_theta, model.n_y)
         if name == "mixed":
             assert yhat.tobytes() == want_yhat.tobytes()
