@@ -11,10 +11,11 @@ Under the "one_step" predictor the anchor is the state estimate of the
 previous step, not this step's, so the two filters' transitions are
 independent and one model call evaluates both: the state filter's N
 particles at the previous parameter estimate and the parameter filter's
-(2 n_theta + 1) N finite-difference rows at the previous state estimate.
-On the gas turbine that makes two implicit solves per dual step instead of
-three, with every estimate bit-identical to running the filters one after
-the other.
+(2 n_theta + 1) K finite-difference rows at the previous state estimate,
+where K is the number of distinct parameter particles (on the gas turbine
+residual resampling collapses the ensemble to about one of N).  That makes
+two implicit solves per engine dual step instead of three, with every
+estimate bit-identical to running the filters one after the other.
 """
 from __future__ import annotations
 
@@ -76,12 +77,13 @@ def _shared_transition(est: DualEstimatorState, u
     the predicted state particles at the previous parameter estimate
     (process noise drawn from est.rng where `state_filter.predict` draws
     it) and the parameter filter's `output_jacobian`, its rows pushed
-    noise-free from the previous state estimate."""
+    noise-free from the previous state estimate, once per distinct
+    parameter particle."""
     model, particles = est.model, est.state.particles
     n = particles.shape[0]
     noise = sample_gaussian(model.process_noise_cov, n, est.rng)
-    stacked = param_filter.perturbation_stack(est.params.particles,
-                                              model.param_domain)
+    distinct, runs = param_filter.distinct_runs(est.params.particles)
+    stacked = param_filter.perturbation_stack(distinct, model.param_domain)
     m = stacked.shape[0]
     rows = np.atleast_2d(model.step_state(
         np.concatenate([particles,
@@ -90,7 +92,7 @@ def _shared_transition(est: DualEstimatorState, u
                                         (n, model.n_theta)), stacked]),
         np.concatenate([noise, np.zeros((m, model.n_x))]), u=u))
     return rows[:n], param_filter.finite_difference(
-        stacked, model.measure(rows[n:], stacked, u=u))
+        stacked, model.measure(rows[n:], stacked, u=u), runs)
 
 
 def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState:

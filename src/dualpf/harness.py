@@ -72,6 +72,12 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an integer, got {val!r}")
             if val < low:
                 raise ConfigError(f"{key} must be >= {low}")
+        for key in ("theta0_std", "x0_std"):
+            val = getattr(self, key)
+            if (not isinstance(val, numbers.Real) or isinstance(val, bool)
+                    or not 0.0 <= val < np.inf):
+                raise ConfigError(f"{key} must be a finite number >= 0, "
+                                  f"got {val!r}")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.model not in MODELS:

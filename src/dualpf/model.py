@@ -12,6 +12,7 @@ has none).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,6 +45,12 @@ class Fault:
     ramp_end_step: int | None = None
 
     def __post_init__(self):
+        for key in ("component", "start_step", "ramp_end_step"):
+            val = getattr(self, key)
+            if val is None and key != "start_step":
+                continue
+            if not isinstance(val, numbers.Integral) or isinstance(val, bool):
+                raise ConfigError(f"fault {key} must be an integer, got {val!r}")
         if not 0.0 <= self.magnitude <= MAX_FAULT_MAGNITUDE:
             raise ConfigError(
                 f"fault magnitude must be in [0, {MAX_FAULT_MAGNITUDE}]")

@@ -104,39 +104,67 @@ def updating_gain(eps: np.ndarray) -> np.ndarray:
     return np.linalg.norm(eps - eps.mean(axis=1, keepdims=True), axis=1)
 
 
-def perturbation_stack(thetas: np.ndarray, domain: ParamDomain) -> np.ndarray:
-    """The particles and their 2 n_theta perturbed copies as one
-    ((2 n_theta + 1) N, n_theta) stack.
+def distinct_runs(thetas: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The first row of each run of bitwise-equal consecutive rows, and the
+    run lengths; (thetas, None) when no row repeats the one before it.
 
-    Block 0 is the particles, block 1 + k has column k moved up and block
-    1 + n_theta + k has it moved down, by FD_STEP relative, or not at all
-    where that would leave the domain (a one-sided difference).
+    Residual resampling keeps a particle's copies next to each other, so
+    after a collapse the ensemble is a few runs.  Bits are compared, not
+    values, so 0.0 and -0.0 stay apart.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    # Each row viewed as one opaque item, so one comparison of adjacent
+    # rows compares them byte for byte.
+    rows = np.ascontiguousarray(thetas).view(
+        np.dtype((np.void, thetas.itemsize * thetas.shape[1])))[:, 0]
+    starts = np.ones(rows.shape[0] + 1, dtype=bool)  # the last one ends a run
+    starts[1:-1] = rows[1:] != rows[:-1]
+    edges = np.flatnonzero(starts)
+    if edges.size > rows.shape[0]:
+        return thetas, None
+    return thetas[edges[:-1]], edges[1:] - edges[:-1]
+
+
+def perturbation_stack(thetas: np.ndarray, domain: ParamDomain) -> np.ndarray:
+    """The K given rows and their 2 n_theta perturbed copies as one
+    ((2 n_theta + 1) K, n_theta) stack; the callers pass the
+    `distinct_runs` of the particles.
+
+    Block 0 is the rows themselves, block 1 + k has column k moved up and
+    block 1 + n_theta + k has it moved down, by FD_STEP relative, or not at
+    all where that would leave the domain (a one-sided difference).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n_th = thetas.shape[1]
     eta = FD_STEP * np.maximum(1.0, np.abs(thetas))
-    up = np.where(thetas + eta <= domain.upper, thetas + eta, thetas)
-    dn = np.where(thetas - eta >= domain.lower, thetas - eta, thetas)
-    stacked = np.tile(thetas, (2 * n_th + 1, 1, 1))
+    up, dn = thetas + eta, thetas - eta
+    stacked = np.empty((2 * n_th + 1, *thetas.shape))
+    stacked[:] = thetas
     cols = np.arange(n_th)
-    stacked[1 + cols, :, cols] = up.T
-    stacked[1 + n_th + cols, :, cols] = dn.T
+    stacked[1 + cols, :, cols] = np.where(up <= domain.upper, up, thetas).T
+    stacked[1 + n_th + cols, :, cols] = np.where(dn >= domain.lower, dn,
+                                                 thetas).T
     return stacked.reshape(-1, n_th)
 
 
-def finite_difference(stacked: np.ndarray, y: np.ndarray
+def finite_difference(stacked: np.ndarray, y: np.ndarray,
+                      runs: np.ndarray | None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted outputs (N, n_y) and dyhat/dtheta (N, n_theta, n_y) from
-    a `perturbation_stack` and its predicted outputs."""
+    a `perturbation_stack` and its predicted outputs; row k of the stack's
+    base block is repeated runs[k] times unless `distinct_runs` gave None."""
     n_th = stacked.shape[1]
     blocks = stacked.reshape(2 * n_th + 1, -1, n_th)
     y = y.reshape(2 * n_th + 1, blocks.shape[1], -1)
-    cols = np.arange(n_th)
-    up, dn = blocks[1 + cols, :, cols], blocks[1 + n_th + cols, :, cols]
-    span = (up - dn)[:, :, None]
+    span = (np.diagonal(blocks[1:n_th + 1], axis1=0, axis2=2)
+            - np.diagonal(blocks[n_th + 1:], axis1=0, axis2=2)).T[:, :, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         deriv = np.where(span > 0, (y[1:n_th + 1] - y[n_th + 1:]) / span, 0.0)
-    return y[0], np.ascontiguousarray(deriv.transpose(1, 0, 2))
+    deriv = deriv.transpose(1, 0, 2)
+    if runs is None:
+        return y[0], np.ascontiguousarray(deriv)
+    return np.repeat(y[0], runs, axis=0), np.repeat(deriv, runs, axis=0)
 
 
 def output_jacobian(x: np.ndarray, thetas: np.ndarray, model: ModelSpec,
@@ -144,11 +172,14 @@ def output_jacobian(x: np.ndarray, thetas: np.ndarray, model: ModelSpec,
     """Predicted outputs (N, n_y) and dyhat/dtheta (N, n_theta, n_y).
 
     Central finite differences with a one-sided fallback at the domain
-    boundary; the whole `perturbation_stack` is predicted in one call.
+    boundary, computed once per `distinct_runs` row: the K distinct rows'
+    `perturbation_stack` is predicted in one call of (2 n_theta + 1) K rows
+    and the result repeated back to N.
     """
-    stacked = perturbation_stack(thetas, model.param_domain)
+    distinct, runs = distinct_runs(thetas)
+    stacked = perturbation_stack(distinct, model.param_domain)
     y = predicted_outputs(stacked, x, model, predictor, u)
-    return finite_difference(stacked, y)
+    return finite_difference(stacked, y, runs)
 
 
 def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,

@@ -273,9 +273,15 @@ class TestErrorHandling:
     @pytest.mark.parametrize("flags, text", [
         (["--seed", "-1"], ""), ([], "seed: -1\n"),
         ([], "n_particles: 10.5\n"), ([], "duration: 40.5\n"),
-        ([], "duration: true\n"), ([], "persistence: 2.5\n")],
+        ([], "duration: true\n"), ([], "persistence: 2.5\n"),
+        ([], "x0_std: -0.5\n"), ([], "theta0_std: .nan\n"),
+        ([], "x0_std: wide\n"),
+        ([], "fault: {component: 0, magnitude: 0.1, start_step: 150.5}\n"),
+        ([], "fault: {component: 1.0, magnitude: 0.1, start_step: 10}\n")],
         ids=["seed-flag", "seed-yaml", "n_particles", "duration",
-             "duration-bool", "persistence"])
+             "duration-bool", "persistence", "x0_std-negative",
+             "theta0_std-nan", "x0_std-string", "fault-start-fractional",
+             "fault-component-float"])
     def test_bad_run_setting_exits_2_before_any_run(
             self, tmp_path, monkeypatch, capsys, flags, text):
         def no_runs(*args, **kwargs):

@@ -207,6 +207,19 @@ class TestSharedTransition:
         dual.step(est, np.array([5.0]))
         assert calls == rows
 
+    def test_shared_call_carries_one_jacobian_per_distinct_particle(self):
+        calls = []
+        model = _recording(synthetic.scalar_growth_model(), calls)
+        est = _estimator(model, np.array([5.0]), np.array([0.8]), 0,
+                         param_kwargs=dict(predictor="one_step"),
+                         n_particles=12)
+        dual.step(est, np.array([5.0]))
+        k = np.unique(est.params.particles, axis=0).shape[0]
+        assert k < 12     # residual resampling left copies
+        calls.clear()
+        dual.step(est, np.array([5.2]))
+        assert calls == [12 + 3 * k, 12]
+
     def test_divergence_message_names_filter_step_and_particle(self):
         # The non-finite check runs on the state filter's rows of the shared
         # call, so the message is the one of the output predictor.

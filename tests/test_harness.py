@@ -45,6 +45,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(model="cartpole")
 
+    @pytest.mark.parametrize("key", ["x0_std", "theta0_std"])
+    @pytest.mark.parametrize("width", [-0.5, True, "0.1", float("nan"),
+                                       float("inf")])
+    def test_bad_prior_width_rejected(self, key, width):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: width})
+
+    def test_zero_prior_width_runs(self):
+        run = run_scenario(RunConfig(model="scalar", n_particles=8,
+                                     duration=20, x0_std=0.0,
+                                     theta0_std=np.float64(0.0)))
+        assert np.all(np.isfinite(run["theta_hat"]))
+
     @pytest.mark.parametrize("persistence", [0, -1])
     def test_persistence_below_one_rejected(self, persistence):
         with pytest.raises(ConfigError, match="persistence"):

@@ -92,6 +92,23 @@ class TestFault:
         with pytest.raises(ConfigError):
             Fault(component=0, **{"magnitude": 0.05, **kwargs})
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(component=0, start_step=150.5), dict(component=1.0),
+        dict(component=True), dict(component=0, start_step=False),
+        dict(component=0, profile="ramp", start_step=3, ramp_end_step=9.5),
+        dict(component="0"),
+    ])
+    def test_non_integer_component_or_step_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="integer"):
+            Fault(**{"magnitude": 0.05, **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        fault = Fault(component=np.int64(1), magnitude=0.05,
+                      start_step=np.int32(2), profile="ramp",
+                      ramp_end_step=np.int64(4))
+        assert np.array_equal(health_trajectory(np.ones(2), (fault,), 5)[:, 1],
+                              [1.0, 1.0, 1.0, 0.975, 0.95])
+
     def test_bounds_accepted(self):
         Fault(component=0, magnitude=0.5, start_step=0)
         Fault(component=0, magnitude=0.0, profile="ramp", start_step=3,

@@ -10,6 +10,7 @@ from dualpf.model import ModelSpec, ParamDomain
 from dualpf.param_filter import (
     FD_STEP,
     ParamFilterConfig,
+    distinct_runs,
     evolve,
     init_param_filter,
     kernel_shrink,
@@ -173,6 +174,46 @@ class TestOutputJacobian:
         _, jac = output_jacobian(np.array([3.0]), np.array([[2.0]]), m,
                                  "output", None)
         assert jac[0, 0, 0] == pytest.approx(3.0, abs=1e-4)
+
+    @pytest.mark.parametrize("name, predictor", [
+        ("mixed", "output"), ("mixed", "one_step"), ("engine", "one_step")])
+    def test_repeated_rows_match_each_row_alone(self, name, predictor):
+        # Resampled copies sit next to each other; each distinct row's
+        # Jacobian is computed once and repeated.
+        if name == "mixed":
+            model, x = mixed_fault_model(), mixed_equilibrium() + 0.02
+        else:
+            model, x = engine_model(nominal_constants()[0]), NOMINAL_STATE
+        rows = as_rng(5).uniform(0.7, 1.1, (4, model.n_theta))
+        rows[1, 2] = model.param_domain.upper[2]   # one-sided difference
+        thetas = np.repeat(rows, [3, 1, 2, 1], axis=0)
+        yhat, jac = output_jacobian(x, thetas, model, predictor, None)
+        assert jac.shape == (7, model.n_theta, model.n_y)
+        for i in range(7):
+            y1, j1 = output_jacobian(x, thetas[i:i + 1], model, predictor,
+                                     None)
+            assert yhat[i].tobytes() == y1[0].tobytes()
+            assert jac[i].tobytes() == j1[0].tobytes()
+
+    def test_distinct_runs(self):
+        thetas = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 3.0], [1.0, 2.0]])
+        distinct, runs = distinct_runs(thetas)
+        assert distinct.tolist() == [[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]]
+        assert runs.tolist() == [2, 1, 1]
+        alone = thetas[1:]
+        assert distinct_runs(alone)[0] is alone
+        assert distinct_runs(alone)[1] is None
+
+    def test_signed_zeros_stay_apart(self):
+        # y = theta x keeps the sign of a zero theta, so merging -0.0 into
+        # 0.0 would change the predicted output's bits.
+        m = _scaling_model(lower=-1.0, upper=1.0)
+        thetas = np.array([[0.0], [-0.0], [-0.0]])
+        distinct, runs = distinct_runs(thetas)
+        assert distinct.tobytes() == thetas[:2].tobytes()
+        assert runs.tolist() == [1, 2]
+        yhat, _ = output_jacobian(np.array([2.0]), thetas, m, "output", None)
+        assert np.signbit(yhat[:, 0]).tolist() == [False, True, True]
 
     @staticmethod
     def _per_column_reference(x, thetas, model, predictor):
