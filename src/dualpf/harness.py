@@ -205,15 +205,22 @@ def fault_start_step(config: RunConfig) -> int | None:
 
 def run_scenario(config: RunConfig,
                  band: diagnosis.ThresholdBand | None = None) -> dict:
-    """Single truth + estimation + diagnosis run."""
+    """Single truth + estimation + diagnosis run.  A run with fewer than 2
+    estimates before its fault onset (or in all) to fit the healthy baseline
+    on raises ConfigError before anything is simulated."""
+    start = fault_start_step(config)
+    window_end = config.duration if start is None else start
+    if window_end < 2:
+        cause = (f"duration {config.duration} is too short" if start is None
+                 else f"fault onset at step {start} is too early")
+        raise ConfigError(f"{cause}: need at least 2 samples to fit a "
+                          f"baseline")
     model, states, ys, thetas, u = simulate_truth(config)
     x0 = states[0]
     result = run_estimator(model, ys, config, config.seed, x0,
                            u_trajectory=u)
     theta_hat = result["theta_hat"]
 
-    start = fault_start_step(config)
-    window_end = start if start is not None else theta_hat.shape[0]
     window = min(diagnosis.CONVERGENCE_WINDOW, window_end)
     baseline = diagnosis.fit_healthy_baseline(theta_hat[:window_end], window)
     residuals = diagnosis.residual(baseline, theta_hat)

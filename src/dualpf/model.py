@@ -107,8 +107,16 @@ class ParamDomain:
         return self.lower.shape[0]
 
     def contains(self, theta: np.ndarray) -> np.ndarray:
+        """Whether each row of theta (..., n_theta) lies in the box; checked
+        column by column, as numpy reduces a short last axis row by row."""
         theta = np.asarray(theta, dtype=float)
-        return np.all((theta >= self.lower) & (theta <= self.upper), axis=-1)
+        col = theta[..., 0]
+        inside = (col >= self.lower[0]) & (col <= self.upper[0])
+        for k in range(1, self.dim):
+            col = theta[..., k]
+            inside &= col >= self.lower[k]
+            inside &= col <= self.upper[k]
+        return inside
 
     def clip(self, theta: np.ndarray) -> np.ndarray:
         return np.clip(theta, self.lower, self.upper)

@@ -19,6 +19,7 @@ from .errors import ConfigError, DualPFError
 from .model import ModelSpec, ParamDomain
 from .smc import (
     ParticleEnsemble,
+    _row_sum,
     as_rng,
     likelihood_weights,
     resample_residual,
@@ -101,7 +102,8 @@ def updating_gain(eps: np.ndarray) -> np.ndarray:
     on its output mean: one gain per particle, which vanishes when every
     output component carries the same error (as in any scalar-output model).
     """
-    return np.linalg.norm(eps - eps.mean(axis=1, keepdims=True), axis=1)
+    centered = eps - (_row_sum(eps) / eps.shape[1])[:, None]
+    return np.sqrt(_row_sum(centered * centered))
 
 
 def distinct_runs(thetas: np.ndarray

@@ -7,6 +7,12 @@ eigendecomposition goes through `_psd_eigh`.  Gaussian sampling and
 likelihoods share one eigen-factor per covariance, kept in a bounded cache
 keyed on its bytes, so a fixed covariance (process, measurement or
 constant evolution noise) is factored once.
+
+At large N every pass runs along long contiguous rows: numpy walks a short
+trailing axis (N, d <= 6) one row at a time, paying its loop overhead N
+times.  So `_row_sum` adds the d columns in numpy's own order, `regularize`
+holds the whitened particles as (d, N), and the kernel-density buffer is
+filled in cache-sized blocks; the bits are those of the one-pass forms.
 """
 from __future__ import annotations
 
@@ -22,6 +28,9 @@ from .errors import ConfigError, CovarianceError, DegenerateWeightsError
 PSD_TOL = 1e-8
 # Max-weight threshold past which the ensemble is flagged as degenerate.
 WEIGHT_COLLAPSE_TOL = 1e-12
+# Kernel evaluations per block of the density buffer: 512 KB of doubles stay
+# in L2 through the elementwise passes.  Every block size gives the same bits.
+DENSITY_BLOCK = 2 ** 16
 
 
 @dataclass
@@ -105,7 +114,11 @@ def resample_residual(ensemble: ParticleEnsemble, seed) -> np.ndarray:
             # All mass allocated deterministically; top up uniformly.
             extra = rng.choice(n, size=remainder)
         else:
-            extra = rng.choice(n, size=remainder, p=resid / resid_sum)
+            # rng.choice(n, size=remainder, p=resid / resid_sum) without its
+            # argument checks: the same uniforms and arithmetic.
+            cdf = (resid / resid_sum).cumsum()
+            cdf /= cdf[-1]
+            extra = cdf.searchsorted(rng.random(remainder), side="right")
         np.add.at(counts, extra, 1)
     return np.repeat(np.arange(n), counts)
 
@@ -169,8 +182,20 @@ def gaussian_loglik(residuals: np.ndarray, cov: np.ndarray) -> np.ndarray:
     _, whiten, logdet = _cov_factor(*_cache_key(cov))
     if whiten is None:
         raise CovarianceError("likelihood covariance is singular")
-    maha = np.sum((residuals @ whiten) ** 2, axis=1)
+    maha = _row_sum((residuals @ whiten) ** 2)
     return -0.5 * (maha + logdet + whiten.shape[0] * np.log(2.0 * np.pi))
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """`np.sum(a, axis=-1)` with the same bits, summed column by column.
+    Below 8 terms numpy's pairwise sum adds in order from +0.0, and so does
+    this; wider rows are left to numpy."""
+    if a.shape[-1] >= 8:
+        return np.sum(a, axis=-1)
+    total = a[..., 0] + 0.0
+    for k in range(1, a.shape[-1]):
+        total += a[..., k]
+    return total
 
 
 def likelihood_weights(residuals: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -201,22 +226,34 @@ def regular_grid(values: np.ndarray,
     grid per set, (..., n_reg), and one spacing per set.
     """
     values = np.asarray(values, dtype=float)
-    s = values.std(axis=-1)
-    lo = values.min(axis=-1) - s
-    hi = values.max(axis=-1) + s
-    dx = (hi - lo) / (n_reg - 1)
+    return _span_grid(values.min(axis=-1), values.max(axis=-1),
+                      values.std(axis=-1), n_reg)
+
+
+def _span_grid(vmin: np.ndarray, vmax: np.ndarray, std: np.ndarray,
+               n_reg: int) -> tuple[np.ndarray, np.ndarray]:
+    """`regular_grid` from each set's min, max and std."""
+    lo = vmin - std
+    dx = (vmax + std - lo) / (n_reg - 1)
     return lo[..., None] + dx[..., None] * np.arange(n_reg), dx
 
 
 def _kernel_density_1d(grid: np.ndarray, centers: np.ndarray,
                        weights: np.ndarray, b: float) -> np.ndarray:
-    # In-place buffer reuse: this is the hot loop of the regularized filter.
-    u = grid[:, None] - centers[None, :]
-    u *= 1.0 / b
-    np.multiply(u, u, out=u)
-    u *= -0.5
-    np.exp(u, out=u)
-    u *= 1.0 / np.sqrt(2.0 * np.pi)
+    """Weighted Gaussian-kernel density of `centers` at each grid point.
+    Each block of the (n_reg, N) buffer takes all its elementwise passes
+    while in cache; one matrix-vector product weighs the whole buffer."""
+    n = centers.shape[0]
+    u = np.empty((grid.shape[0], n))
+    rows = max(DENSITY_BLOCK // n, 1)
+    for start in range(0, grid.shape[0], rows):
+        block = u[start:start + rows]
+        np.subtract(grid[start:start + rows, None], centers, out=block)
+        block *= 1.0 / b
+        np.multiply(block, block, out=block)
+        block *= -0.5
+        np.exp(block, out=block)
+        block *= 1.0 / np.sqrt(2.0 * np.pi)
     return (u @ weights) / b
 
 
@@ -233,8 +270,8 @@ def regularize(ensemble: ParticleEnsemble, cov: np.ndarray,
     reported in `passthrough_dims`.  A `cov` that is not symmetric positive
     semidefinite raises CovarianceError.
 
-    All dimensions are whitened, classified and gridded in one pass; only
-    the kernel density is evaluated one dimension at a time.  A smoothed
+    The whitened particles are held as (d, N) rows, each row's min, max and
+    std are taken once, and the draws are written row by row.  A smoothed
     dimension takes its grid cells (by inverse CDF) and the offsets within
     them from one `rng.random((2, N))` call: the same uniforms, order and
     arithmetic as `rng.choice(n_reg, p=density)` followed by
@@ -246,33 +283,34 @@ def regularize(ensemble: ParticleEnsemble, cov: np.ndarray,
     vals, vecs = _psd_eigh(cov)
     live = vals > max(vals.max(initial=0.0), 1.0) * 1e-14
     scale = np.sqrt(np.where(live, vals, 1.0))
-    zt = ((ensemble.particles @ vecs) / scale).T.copy()  # (d, N), whitened
+    zt = (ensemble.particles @ vecs).T.copy()  # (d, N)
+    zt /= scale[:, None]                       # whitened
 
+    lo, hi, std = zt.min(axis=1), zt.max(axis=1), zt.std(axis=1)
+    flat = hi - lo == 0.0
+    smooth = live & ~flat & (std != 0.0)
+    grids, dx = _span_grid(lo, hi, std, config.n_reg)
     b = optimal_bandwidth(n, d)
-    flat = np.ptp(zt, axis=1) == 0.0
-    spread = np.flatnonzero(live & ~flat & (zt.std(axis=1) != 0.0)).tolist()
-    grids, dx = regular_grid(zt[spread], config.n_reg)
-    smoothed = {}  # dimension -> (grid, cdf, half cell width)
-    for j, grid, step in zip(spread, grids, dx):
-        dens = _kernel_density_1d(grid, zt[j], w, b)
-        total = dens.sum()
-        if total <= 0.0:
-            continue
-        cdf = np.cumsum(dens / total)
-        cdf /= cdf[-1]
-        smoothed[j] = grid, cdf, 0.5 * step
-
-    out = np.empty((n, d))
+    out = np.empty((d, n))
+    passthrough = []
     for j in range(d):
         if flat[j]:
-            out[:, j] = zt[j, 0]
-        elif j in smoothed:
-            grid, cdf, half = smoothed[j]
-            cell, offset = rng.random((2, n))
-            out[:, j] = (grid[cdf.searchsorted(cell, side="right")]
-                         + (-half + (half - -half) * offset))
-        else:
-            out[:, j] = rng.choice(zt[j], size=n, p=w)
+            out[j] = zt[j, 0]
+            passthrough.append(j)
+            continue
+        if smooth[j]:
+            dens = _kernel_density_1d(grids[j], zt[j], w, b)
+            total = dens.sum()
+            if total > 0.0:
+                cdf = np.cumsum(dens / total)
+                cdf /= cdf[-1]
+                half = 0.5 * dx[j]
+                cell, offset = rng.random((2, n))
+                out[j] = (grids[j][cdf.searchsorted(cell, side="right")]
+                          + (-half + (half - -half) * offset))
+                continue
+        out[j] = rng.choice(zt[j], size=n, p=w)
+        passthrough.append(j)
 
-    passthrough = tuple(j for j in range(d) if j not in smoothed)
-    return RegularizeResult((out * scale) @ vecs.T, passthrough)
+    out *= scale[:, None]
+    return RegularizeResult(out.T @ vecs.T, tuple(passthrough))

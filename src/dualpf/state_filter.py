@@ -64,8 +64,8 @@ def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
                                 as_rng(seed))
         predicted = model.step_state(particles, theta_hat, noise, u=u)
     predicted = np.atleast_2d(predicted)
-    bad = ~np.all(np.isfinite(predicted), axis=1)
-    if np.any(bad):
+    if not np.isfinite(predicted).all():
+        bad = ~np.isfinite(predicted).all(axis=1)
         raise FilterDivergenceError(
             f"non-finite particle at index {np.flatnonzero(bad)[0]}")
     outputs = np.atleast_2d(model.measure(predicted, theta_hat, u=u))

@@ -295,6 +295,25 @@ class TestErrorHandling:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", [
+        "duration: 1\n",
+        "fault: {component: 0, magnitude: 0.1, start_step: 1}\n"],
+        ids=["duration-1", "onset-step-1"])
+    def test_run_too_short_for_a_baseline_exits_2_before_simulating(
+            self, tmp_path, monkeypatch, capsys, text):
+        def no_truth(*args, **kwargs):
+            raise AssertionError("the truth was simulated")
+        monkeypatch.setattr(harness, "simulate_truth", no_truth)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        rc = main(["estimate", "--model", "mixed", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "at least 2 samples" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["calibrate", "campaign"])
     def test_negative_base_seed_exits_2_before_any_run(
             self, tmp_path, monkeypatch, capsys, command):

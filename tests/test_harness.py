@@ -305,11 +305,26 @@ class TestEstimatorLoop:
 
 
 class TestHealthyBaselineWindow:
+    @staticmethod
+    def _no_estimator(monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the estimator ran")
+        monkeypatch.setattr(harness, "run_estimator", no_run)
+
     @pytest.mark.parametrize("start", [0, 1])
-    def test_fault_before_two_estimates_raises(self, start):
+    def test_fault_before_two_estimates_raises(self, monkeypatch, start):
+        self._no_estimator(monkeypatch)
         cfg = RunConfig(model="mixed", n_particles=8, duration=20,
                         scenario=SyntheticFault(0, 0.1, start))
-        with pytest.raises(ConfigError, match="at least 2 samples"):
+        with pytest.raises(ConfigError, match=f"fault onset at step {start}"
+                           ".*at least 2 samples"):
+            run_scenario(cfg)
+
+    def test_one_step_run_raises_before_the_estimator(self, monkeypatch):
+        self._no_estimator(monkeypatch)
+        cfg = RunConfig(model="mixed", n_particles=8, duration=1)
+        with pytest.raises(ConfigError,
+                           match="duration 1 .*at least 2 samples"):
             run_scenario(cfg)
 
     def test_campaign_lists_the_run_as_failed(self):

@@ -42,6 +42,20 @@ class TestParamDomain:
         flags = d.contains(np.array([[0.5], [2.0]]))
         assert flags.tolist() == [True, False]
 
+    @pytest.mark.parametrize("shape", [(3,), (50, 3), (7, 50, 3)])
+    def test_contains_matches_the_all_reduction(self, shape):
+        d = ParamDomain([0.0, -1.0, 0.5], [1.0, 1.0, 2.0])
+        rng = np.random.default_rng(len(shape))
+        theta = rng.uniform(-1.5, 2.5, size=shape)
+        flat = theta.reshape(-1, 3)
+        flat[::4] = np.clip(flat[::4], d.lower, d.upper)   # inside rows
+        flat[1::9, 1] = np.nan
+        flat[2::11] = [1.0, -1.0, 2.0]                     # on the bounds
+        want = np.all((theta >= d.lower) & (theta <= d.upper), axis=-1)
+        got = d.contains(theta)
+        assert np.shape(got) == want.shape
+        assert np.asarray(got).tolist() == want.tolist()
+
     def test_invalid_bounds(self):
         with pytest.raises(ConfigError):
             ParamDomain([1.0], [1.0])

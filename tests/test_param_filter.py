@@ -146,6 +146,14 @@ class TestUpdatingGain:
         r = updating_gain(np.array([[1.0, -1.0], [2.0, 2.0]]))
         assert np.allclose(r, [np.sqrt(2), 0.0])
 
+    @pytest.mark.parametrize("n_y", [1, 2, 5, 9])
+    def test_matches_numpy_norm_bit_for_bit(self, n_y):
+        rng = np.random.default_rng(n_y)
+        eps = rng.standard_normal((500, n_y)) * 10.0 ** rng.uniform(
+            -3, 3, (500, 1))
+        want = np.linalg.norm(eps - eps.mean(axis=1, keepdims=True), axis=1)
+        assert updating_gain(eps).tobytes() == want.tobytes()
+
 
 class TestOutputJacobian:
     def test_linear_sensitivity(self):

@@ -88,6 +88,22 @@ class TestResidualResampling:
                  for s in range(200)]
         assert np.mean(first) == pytest.approx(3.0, abs=0.05)
 
+    @pytest.mark.parametrize("n, seed", [(5, 0), (41, 1), (5000, 2),
+                                         (5000, 3)])
+    def test_remainder_draw_matches_generator_choice(self, n, seed):
+        w = as_rng(seed).random(n) ** 4
+        ens = ParticleEnsemble(np.zeros((n, 1)), w / w.sum())
+        rng_got, rng_ref = as_rng(seed + 10), as_rng(seed + 10)
+        got = resample_residual(ens, rng_got)
+        floors = np.floor(n * ens.weights).astype(int)
+        resid = n * ens.weights - floors
+        extra = rng_ref.choice(n, size=n - int(floors.sum()),
+                               p=resid / resid.sum())
+        np.add.at(floors, extra, 1)
+        assert got.tolist() == np.repeat(np.arange(n), floors).tolist()
+        assert (rng_got.bit_generator.state
+                == rng_ref.bit_generator.state)
+
     def test_lower_count_variance_than_bootstrap(self):
         w = np.array([0.45, 0.3, 0.15, 0.1])
         ens = ParticleEnsemble(np.arange(4.0)[:, None], w)
@@ -128,6 +144,28 @@ class TestSampleCov:
     def test_single_particle_gives_zeros(self):
         assert np.array_equal(sample_cov(np.array([[1.0, -2.0]])),
                               np.zeros((2, 2)))
+
+
+def _row_sum_cases(width):
+    rng = as_rng(width)
+    a = rng.standard_normal((64, width)) * 10.0 ** rng.uniform(-6, 6,
+                                                             (64, width))
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308]
+    for row in range(8, 64):
+        k = rng.integers(0, width, size=rng.integers(1, width + 1))
+        a[row, k] = rng.choice(specials, size=k.size)
+    a[0] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_row_sum_matches_numpy_bit_for_bit(width):
+    a = _row_sum_cases(width)
+    stack = a.reshape(4, 16, width)
+    with np.errstate(invalid="ignore"):   # inf + -inf
+        assert smc._row_sum(a).tobytes() == np.sum(a, axis=-1).tobytes()
+        assert smc._row_sum(stack).tobytes() == \
+            np.sum(stack, axis=-1).tobytes()
 
 
 class TestLikelihoods:
@@ -201,6 +239,33 @@ class TestRegularization:
         res = regularize(ens, np.eye(1), RegularizationConfig(), rng)
         assert abs(res.particles.mean()) < 0.05
 
+
+
+def _one_pass_kernel_density(grid, centers, weights, b):
+    """Reference: the density buffer filled in one pass per operation."""
+    u = grid[:, None] - centers[None, :]
+    u *= 1.0 / b
+    np.multiply(u, u, out=u)
+    u *= -0.5
+    np.exp(u, out=u)
+    u *= 1.0 / np.sqrt(2.0 * np.pi)
+    return (u @ weights) / b
+
+
+@pytest.mark.parametrize("n_reg", [2, 100, 101])
+@pytest.mark.parametrize("n", [41, 655, 656, 5000])
+def test_blocked_kernel_density_matches_one_pass(n, n_reg):
+    # 655 * 100 evaluations fit one block and 656 * 100 do not, so the
+    # block edges fall both inside and outside the grid.
+    rng = as_rng(n + n_reg)
+    centers = rng.standard_normal(n)
+    weights = rng.random(n)
+    weights /= weights.sum()
+    grid, _ = regular_grid(centers, n_reg)
+    b = optimal_bandwidth(n, 2)
+    got = smc._kernel_density_1d(grid, centers, weights, b)
+    assert got.tobytes() == \
+        _one_pass_kernel_density(grid, centers, weights, b).tobytes()
 
 
 def _factor_rebuild_regularize(ensemble, cov, config, seed):

@@ -89,6 +89,16 @@ class TestPredict:
         with pytest.raises(FilterDivergenceError):
             predict(np.ones((4, 1)), THETA, _diverging_model(), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_divergence_message_names_the_first_bad_row(self, bad):
+        model = _linear_model(np.eye(2), np.zeros((2, 2)), np.eye(2))
+        predicted = np.ones((6, 2))
+        predicted[3, 1] = bad
+        predicted[5, 0] = np.nan
+        with pytest.raises(FilterDivergenceError,
+                           match=r"^non-finite particle at index 3$"):
+            predict(np.ones((6, 2)), THETA, model, 0, predicted=predicted)
+
     def test_bayesian_step_shares_the_divergence_check(self):
         model = _diverging_model()
         st = init_bayesian_ks(model, np.ones(1), np.eye(1), THETA,
