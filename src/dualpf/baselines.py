@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import state_filter
-from .errors import BudgetError, ConfigError, GradientUndefinedError
+from .errors import (BudgetError, ConfigError, GradientUndefinedError,
+                     check_int, check_real)
 from .model import ModelSpec
 from .param_filter import draw_prior, kernel_shrink, project_step
 from .smc import (
@@ -175,10 +176,11 @@ class EFCostModel:
     N: int = 1
 
     def __post_init__(self):
-        if min(self.n_x, self.n_theta, self.n_y) < 1:
-            raise ConfigError("dimensions must be positive")
-        if min(self.c1, self.c2, self.c3) <= 0 or self.N < 0:
-            raise ConfigError("cost constants must be positive, N nonnegative")
+        for key, low in (("n_x", 1), ("n_theta", 1), ("n_y", 1), ("N", 0)):
+            check_int(key, getattr(self, key), low)
+        for key in ("c1", "c2", "c3"):
+            if check_real(key, getattr(self, key)) <= 0.0:
+                raise ConfigError(f"{key} must be positive")
 
 
 def _dual_per_particle(d: EFCostModel) -> float:

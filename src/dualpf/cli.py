@@ -20,7 +20,7 @@ import yaml
 
 from . import diagnosis, harness
 from .baselines import EFCostModel, complexity_report
-from .errors import ConfigError, DualPFError
+from .errors import ConfigError, DualPFError, check_real
 from .harness import RUN_DEFAULTS, RunConfig
 from .model import Fault
 from .param_filter import COV_MODES, PREDICTORS
@@ -56,19 +56,18 @@ def _load_config(args) -> tuple[RunConfig, Path]:
 
 def _band_from_file(path, cfg: RunConfig) -> diagnosis.ThresholdBand:
     """The band of a band.json, checked against the configured model: a
-    JSON object whose "lower" and "upper" are lists of n_theta numbers."""
+    JSON object whose "lower" and "upper" lists hold n_theta finite reals."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"{path} is not JSON: {exc}") from exc
-    bounds = [doc.get(key) if isinstance(doc, dict) else None
-              for key in ("lower", "upper")]
-    if not all(isinstance(b, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in b) for b in bounds):
+    keys = ("lower", "upper")
+    if not (isinstance(doc, dict)
+            and all(isinstance(doc.get(key), list) for key in keys)):
         raise ConfigError(f'{path} needs "lower" and "upper" lists of numbers')
-    band = diagnosis.ThresholdBand(*bounds)
+    band = diagnosis.ThresholdBand(
+        *([check_real(f"{path} {key}", v) for v in doc[key]] for key in keys))
     n_theta = harness.build_model(cfg)[0].n_theta
     if band.lower.shape != (n_theta,):
         raise ConfigError(f"{path} holds a {band.lower.size}-component band; "

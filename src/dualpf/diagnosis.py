@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError, UndefinedMetricError, check_int, check_real
 from .model import COMPONENTS
 from .smc import sample_cov
 
@@ -84,7 +84,7 @@ def residual(baseline: HealthyBaseline, theta_hat: np.ndarray) -> np.ndarray:
 
 
 def check_coverage(coverage: float) -> None:
-    if not 0.0 < coverage < 1.0:
+    if not 0.0 < check_real("coverage", coverage) < 1.0:
         raise ConfigError(f"coverage must be in (0, 1), got {coverage}")
 
 
@@ -114,8 +114,7 @@ def decide(residuals: np.ndarray, band: ThresholdBand,
     of that run and the severity is the mean residual over the trailing
     SEVERITY_WINDOW steps after detection.
     """
-    if persistence < 1:
-        raise ConfigError("persistence must be >= 1")
+    check_int("persistence", persistence, 1)
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     t_len, n_th = residuals.shape
     if band.lower.shape != (n_th,):

@@ -8,7 +8,6 @@ is returned; nothing here writes a file.
 """
 from __future__ import annotations
 
-import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -17,7 +16,8 @@ import numpy as np
 
 from . import baselines, diagnosis, dual, gas_turbine, synthetic
 from .diagnosis import CATEGORIES, ConfusionMatrix
-from .errors import CalibrationError, ConfigError, DualPFError
+from .errors import (CalibrationError, ConfigError, DualPFError, check_int,
+                     check_real)
 from .model import COMPONENTS, Fault, ModelSpec, health_trajectory, simulate
 from .param_filter import ParamFilterConfig, check_settings
 from .smc import as_rng
@@ -67,17 +67,12 @@ class RunConfig:
     def __post_init__(self):
         for key, low in (("n_particles", 2), ("duration", 1), ("seed", 0),
                          ("persistence", 1)):
-            val = getattr(self, key)
-            if not isinstance(val, numbers.Integral) or isinstance(val, bool):
-                raise ConfigError(f"{key} must be an integer, got {val!r}")
-            if val < low:
-                raise ConfigError(f"{key} must be >= {low}")
+            check_int(key, getattr(self, key), low)
         for key in ("theta0_std", "x0_std"):
-            val = getattr(self, key)
-            if (not isinstance(val, numbers.Real) or isinstance(val, bool)
-                    or not 0.0 <= val < np.inf):
-                raise ConfigError(f"{key} must be a finite number >= 0, "
-                                  f"got {val!r}")
+            width = check_real(key, getattr(self, key))
+            if width < 0.0 or width * width == np.inf:
+                raise ConfigError(f"{key} must be >= 0 with a finite square, "
+                                  f"got {width!r}")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.model not in MODELS:
@@ -257,8 +252,7 @@ def seeded_runs(config: RunConfig, scenarios: list, base_seed: int,
     DualPFError.  run_scenario is looked up on this module at every call,
     so a wrapper installed there sees every run.
     """
-    if base_seed < 0:
-        raise ConfigError("base_seed must be >= 0")
+    check_int("base_seed", base_seed, 0)
     seeds = np.random.SeedSequence(base_seed).spawn(len(scenarios))
     runs, failures = [], []
     for i, (scenario, ss) in enumerate(zip(scenarios, seeds)):
@@ -283,8 +277,7 @@ def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
     does not control run-level false alarms.  `coverage` is checked first;
     failed runs are dropped with a warning, or a CalibrationError if all fail.
     """
-    if n_runs < 1:
-        raise ConfigError("n_runs must be >= 1")
+    check_int("n_runs", n_runs, 1)
     diagnosis.check_coverage(coverage)
     runs, failures = seeded_runs(config, ["healthy"] * n_runs, base_seed)
     if failures:
@@ -317,8 +310,7 @@ def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
 def campaign_design(n_per_category: int = 7,
                     start_step: int = 120) -> list[Fault]:
     """Mixed-fault design: n healthy runs plus n per fault component."""
-    if n_per_category < 1:
-        raise ConfigError("n_per_category must be >= 1")
+    check_int("n_per_category", n_per_category, 1)
     design = [Fault() for _ in range(n_per_category)]
     for j in range(len(COMPONENTS)):
         for i in range(n_per_category):
@@ -351,8 +343,9 @@ def confusion_campaign(base_config: RunConfig, design: list[Fault],
 def bootstrap_comparison(labels_a: list, labels_b: list, statistic) -> float:
     """Paired bootstrap: fraction of BOOTSTRAP_RESAMPLES resamples with
     stat(a) >= stat(b); seeded, so a comparison is reproducible."""
-    if len(labels_a) != len(labels_b):
-        raise ConfigError("paired bootstrap needs equal-length campaigns")
+    if not labels_a or len(labels_a) != len(labels_b):
+        raise ConfigError("paired bootstrap needs two non-empty campaigns "
+                          "of equal length")
     rng = as_rng(0)
     n = len(labels_a)
     wins = 0

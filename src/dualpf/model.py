@@ -12,13 +12,13 @@ has none).
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, SimulationDivergenceError
+from .errors import (ConfigError, SimulationDivergenceError, check_int,
+                     check_real)
 from .smc import as_rng, sample_gaussian
 
 SYM_TOL = 1e-10
@@ -47,15 +47,12 @@ class Fault:
     def __post_init__(self):
         for key in ("component", "start_step", "ramp_end_step"):
             val = getattr(self, key)
-            if val is None and key != "start_step":
-                continue
-            if not isinstance(val, numbers.Integral) or isinstance(val, bool):
-                raise ConfigError(f"fault {key} must be an integer, got {val!r}")
-        if not 0.0 <= self.magnitude <= MAX_FAULT_MAGNITUDE:
+            if val is not None or key == "start_step":
+                check_int(f"fault {key}", val, 0)
+        magnitude = check_real("fault magnitude", self.magnitude)
+        if not 0.0 <= magnitude <= MAX_FAULT_MAGNITUDE:
             raise ConfigError(
                 f"fault magnitude must be in [0, {MAX_FAULT_MAGNITUDE}]")
-        if self.start_step < 0:
-            raise ConfigError("fault start_step must be nonnegative")
         if self.profile not in FAULT_PROFILES:
             raise ConfigError(f"unknown fault profile {self.profile!r}")
         if self.profile == "ramp" and (self.ramp_end_step is None
@@ -74,7 +71,7 @@ def health_trajectory(nominal: np.ndarray, faults, T: int) -> np.ndarray:
     for f in faults:
         if f.component is None:
             continue
-        if not 0 <= f.component < nominal.shape[0]:
+        if f.component >= nominal.shape[0]:
             raise ConfigError(f"fault component {f.component} outside the "
                               f"model's {nominal.shape[0]} health parameters")
         if f.profile == "step":
@@ -143,8 +140,8 @@ class ModelSpec:
         self.validate()
 
     def validate(self):
-        if min(self.n_x, self.n_theta, self.n_y) < 1:
-            raise ConfigError("dimensions must be positive")
+        for key in ("n_x", "n_theta", "n_y"):
+            check_int(key, getattr(self, key), 1)
         L, V = self.process_noise_cov, self.measurement_noise_cov
         if L.shape != (self.n_x, self.n_x):
             raise ConfigError("process noise covariance has wrong shape")

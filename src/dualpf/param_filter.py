@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DualPFError
+from .errors import ConfigError, DualPFError, check_int, check_real
 from .model import ModelSpec, ParamDomain
 from .smc import (
     ParticleEnsemble,
@@ -38,9 +38,9 @@ COV_MODES = ("running", "initial")
 def check_settings(shrinkage: float, step_size: float, predictor: str,
                    cov_mode: str) -> None:
     """Raise ConfigError for a parameter-filter setting outside its range."""
-    if not 0.0 < shrinkage <= 1.0:
+    if not 0.0 < check_real("shrinkage", shrinkage) <= 1.0:
         raise ConfigError("shrinkage must be in (0, 1]")
-    if not step_size > 0.0:
+    if check_real("step_size", step_size) <= 0.0:
         raise ConfigError("step_size must be positive")
     if predictor not in PREDICTORS:
         raise ConfigError(f"unknown predictor {predictor!r}")
@@ -58,6 +58,7 @@ class ParamFilterConfig:
     predictor: str = "output"               # one of PREDICTORS
 
     def __post_init__(self):
+        check_int("n_particles", self.n_particles, 1)
         check_settings(self.shrinkage, self.step_size, self.predictor,
                        self.cov_mode)
         if self.evolution_cov is not None:

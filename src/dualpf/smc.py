@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, CovarianceError, DegenerateWeightsError
+from .errors import (ConfigError, CovarianceError, DegenerateWeightsError,
+                     check_int)
 
 # Eigenvalues above -PSD_TOL are clamped to zero; below raise CovarianceError.
 PSD_TOL = 1e-8
@@ -72,8 +73,7 @@ class RegularizationConfig:
     n_reg: int = 100
 
     def __post_init__(self):
-        if self.n_reg < 2:
-            raise ConfigError("n_reg must be >= 2")
+        check_int("n_reg", self.n_reg, 2)
 
 
 # The one setting both regularized filters run with (frozen: it is shared).

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterDivergenceError
+from .errors import FilterDivergenceError, check_int
 from .model import ModelSpec
 from .smc import (
     DEFAULT_REGULARIZATION,
@@ -27,6 +27,9 @@ from .smc import (
 @dataclass
 class StateFilterConfig:
     n_particles: int = 50
+
+    def __post_init__(self):
+        check_int("n_particles", self.n_particles, 1)
 
 
 @dataclass

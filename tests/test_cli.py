@@ -213,6 +213,17 @@ class TestComplexity:
         assert doc["flops"]["dual"] == 21_950
         assert (tmp_path / "complexity.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--c3", "inf"), ("--c1", "nan"),
+                                             ("--c2", "0")])
+    def test_unit_cost_not_finite_and_positive_exits_2(self, tmp_path,
+                                                        capsys, flag, value):
+        rc = main(["complexity", flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(flag[2:] + " ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestErrorHandling:
     def test_domain_errors_exit_2_with_json(self, tmp_path, capsys):
@@ -270,20 +281,30 @@ class TestErrorHandling:
         assert err["error"] == "ConfigError"
         assert "predictor" in err["message"]
 
-    @pytest.mark.parametrize("flags, text", [
-        (["--seed", "-1"], ""), ([], "seed: -1\n"),
-        ([], "n_particles: 10.5\n"), ([], "duration: 40.5\n"),
-        ([], "duration: true\n"), ([], "persistence: 2.5\n"),
-        ([], "x0_std: -0.5\n"), ([], "theta0_std: .nan\n"),
-        ([], "x0_std: wide\n"),
-        ([], "fault: {component: 0, magnitude: 0.1, start_step: 150.5}\n"),
-        ([], "fault: {component: 1.0, magnitude: 0.1, start_step: 10}\n")],
+    @pytest.mark.parametrize("flags, text, name", [
+        (["--seed", "-1"], "", "seed"), ([], "seed: -1\n", "seed"),
+        ([], "n_particles: 10.5\n", "n_particles"),
+        ([], "duration: 40.5\n", "duration"),
+        ([], "duration: true\n", "duration"),
+        ([], "persistence: 2.5\n", "persistence"),
+        ([], "x0_std: -0.5\n", "x0_std"),
+        ([], "theta0_std: .nan\n", "theta0_std"),
+        ([], "x0_std: wide\n", "x0_std"),
+        ([], "fault: {component: 0, magnitude: 0.1, start_step: 150.5}\n",
+         "fault start_step"),
+        ([], "fault: {component: 1.0, magnitude: 0.1, start_step: 10}\n",
+         "fault component"),
+        ([], "step_size: .inf\n", "step_size"),
+        # YAML 1.1 reads 1e-4 (no dot) as a string.
+        ([], "step_size: 1e-4\n", "step_size"),
+        ([], "x0_std: 1.0e+200\n", "x0_std")],
         ids=["seed-flag", "seed-yaml", "n_particles", "duration",
              "duration-bool", "persistence", "x0_std-negative",
              "theta0_std-nan", "x0_std-string", "fault-start-fractional",
-             "fault-component-float"])
+             "fault-component-float", "step_size-inf", "step_size-string",
+             "x0_std-square-overflows"])
     def test_bad_run_setting_exits_2_before_any_run(
-            self, tmp_path, monkeypatch, capsys, flags, text):
+            self, tmp_path, monkeypatch, capsys, flags, text, name):
         def no_runs(*args, **kwargs):
             raise AssertionError("a run started")
         monkeypatch.setattr(harness, "run_scenario", no_runs)
@@ -292,7 +313,9 @@ class TestErrorHandling:
         rc = main(["estimate", "--model", "mixed", "--config", str(cfg),
                    *flags, "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(name + " ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [
@@ -358,8 +381,10 @@ class TestErrorHandling:
         "lower: [-1]\n", '{"upper": [1, 1, 1, 1]}',
         '{"lower": ["a", -1, -1, -1], "upper": [1, 1, 1, 1]}',
         '{"lower": [-1, -1, -1, -1], "upper": [1, 1, 1]}',
-        '[[-1, -1, -1, -1], [1, 1, 1, 1]]'],
-        ids=["not-json", "no-lower", "non-numeric", "unequal", "list"])
+        '[[-1, -1, -1, -1], [1, 1, 1, 1]]',
+        '{"lower": [-Infinity, -1, -1, -1], "upper": [1, 1, 1, Infinity]}'],
+        ids=["not-json", "no-lower", "non-numeric", "unequal", "list",
+             "infinite"])
     @pytest.mark.parametrize("command", ["diagnose", "campaign"])
     def test_malformed_band_file_exits_2_before_any_run(
             self, tmp_path, monkeypatch, capsys, text, command):

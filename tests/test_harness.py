@@ -47,7 +47,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key", ["x0_std", "theta0_std"])
     @pytest.mark.parametrize("width", [-0.5, True, "0.1", float("nan"),
-                                       float("inf")])
+                                       float("inf"), 1e200])
     def test_bad_prior_width_rejected(self, key, width):
         with pytest.raises(ConfigError, match=key):
             RunConfig(**{key: width})
@@ -63,13 +63,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="persistence"):
             RunConfig(persistence=persistence)
 
-    @pytest.mark.parametrize("shrinkage", [0.0, -0.5, 1.5, float("nan")])
+    @pytest.mark.parametrize("shrinkage", [0.0, -0.5, 1.5, float("nan"),
+                                           True])
     def test_shrinkage_outside_unit_interval_rejected(self, shrinkage):
         with pytest.raises(ConfigError, match="shrinkage"):
             RunConfig(estimator="bayesian", shrinkage=shrinkage)
 
     @pytest.mark.parametrize("estimator", ["dual", "rml"])
-    @pytest.mark.parametrize("step_size", [0.0, -0.1])
+    @pytest.mark.parametrize("step_size", [0.0, -0.1, float("inf"), "1e-4"])
     def test_non_positive_step_size_rejected(self, estimator, step_size):
         with pytest.raises(ConfigError, match="step_size"):
             RunConfig(estimator=estimator, step_size=step_size)
@@ -550,3 +551,9 @@ class TestComparisonStatistics:
     def test_bootstrap_length_mismatch(self):
         with pytest.raises(ConfigError):
             bootstrap_comparison([("a", "a")], [], accuracy_stat)
+
+    def test_bootstrap_empty_campaigns_rejected(self):
+        # Every resample of two empty campaigns ties at 0.0 >= 0.0, which
+        # would read as full confidence in the ordering.
+        with pytest.raises(ConfigError, match="non-empty"):
+            bootstrap_comparison([], [], accuracy_stat)

@@ -110,10 +110,12 @@ class TestFault:
         dict(component=0, start_step=150.5), dict(component=1.0),
         dict(component=True), dict(component=0, start_step=False),
         dict(component=0, profile="ramp", start_step=3, ramp_end_step=9.5),
-        dict(component="0"),
+        dict(component="0"), dict(component=0, magnitude="5e-2"),
+        dict(component=0, magnitude=True),
     ])
     def test_non_integer_component_or_step_rejected(self, kwargs):
-        with pytest.raises(ConfigError, match="integer"):
+        pattern = r"^fault \w+ must be (an integer|a finite number)"
+        with pytest.raises(ConfigError, match=pattern):
             Fault(**{"magnitude": 0.05, **kwargs})
 
     def test_numpy_integers_accepted(self):
