@@ -19,15 +19,7 @@ from .errors import (BudgetError, ConfigError, GradientUndefinedError,
                      check_int, check_real)
 from .model import ModelSpec
 from .param_filter import draw_prior, kernel_shrink, project_step
-from .smc import (
-    DEFAULT_REGULARIZATION,
-    ParticleEnsemble,
-    as_rng,
-    gaussian_loglik,
-    regularize,
-    sample_cov,
-    sample_gaussian,
-)
+from .smc import as_rng, gaussian_loglik, sample_cov, sample_gaussian
 from .state_filter import StateFilterConfig, StateFilterState, init_state_filter
 
 SPSA_PERTURBATION = 0.01   # SPSA scale c_t
@@ -67,18 +59,16 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
     ths_new = kernel_shrink(ths, ths.mean(axis=0), sample_cov(ths),
                             shrinkage, model.param_domain, rng)
 
-    # State propagation and reweighting at the evolved parameters.
+    # State propagation at the evolved parameters, then the state filter's
+    # correction step on the augmented rows.
     xs_new, yhat = state_filter.predict(xs, ths_new, model, rng, u=u)
-    weights = state_filter.update(yhat, y_t, model)
-    augmented = np.hstack([xs_new, ths_new])
-    ensemble = ParticleEnsemble(augmented, weights)
-    result = regularize(ensemble, sample_cov(augmented),
-                        DEFAULT_REGULARIZATION, rng)
-    post = result.particles
+    posterior = state_filter.update(np.hstack([xs_new, ths_new]), yhat, y_t,
+                                    model, rng)
+    post = posterior.particles
     # Regularization jitter can push parameters past the box edge; clip.
     post[:, n_x:] = model.param_domain.clip(post[:, n_x:])
     return BayesianKSState(post, post[:, :n_x].mean(axis=0),
-                           post[:, n_x:].mean(axis=0), ensemble.ess())
+                           post[:, n_x:].mean(axis=0), posterior.ess)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +238,8 @@ def complexity_report(cost: EFCostModel, n_dual: int, n_bayesian: int,
            "flops": {}, "matched_dual_budget": {}}
     for method, n in (("dual", n_dual), ("bayesian", n_bayesian),
                       ("rml", n_rml)):
-        d = EFCostModel(cost.n_x, cost.n_theta, cost.n_y,
-                        cost.c1, cost.c2, cost.c3, N=n)
-        out["flops"][method] = ef_complexity(method, d)
+        check_int(f"n_{method}", n, 0)
+        out["flops"][method] = n * _PER_PARTICLE[method](cost)
     for ref, n in (("bayesian", n_bayesian), ("rml", n_rml)):
         try:
             out["matched_dual_budget"][ref] = match_particle_budget(ref, cost, n)

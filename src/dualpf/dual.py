@@ -32,22 +32,13 @@ from .state_filter import StateFilterConfig, StateFilterState, init_state_filter
 
 
 @dataclass
-class HistoryRow:
-    t: int
-    x_hat: np.ndarray
-    theta_hat: np.ndarray
-    ess_state: float
-    ess_param: float
-
-
-@dataclass
 class DualEstimatorState:
     model: ModelSpec
     state: StateFilterState
     params: ParamFilterState
     param_config: ParamFilterConfig
     t: int = 0
-    history: list = field(default_factory=list)
+    history: list = field(default_factory=list)   # theta_hat of each step
     rng: np.random.Generator = None
 
     @property
@@ -123,18 +114,12 @@ def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState
     except DualPFError as exc:
         raise type(exc)(f"{phase}, step {t}: {exc}") from exc
     est.t = t
-    est.history.append(HistoryRow(
-        t=est.t,
-        x_hat=est.state.estimate.copy(),
-        theta_hat=est.params.estimate.copy(),
-        ess_state=est.state.ess,
-        ess_param=est.params.ess,
-    ))
+    est.history.append(est.params.estimate.copy())
     return est
 
 
 def run(est: DualEstimatorState, observations: np.ndarray,
-        u_trajectory: np.ndarray | None = None) -> list[HistoryRow]:
+        u_trajectory: np.ndarray | None = None) -> list[np.ndarray]:
     """Fold step over an observation sequence; returns the history."""
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     for t in range(observations.shape[0]):
@@ -143,16 +128,8 @@ def run(est: DualEstimatorState, observations: np.ndarray,
     return est.history
 
 
-def history_arrays(history: list[HistoryRow]) -> dict[str, np.ndarray]:
-    """Stack the per-step history into dense arrays."""
+def history_arrays(history: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """The history's parameter estimates as one (T, n_theta) array."""
     if not history:
-        return {"t": np.empty(0), "x_hat": np.empty((0, 0)),
-                "theta_hat": np.empty((0, 0)), "ess_state": np.empty(0),
-                "ess_param": np.empty(0)}
-    return {
-        "t": np.asarray([r.t for r in history], dtype=float),
-        "x_hat": np.vstack([r.x_hat for r in history]),
-        "theta_hat": np.vstack([r.theta_hat for r in history]),
-        "ess_state": np.asarray([r.ess_state for r in history]),
-        "ess_param": np.asarray([r.ess_param for r in history]),
-    }
+        return {"theta_hat": np.empty((0, 0))}
+    return {"theta_hat": np.vstack(history)}

@@ -91,7 +91,7 @@ class RunConfig:
 def build_model(config: RunConfig) -> tuple[ModelSpec, np.ndarray]:
     """Model plus its nominal (equilibrium) initial state."""
     if config.model == "scalar":
-        return synthetic.scalar_growth_model(), np.array([1.0 / (1.0 - 0.8)])
+        return synthetic.scalar_growth_model(), synthetic.scalar_equilibrium()
     if config.model == "mixed":
         return synthetic.mixed_fault_model(), synthetic.mixed_equilibrium()
     constants, x0 = gas_turbine.nominal_constants()
@@ -115,7 +115,7 @@ def _faults(config: RunConfig) -> tuple[Fault, ...]:
 def _theta0_for(config: RunConfig, model: ModelSpec) -> np.ndarray:
     """Healthy parameter value: the truth before any fault, the prior mean."""
     if config.model == "scalar":
-        return np.array([0.8])   # scalar model's healthy dynamics coefficient
+        return np.array([synthetic.SCALAR_THETA])
     return np.ones(model.n_theta)
 
 
@@ -342,10 +342,17 @@ def confusion_campaign(base_config: RunConfig, design: list[Fault],
 
 def bootstrap_comparison(labels_a: list, labels_b: list, statistic) -> float:
     """Paired bootstrap: fraction of BOOTSTRAP_RESAMPLES resamples with
-    stat(a) >= stat(b); seeded, so a comparison is reproducible."""
+    stat(a) >= stat(b); seeded, so a comparison is reproducible.  Runs are
+    paired by position, so both label lists must come, in order, from one
+    design: a ConfigError names the first run whose actual categories differ
+    (as when the two campaigns lost different runs)."""
     if not labels_a or len(labels_a) != len(labels_b):
         raise ConfigError("paired bootstrap needs two non-empty campaigns "
                           "of equal length")
+    for i, (a, b) in enumerate(zip(labels_a, labels_b)):
+        if a[0] != b[0]:
+            raise ConfigError(f"paired bootstrap: run {i} is {a[0]!r} in one "
+                              f"campaign and {b[0]!r} in the other")
     rng = as_rng(0)
     n = len(labels_a)
     wins = 0

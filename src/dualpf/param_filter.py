@@ -107,10 +107,9 @@ def updating_gain(eps: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_sum(centered * centered))
 
 
-def distinct_runs(thetas: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
+def distinct_runs(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each run of bitwise-equal consecutive rows, and the
-    run lengths; (thetas, None) when no row repeats the one before it.
+    run lengths (all ones when no row repeats the one before it).
 
     Residual resampling keeps a particle's copies next to each other, so
     after a collapse the ensemble is a few runs.  Bits are compared, not
@@ -124,8 +123,6 @@ def distinct_runs(thetas: np.ndarray
     starts = np.ones(rows.shape[0] + 1, dtype=bool)  # the last one ends a run
     starts[1:-1] = rows[1:] != rows[:-1]
     edges = np.flatnonzero(starts)
-    if edges.size > rows.shape[0]:
-        return thetas, None
     return thetas[edges[:-1]], edges[1:] - edges[:-1]
 
 
@@ -151,12 +148,11 @@ def perturbation_stack(thetas: np.ndarray, domain: ParamDomain) -> np.ndarray:
     return stacked.reshape(-1, n_th)
 
 
-def finite_difference(stacked: np.ndarray, y: np.ndarray,
-                      runs: np.ndarray | None
+def finite_difference(stacked: np.ndarray, y: np.ndarray, runs: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted outputs (N, n_y) and dyhat/dtheta (N, n_theta, n_y) from
     a `perturbation_stack` and its predicted outputs; row k of the stack's
-    base block is repeated runs[k] times unless `distinct_runs` gave None."""
+    base block is repeated runs[k] times."""
     n_th = stacked.shape[1]
     blocks = stacked.reshape(2 * n_th + 1, -1, n_th)
     y = y.reshape(2 * n_th + 1, blocks.shape[1], -1)
@@ -165,8 +161,6 @@ def finite_difference(stacked: np.ndarray, y: np.ndarray,
     with np.errstate(invalid="ignore", divide="ignore"):
         deriv = np.where(span > 0, (y[1:n_th + 1] - y[n_th + 1:]) / span, 0.0)
     deriv = deriv.transpose(1, 0, 2)
-    if runs is None:
-        return y[0], np.ascontiguousarray(deriv)
     return np.repeat(y[0], runs, axis=0), np.repeat(deriv, runs, axis=0)
 
 

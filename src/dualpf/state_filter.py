@@ -1,8 +1,8 @@
 """Regularized bootstrap particle filter for the state estimation side.
 
 One step runs predict (propagate particles through the transition with
-process noise at the frozen previous parameter estimate), a likelihood
-weight update against the new observation, and a kernel-regularized
+process noise at the frozen previous parameter estimate), then update: a
+likelihood weighting against the new observation and a kernel-regularized
 resampling that returns an equally weighted posterior ensemble.
 """
 from __future__ import annotations
@@ -75,25 +75,16 @@ def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
     return predicted, outputs
 
 
-def update(predicted_outputs: np.ndarray, y: np.ndarray,
-           model: ModelSpec) -> np.ndarray:
-    """Likelihood reweighting: w_i proportional to N(y - yhat_i; 0, V)."""
-    resid = np.asarray(y, dtype=float) - np.atleast_2d(predicted_outputs)
-    return likelihood_weights(resid, model.measurement_noise_cov)
-
-
-def step(state: StateFilterState, theta_hat: np.ndarray, y: np.ndarray,
-         model: ModelSpec, seed, u=None,
-         predicted: np.ndarray | None = None) -> StateFilterState:
-    """Full predict / weight / regularized-resample cycle; `predicted` as
-    in `predict`."""
-    rng = as_rng(seed)
-    predicted, outputs = predict(state.particles, theta_hat, model, rng, u=u,
-                                 predicted=predicted)
-    weights = update(outputs, y, model)
-    ensemble = ParticleEnsemble(predicted, weights)
+def update(predicted: np.ndarray, outputs: np.ndarray, y: np.ndarray,
+           model: ModelSpec, seed) -> StateFilterState:
+    """The correction step: likelihood weights w_i proportional to
+    N(y - yhat_i; 0, V) on the predicted particles, their kernel-regularized
+    redraw, and the summary of the equally weighted result."""
+    resid = np.asarray(y, dtype=float) - np.atleast_2d(outputs)
+    ensemble = ParticleEnsemble(
+        predicted, likelihood_weights(resid, model.measurement_noise_cov))
     result = regularize(ensemble, sample_cov(predicted),
-                        DEFAULT_REGULARIZATION, rng)
+                        DEFAULT_REGULARIZATION, as_rng(seed))
     posterior = result.particles
     return StateFilterState(
         particles=posterior,
@@ -102,3 +93,13 @@ def step(state: StateFilterState, theta_hat: np.ndarray, y: np.ndarray,
         degenerate=ensemble.is_collapsed(),
         passthrough_dims=result.passthrough_dims,
     )
+
+
+def step(state: StateFilterState, theta_hat: np.ndarray, y: np.ndarray,
+         model: ModelSpec, seed, u=None,
+         predicted: np.ndarray | None = None) -> StateFilterState:
+    """Full predict / weight / regularized-resample cycle; `predicted` as
+    in `predict`."""
+    rng = as_rng(seed)
+    return update(*predict(state.particles, theta_hat, model, rng, u=u,
+                           predicted=predicted), y, model, rng)

@@ -5,6 +5,11 @@ import numpy as np
 
 from .model import ModelSpec, ParamDomain
 
+SCALAR_THETA = 0.8    # healthy dynamics coefficient of the scalar model
+SCALAR_DRIVE = 1.0    # its input when none is given
+MIXED_A = np.array([[0.9, 0.05], [0.05, 0.85]])   # x' = MIXED_A x + MIXED_B
+MIXED_B = np.array([0.05, 0.10])
+
 
 def scalar_growth_model() -> ModelSpec:
     """x_{t+1} = theta * x_t + w,  y = x + v.
@@ -16,7 +21,7 @@ def scalar_growth_model() -> ModelSpec:
     def transition(x, eff, w, u=None):
         x = np.asarray(x, dtype=float)
         theta = np.asarray(eff, dtype=float)[..., 0]
-        drive = 1.0 if u is None else float(u)
+        drive = SCALAR_DRIVE if u is None else float(u)
         return np.stack([theta * x[..., 0] + drive], axis=-1) + w
 
     def output(x, eff, u=None):
@@ -52,14 +57,13 @@ def mixed_fault_model() -> ModelSpec:
     [1, 1] so outputs, faults and noise all live on an O(1) scale.
     """
 
-    a11, a12, a21, a22 = 0.9, 0.05, 0.05, 0.85
-    b = np.array([0.05, 0.10])
+    (a11, a12), (a21, a22) = MIXED_A.tolist()
 
     def transition(x, eff, w, u=None):
         x = np.asarray(x, dtype=float)
         nxt = np.stack([
-            a11 * x[..., 0] + a12 * x[..., 1] + b[0],
-            a21 * x[..., 0] + a22 * x[..., 1] + b[1],
+            a11 * x[..., 0] + a12 * x[..., 1] + MIXED_B[0],
+            a21 * x[..., 0] + a22 * x[..., 1] + MIXED_B[1],
         ], axis=-1)
         return nxt + w
 
@@ -78,7 +82,11 @@ def mixed_fault_model() -> ModelSpec:
     )
 
 
+def scalar_equilibrium() -> np.ndarray:
+    """Fixed point of the noise-free scalar dynamics at the healthy theta."""
+    return np.array([SCALAR_DRIVE / (1.0 - SCALAR_THETA)])
+
+
 def mixed_equilibrium() -> np.ndarray:
     """Fixed point of the noise-free mixed-model dynamics."""
-    a = np.array([[0.9, 0.05], [0.05, 0.85]])
-    return np.linalg.solve(np.eye(2) - a, np.array([0.05, 0.10]))
+    return np.linalg.solve(np.eye(2) - MIXED_A, MIXED_B)

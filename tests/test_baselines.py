@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dualpf import baselines
+from dualpf import baselines, state_filter, synthetic
 from dualpf.baselines import (
     EFCostModel,
     complexity_report,
@@ -16,7 +16,15 @@ from dualpf.baselines import (
 from dualpf.errors import ConfigError, GradientUndefinedError
 from dualpf.harness import RUN_DEFAULTS
 from dualpf.model import ModelSpec, ParamDomain, simulate
-from dualpf.smc import as_rng
+from dualpf.param_filter import kernel_shrink
+from dualpf.smc import (
+    DEFAULT_REGULARIZATION,
+    ParticleEnsemble,
+    as_rng,
+    likelihood_weights,
+    regularize,
+    sample_cov,
+)
 
 SHRINKAGE = RUN_DEFAULTS["shrinkage"]
 
@@ -92,6 +100,39 @@ class TestBayesianKS:
             st = baselines.bayesian_ks_step(st, np.array([9.0]), m,
                                             SHRINKAGE, rng)
             assert np.all(m.param_domain.contains(st.particles[:, 1:]))
+
+    def test_matches_the_inline_sequence(self):
+        # kernel_shrink -> predict -> likelihood_weights -> ParticleEnsemble
+        # -> regularize -> clip, from one seed, step after step.  The prior
+        # sits near the upper bound, so the clip acts (11 rows in 3 steps).
+        m = synthetic.mixed_fault_model()
+        ys = np.array([[1.02, 0.97, 1.0, 0.7], [0.95, 1.05, 1.01, 0.68],
+                       [1.1, 0.9, 0.98, 0.72]])
+        st = init_bayesian_ks(m, synthetic.mixed_equilibrium(),
+                              0.01 * np.eye(2), np.full(4, 1.18),
+                              0.01 * np.eye(4), 30, 2)
+        got, rng, want_rng = st, as_rng(6), as_rng(6)
+        clipped = 0
+        for y in ys:
+            xs, ths = st.particles[:, :2], st.particles[:, 2:]
+            ths_new = kernel_shrink(ths, ths.mean(axis=0), sample_cov(ths),
+                                    SHRINKAGE, m.param_domain, want_rng)
+            xs_new, yhat = state_filter.predict(xs, ths_new, m, want_rng)
+            augmented = np.hstack([xs_new, ths_new])
+            ensemble = ParticleEnsemble(augmented, likelihood_weights(
+                y - yhat, m.measurement_noise_cov))
+            post = regularize(ensemble, sample_cov(augmented),
+                              DEFAULT_REGULARIZATION, want_rng).particles
+            clipped += np.sum(~m.param_domain.contains(post[:, 2:]))
+            post[:, 2:] = m.param_domain.clip(post[:, 2:])
+            got = baselines.bayesian_ks_step(got, y, m, SHRINKAGE, rng)
+            assert got.particles.tobytes() == post.tobytes()
+            assert got.x_hat.tobytes() == post[:, :2].mean(axis=0).tobytes()
+            assert got.theta_hat.tobytes() == \
+                post[:, 2:].mean(axis=0).tobytes()
+            assert got.ess == ensemble.ess()
+            st = got
+        assert clipped > 0
 
     def test_constant_parameter_convergence(self):
         m = _output_scaling_model()

@@ -224,6 +224,17 @@ class TestComplexity:
         assert err["message"].startswith(flag[2:] + " ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--n-dual", "--n-bayesian", "--n-rml"])
+    def test_negative_particle_count_names_the_flag(self, tmp_path, capsys,
+                                                    flag):
+        rc = main(["complexity", flag, "-5", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == \
+            f"{flag[2:].replace('-', '_')} must be an integer >= 0, got -5"
+        assert not (tmp_path / "out").exists()
+
 
 class TestErrorHandling:
     def test_domain_errors_exit_2_with_json(self, tmp_path, capsys):

@@ -99,12 +99,14 @@ class TestStep:
     def test_determinism(self):
         model = synthetic.scalar_growth_model()
         ys = np.linspace(4.0, 6.0, 20)[:, None]
-        hists = []
+        runs = []
         for _ in range(2):
             est = _estimator(model, np.array([5.0]), np.array([0.8]), 11)
-            hists.append(history_arrays(dual.run(est, ys)))
-        assert np.array_equal(hists[0]["theta_hat"], hists[1]["theta_hat"])
-        assert np.array_equal(hists[0]["x_hat"], hists[1]["x_hat"])
+            x_hat = [dual.step(est, y).x_hat.copy() for y in ys]
+            runs.append((history_arrays(est.history)["theta_hat"],
+                         np.vstack(x_hat)))
+        assert runs[0][0].tobytes() == runs[1][0].tobytes()
+        assert runs[0][1].tobytes() == runs[1][1].tobytes()
 
     def test_error_messages_name_the_failing_filter(self):
         model = synthetic.scalar_growth_model()
@@ -254,17 +256,31 @@ class TestRun:
         model = synthetic.scalar_growth_model()
         est = _estimator(model, np.array([5.0]), np.array([0.8]), 0)
         assert dual.run(est, np.empty((0, 1))) == []
-        assert history_arrays([])["t"].size == 0
+        assert est.t == 0
+        assert history_arrays([])["theta_hat"].shape == (0, 0)
 
     def test_history_length_and_steps(self):
         model = synthetic.scalar_growth_model()
         est = _estimator(model, np.array([5.0]), np.array([0.8]), 1)
         history = dual.run(est, np.full((7, 1), 5.0))
+        assert history is est.history
         assert len(history) == 7
-        assert [r.t for r in history] == list(range(1, 8))
+        assert est.t == 7
         arr = history_arrays(history)
+        assert list(arr) == ["theta_hat"]
         assert arr["theta_hat"].shape == (7, 1)
-        assert arr["x_hat"].shape == (7, 1)
+
+    def test_history_holds_theta_hat_after_each_step(self):
+        model = synthetic.mixed_fault_model()
+        est = _estimator(model, synthetic.mixed_equilibrium(), np.ones(4), 3)
+        ys = 1.0 + 0.05 * as_rng(8).normal(size=(6, model.n_y))
+        after = []
+        for y in ys:
+            dual.step(est, y)
+            after.append(est.theta_hat.copy())
+        theta_hat = history_arrays(est.history)["theta_hat"]
+        assert theta_hat.shape == (6, model.n_theta)
+        assert theta_hat.tobytes() == np.vstack(after).tobytes()
 
     def test_scalar_parameter_convergence(self):
         model = synthetic.scalar_growth_model()

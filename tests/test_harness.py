@@ -278,9 +278,9 @@ class TestEstimatorLoop:
                 step_size=RUN_DEFAULTS["step_size_pe"],
                 evolution_cov=theta0_cov.copy(), predictor=cfg.predictor,
                 cov_mode=cfg.cov_mode)
-            est = dual.init(model, states[0], x0_cov, np.ones(4), theta0_cov,
-                            StateFilterConfig(n_particles=10), pc, 7)
-            want = dual.history_arrays(dual.run(est, ys, u_trajectory=u))
+            st = dual.init(model, states[0], x0_cov, np.ones(4), theta0_cov,
+                           StateFilterConfig(n_particles=10), pc, 7)
+            step, args = dual.step, ()
         else:
             rng = np.random.default_rng(7)
             if estimator == "bayesian":
@@ -288,21 +288,23 @@ class TestEstimatorLoop:
                                                 np.ones(4), theta0_cov, 10,
                                                 rng)
                 step = baselines.bayesian_ks_step
-                arg = RUN_DEFAULTS["shrinkage"]
+                args = (model, RUN_DEFAULTS["shrinkage"], rng)
             else:
                 st = baselines.init_rml(model, states[0], x0_cov, np.ones(4),
                                         10, rng)
                 step = baselines.rml_spsa_step
-                arg = RUN_DEFAULTS["step_size_rml"]
-            want = {"theta_hat": [], "x_hat": []}
-            for t in range(ys.shape[0]):
-                st = step(st, ys[t], model, arg, rng,
-                          u=None if u is None else u[t])
-                want["theta_hat"].append(st.theta_hat)
-                want["x_hat"].append(st.x_hat)
-            want = {k: np.vstack(v) for k, v in want.items()}
+                args = (model, RUN_DEFAULTS["step_size_rml"], rng)
+        want = {"theta_hat": [], "x_hat": []}
+        for t in range(ys.shape[0]):
+            st = step(st, ys[t], *args, u=None if u is None else u[t])
+            want["theta_hat"].append(st.theta_hat.copy())
+            want["x_hat"].append(st.x_hat.copy())
+        want = {k: np.vstack(v) for k, v in want.items()}
         assert got["theta_hat"].tobytes() == want["theta_hat"].tobytes()
         assert got["x_hat"].tobytes() == want["x_hat"].tobytes()
+        if estimator == "dual":
+            history = dual.history_arrays(st.history)["theta_hat"]
+            assert history.tobytes() == got["theta_hat"].tobytes()
 
 
 class TestHealthyBaselineWindow:
@@ -551,6 +553,15 @@ class TestComparisonStatistics:
     def test_bootstrap_length_mismatch(self):
         with pytest.raises(ConfigError):
             bootstrap_comparison([("a", "a")], [], accuracy_stat)
+
+    def test_bootstrap_misaligned_campaigns_rejected(self):
+        # Two campaigns of one design that lost different runs: by position
+        # the m_c run is paired with an eta_c run and eta_t with m_c.
+        a = [("no_fault", "no_fault"), ("eta_c", "eta_c"), ("m_c", "m_c")]
+        b = [("no_fault", "no_fault"), ("m_c", "eta_c"), ("eta_t", "eta_t")]
+        with pytest.raises(ConfigError, match=r"run 1 is 'eta_c' in one "
+                           r"campaign and 'm_c' in the other"):
+            bootstrap_comparison(a, b, accuracy_stat)
 
     def test_bootstrap_empty_campaigns_rejected(self):
         # Every resample of two empty campaigns ties at 0.0 >= 0.0, which

@@ -208,9 +208,12 @@ class TestOutputJacobian:
         distinct, runs = distinct_runs(thetas)
         assert distinct.tolist() == [[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]]
         assert runs.tolist() == [2, 1, 1]
-        alone = thetas[1:]
-        assert distinct_runs(alone)[0] is alone
-        assert distinct_runs(alone)[1] is None
+
+    def test_rows_with_no_repeat_give_all_ones_runs(self):
+        thetas = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]])
+        distinct, runs = distinct_runs(thetas)
+        assert distinct.tobytes() == thetas.tobytes()
+        assert runs.tolist() == [1, 1, 1]
 
     def test_signed_zeros_stay_apart(self):
         # y = theta x keeps the sign of a zero theta, so merging -0.0 into

@@ -6,7 +6,14 @@ from dualpf import state_filter
 from dualpf.baselines import bayesian_ks_step, init_bayesian_ks
 from dualpf.errors import FilterDivergenceError
 from dualpf.model import ModelSpec, ParamDomain
-from dualpf.smc import as_rng, sample_cov
+from dualpf.smc import (
+    DEFAULT_REGULARIZATION,
+    ParticleEnsemble,
+    as_rng,
+    likelihood_weights,
+    regularize,
+    sample_cov,
+)
 from dualpf.state_filter import (
     StateFilterConfig,
     init_state_filter,
@@ -110,18 +117,44 @@ class TestPredict:
 class TestUpdate:
     def test_equal_outputs_give_uniform_weights(self):
         model = _linear_model(np.eye(1), np.zeros((1, 1)), np.eye(1))
-        w = update(np.ones((6, 1)), np.array([0.3]), model)
-        assert np.allclose(w, 1 / 6)
+        sf = update(np.arange(6.0)[:, None], np.ones((6, 1)), np.array([0.3]),
+                    model, 0)
+        assert sf.ess == pytest.approx(6.0)
+        assert not sf.degenerate
 
     def test_scalar_weight_ratio(self):
+        # w0 / w1 = exp(1/2): residuals 0 and 1 under unit noise.
         model = _linear_model(np.eye(1), np.zeros((1, 1)), np.eye(1))
-        w = update(np.array([[0.0], [1.0]]), np.array([0.0]), model)
-        assert np.allclose(w, [0.6225, 0.3775], atol=5e-5)
+        sf = update(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]),
+                    np.array([0.0]), model, 0)
+        w0 = 1.0 / (1.0 + np.exp(-0.5))
+        assert sf.ess == pytest.approx(1.0 / (w0 ** 2 + (1.0 - w0) ** 2))
 
     def test_dominant_likelihood(self):
         model = _linear_model(np.eye(1), np.zeros((1, 1)), 1e-6 * np.eye(1))
-        w = update(np.array([[0.0], [5.0]]), np.array([0.0]), model)
-        assert w[0] == pytest.approx(1.0)
+        sf = update(np.array([[0.0], [5.0]]), np.array([[0.0], [5.0]]),
+                    np.array([0.0]), model, 0)
+        assert sf.degenerate
+        assert sf.ess == pytest.approx(1.0)
+
+    def test_matches_weights_then_regularize(self):
+        # The correction step is likelihood_weights, then regularize on the
+        # predicted particles' covariance, from one seed.
+        model = _linear_model(np.eye(2), np.zeros((2, 2)), 0.5 * np.eye(2))
+        predicted = as_rng(4).normal(size=(40, 2))
+        outputs = predicted + 0.1
+        y = np.array([0.2, -0.3])
+        sf = update(predicted, outputs, y, model, 9)
+        ensemble = ParticleEnsemble(predicted, likelihood_weights(
+            y - outputs, model.measurement_noise_cov))
+        want = regularize(ensemble, sample_cov(predicted),
+                          DEFAULT_REGULARIZATION, as_rng(9))
+        assert sf.particles.tobytes() == want.particles.tobytes()
+        assert sf.estimate.tobytes() == \
+            want.particles.mean(axis=0).tobytes()
+        assert sf.ess == ensemble.ess()
+        assert sf.degenerate == ensemble.is_collapsed()
+        assert sf.passthrough_dims == want.passthrough_dims
 
 
 class TestStep:
