@@ -3,44 +3,8 @@
 Two concurrent sequential-Monte-Carlo filters — a regularized bootstrap
 filter for the state and a prediction-error-driven filter for the
 parameters — plus baseline estimators, a gas-turbine case study, fault
-diagnosis utilities and an equivalent-flop complexity accountant.
+diagnosis utilities and an equivalent-flop complexity accountant.  Each
+name is imported from the module that defines it.
 """
-
-from .errors import (
-    BudgetError,
-    CalibrationError,
-    ConfigError,
-    CovarianceError,
-    DegenerateWeightsError,
-    DualPFError,
-    FilterDivergenceError,
-    GradientUndefinedError,
-    IntegrationError,
-    PhysicalDomainError,
-    SimulationDivergenceError,
-    UndefinedMetricError,
-)
-from .model import ModelSpec, ParamDomain, simulate
-from .smc import ParticleEnsemble, RegularizationConfig
-
-__all__ = [
-    "BudgetError",
-    "CalibrationError",
-    "ConfigError",
-    "CovarianceError",
-    "DegenerateWeightsError",
-    "DualPFError",
-    "FilterDivergenceError",
-    "GradientUndefinedError",
-    "IntegrationError",
-    "ModelSpec",
-    "ParamDomain",
-    "ParticleEnsemble",
-    "PhysicalDomainError",
-    "RegularizationConfig",
-    "SimulationDivergenceError",
-    "UndefinedMetricError",
-    "simulate",
-]
 
 __version__ = "0.1.0"

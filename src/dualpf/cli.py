@@ -27,8 +27,9 @@ from .param_filter import COV_MODES, PREDICTORS
 
 
 def _load_config(args) -> tuple[RunConfig, Path]:
-    """RunConfig from the YAML file and the flags, which win, and the output
-    directory (--out or the YAML `output_dir:` key, default ".")."""
+    """RunConfig from the YAML file and the flags, which win (--scenario over
+    a `fault:` stanza too), and the output directory (--out or the YAML
+    `output_dir:` key, default ".")."""
     doc = None
     if args.config:
         try:
@@ -39,6 +40,10 @@ def _load_config(args) -> tuple[RunConfig, Path]:
     overrides = {} if doc is None else doc
     if not isinstance(overrides, dict):
         raise ConfigError(f"{args.config} does not hold a YAML mapping")
+    if "scenario" in overrides and "fault" in overrides:
+        raise ConfigError(f"{args.config} sets both scenario and fault")
+    if args.scenario is not None:
+        overrides.pop("fault", None)
     for key in ("model", "estimator", "n_particles", "duration", "seed",
                 "scenario", "predictor", "cov_mode", "output_dir"):
         val = getattr(args, key)

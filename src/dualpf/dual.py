@@ -109,8 +109,10 @@ def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState
                                       model, est.rng, u=u, predicted=predicted)
         phase = "parameter filter"
         anchor = x_prev if one_step else est.state.estimate
-        est.params = param_filter.step(est.params, anchor, y_t, model, config,
-                                       est.rng, u=u, jacobian=jacobian)
+        tilde = param_filter.evolve(est.params, anchor, y_t, model, config,
+                                    est.rng, u=u, jacobian=jacobian)
+        est.params = param_filter.update(tilde, anchor, y_t, model, config,
+                                         est.rng, u=u)
     except DualPFError as exc:
         raise type(exc)(f"{phase}, step {t}: {exc}") from exc
     est.t = t
@@ -122,6 +124,8 @@ def run(est: DualEstimatorState, observations: np.ndarray,
         u_trajectory: np.ndarray | None = None) -> list[np.ndarray]:
     """Fold step over an observation sequence; returns the history."""
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    if u_trajectory is not None and len(u_trajectory) < observations.shape[0]:
+        raise ConfigError("u_trajectory shorter than the observations")
     for t in range(observations.shape[0]):
         u = None if u_trajectory is None else u_trajectory[t]
         step(est, observations[t], u=u)

@@ -78,10 +78,9 @@ def nominal_constants() -> tuple[EngineConstants, np.ndarray]:
     """
     c = EngineConstants()
     t_cc, s, p_cc, p_nlt = NOMINAL_STATE
-    ex = (c.gamma - 1.0) / c.gamma
-    t_comp = c.T_d * (1.0 + ((p_cc / c.P_d) ** ex - 1.0) / c.eta_c)
-    t_turb = t_cc * (1.0 - c.eta_t * (1.0 - (p_nlt / p_cc) ** ex))
-    mdot_c = c.mdot_c_ref
+    t_comp = compressor_exit_temp(p_cc, 1.0, c)
+    t_turb = turbine_exit_temp(t_cc, p_cc, p_nlt, 1.0, c)
+    mdot_c = compressor_flow(s, p_cc, c)
     mdot_f = c.c_p * mdot_c * (t_cc - t_comp) / (c.eta_cc * c.H_u - c.c_p * t_cc)
     mdot_t = mdot_c + mdot_f
     w_comp = mdot_c * c.c_p * (t_comp - c.T_d)

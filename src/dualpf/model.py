@@ -179,6 +179,8 @@ def simulate(model: ModelSpec, x0: np.ndarray, theta_trajectory: np.ndarray,
     theta_trajectory = np.atleast_2d(np.asarray(theta_trajectory, dtype=float))
     if theta_trajectory.shape[0] < T:
         raise ConfigError("theta_trajectory shorter than T")
+    if u_trajectory is not None and len(u_trajectory) < T:
+        raise ConfigError("u_trajectory shorter than T")
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ConfigError("x0 must be finite")

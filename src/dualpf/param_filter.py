@@ -288,12 +288,3 @@ def update(theta_tilde: np.ndarray, x: np.ndarray, y: np.ndarray,
         ess=ensemble.ess(),
     )
 
-
-def step(state: ParamFilterState, x: np.ndarray, y: np.ndarray,
-         model: ModelSpec, config: ParamFilterConfig, seed, u=None,
-         jacobian: tuple[np.ndarray, np.ndarray] | None = None
-         ) -> ParamFilterState:
-    """One full parameter-filter cycle; `jacobian` as in `evolve`."""
-    rng = as_rng(seed)
-    tilde = evolve(state, x, y, model, config, rng, u=u, jacobian=jacobian)
-    return update(tilde, x, y, model, config, rng, u=u)

@@ -29,6 +29,8 @@ from .errors import (ConfigError, CovarianceError, DegenerateWeightsError,
 PSD_TOL = 1e-8
 # Max-weight threshold past which the ensemble is flagged as degenerate.
 WEIGHT_COLLAPSE_TOL = 1e-12
+# Largest distance of a weight sum from 1 that still counts as a simplex.
+WEIGHT_SUM_TOL = 1e-9
 # Kernel evaluations per block of the density buffer: 512 KB of doubles stay
 # in L2 through the elementwise passes.  Every block size gives the same bits.
 DENSITY_BLOCK = 2 ** 16
@@ -50,6 +52,9 @@ class ParticleEnsemble:
             raise ConfigError("ensemble needs at least one particle")
         if not np.all(np.isfinite(self.particles)):
             raise ConfigError("non-finite particle component")
+        if not (self.weights.min() >= 0.0
+                and abs(self.weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
+            raise ConfigError("weights must be >= 0 and sum to 1")
 
     @property
     def n(self) -> int:
@@ -85,11 +90,9 @@ class RegularizeResult(NamedTuple):
     passthrough_dims: tuple[int, ...]
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+# A Generator from an int seed or a SeedSequence; a Generator is returned
+# as it is.
+as_rng = np.random.default_rng
 
 
 def resample_bootstrap(ensemble: ParticleEnsemble, seed) -> np.ndarray:
@@ -109,16 +112,12 @@ def resample_residual(ensemble: ParticleEnsemble, seed) -> np.ndarray:
     remainder = n - int(floors.sum())
     if remainder > 0:
         resid = n * w - floors
-        resid_sum = resid.sum()
-        if resid_sum <= 0:
-            # All mass allocated deterministically; top up uniformly.
-            extra = rng.choice(n, size=remainder)
-        else:
-            # rng.choice(n, size=remainder, p=resid / resid_sum) without its
-            # argument checks: the same uniforms and arithmetic.
-            cdf = (resid / resid_sum).cumsum()
-            cdf /= cdf[-1]
-            extra = cdf.searchsorted(rng.random(remainder), side="right")
+        # rng.choice(n, size=remainder, p=resid / resid.sum()) without its
+        # argument checks: the same uniforms and arithmetic.  A remainder
+        # leaves a positive residual mass on a weight simplex.
+        cdf = (resid / resid.sum()).cumsum()
+        cdf /= cdf[-1]
+        extra = cdf.searchsorted(rng.random(remainder), side="right")
         np.add.at(counts, extra, 1)
     return np.repeat(np.arange(n), counts)
 

@@ -118,6 +118,33 @@ class TestEstimate:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["config"]["scenario"]["component"] == 0
 
+    def test_scenario_flag_wins_over_a_yaml_fault(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("fault:\n  component: 0\n  magnitude: 0.1\n"
+                       "  start_step: 20\n")
+        rc = main(["estimate", *FAST, "--config", str(cfg),
+                   "--scenario", "healthy", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["config"]["scenario"] == "healthy"
+
+    def test_yaml_with_scenario_and_fault_exits_2(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run_scenario", no_runs)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: healthy\nfault:\n  component: 0\n"
+                       "  magnitude: 0.1\n  start_step: 20\n")
+        for flags in ([], ["--scenario", "healthy"]):
+            rc = main(["estimate", *FAST, "--config", str(cfg), *flags,
+                       "--out", str(tmp_path / "out")])
+            assert rc == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert "scenario" in err["message"] and "fault" in err["message"]
+            assert not (tmp_path / "out").exists()
+
 
     @pytest.mark.parametrize("flags, predictor", [
         ([], "one_step"), (["--predictor", "output"], "output")])

@@ -125,15 +125,19 @@ class TestStep:
 
     def test_parameter_filter_error_keeps_its_type_and_names_the_filter(
             self, monkeypatch):
+        # The parameter filter is `evolve` then `update`; either may raise.
         def degenerate(*args, **kwargs):
             raise DegenerateWeightsError("all particle likelihoods vanished")
-        monkeypatch.setattr(param_filter, "step", degenerate)
         model = synthetic.mixed_fault_model()
-        est = _estimator(model, synthetic.mixed_equilibrium(), np.ones(4), 0)
-        with pytest.raises(DegenerateWeightsError) as info:
-            dual.step(est, np.zeros(model.n_y))
-        assert str(info.value).startswith("parameter filter, step 1:")
-        assert est.t == 0
+        for name in ("evolve", "update"):
+            with monkeypatch.context() as patch:
+                patch.setattr(param_filter, name, degenerate)
+                est = _estimator(model, synthetic.mixed_equilibrium(),
+                                 np.ones(4), 0)
+                with pytest.raises(DegenerateWeightsError) as info:
+                    dual.step(est, np.zeros(model.n_y))
+            assert str(info.value).startswith("parameter filter, step 1:")
+            assert est.t == 0
 
 
 def _recording(base, calls=None, bad_above=None):
@@ -190,8 +194,10 @@ class TestSharedTransition:
             x_prev = ref.state.estimate
             ref.state = state_filter.step(ref.state, ref.params.estimate,
                                           ys[t], model, ref.rng, u=u_t)
-            ref.params = param_filter.step(ref.params, x_prev, ys[t], model,
-                                           ref.param_config, ref.rng, u=u_t)
+            tilde = param_filter.evolve(ref.params, x_prev, ys[t], model,
+                                        ref.param_config, ref.rng, u=u_t)
+            ref.params = param_filter.update(tilde, x_prev, ys[t], model,
+                                             ref.param_config, ref.rng, u=u_t)
             assert est.state.particles.tobytes() == \
                 ref.state.particles.tobytes()
             assert est.params.particles.tobytes() == \
@@ -258,6 +264,14 @@ class TestRun:
         assert dual.run(est, np.empty((0, 1))) == []
         assert est.t == 0
         assert history_arrays([])["theta_hat"].shape == (0, 0)
+
+    def test_short_input_trajectory_rejected_before_any_step(self):
+        model = synthetic.scalar_growth_model()
+        est = _estimator(model, np.array([5.0]), np.array([0.8]), 0)
+        with pytest.raises(ConfigError, match="u_trajectory"):
+            dual.run(est, np.full((4, 1), 5.0), u_trajectory=np.zeros(3))
+        assert est.t == 0
+        assert est.history == []
 
     def test_history_length_and_steps(self):
         model = synthetic.scalar_growth_model()

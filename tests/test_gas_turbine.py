@@ -1,4 +1,5 @@
 """Unit tests for the single-spool engine model."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -52,6 +53,32 @@ class TestEquilibrium:
                                         constants.mdot_f_ref, DT_DEFAULT)
         drift = np.max(np.abs(state - NOMINAL_STATE) / NOMINAL_STATE)
         assert drift < 1e-6 * 100
+
+    def test_closure_matches_its_inline_formulas_bit_for_bit(self):
+        # The closure's exit temperatures and compressor flow come from the
+        # component maps at health 1; these are the formulas typed out.
+        c = gas_turbine.EngineConstants()
+        t_cc, s, p_cc, p_nlt = NOMINAL_STATE
+        ex = (c.gamma - 1.0) / c.gamma
+        t_comp = c.T_d * (1.0 + ((p_cc / c.P_d) ** ex - 1.0) / c.eta_c)
+        t_turb = t_cc * (1.0 - c.eta_t * (1.0 - (p_nlt / p_cc) ** ex))
+        mdot_c = c.mdot_c_ref
+        mdot_f = (c.c_p * mdot_c * (t_cc - t_comp)
+                  / (c.eta_cc * c.H_u - c.c_p * t_cc))
+        mdot_t = mdot_c + mdot_f
+        w_comp = mdot_c * c.c_p * (t_comp - c.T_d)
+        w_turb = mdot_t * c.c_p * (t_cc - t_turb)
+        expect = dataclasses.replace(
+            c, mdot_f_ref=mdot_f, mdot_t_ref=mdot_t,
+            eta_mech=w_comp / w_turb,
+            mdot_n_ref=mdot_t + c.beta / (c.beta + 1.0) * mdot_c,
+            m_cc=p_cc * c.V_cc / (c.R * t_cc))
+        got, state = nominal_constants()
+        for field in dataclasses.fields(expect):
+            a, b = getattr(got, field.name), getattr(expect, field.name)
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), \
+                field.name
+        assert state.tobytes() == NOMINAL_STATE.tobytes()
 
 
 class TestStructuralIdentities:

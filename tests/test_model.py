@@ -217,6 +217,12 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             simulate(m, np.zeros(1), np.ones((2, 1)), 5, 0)
 
+    def test_short_input_trajectory_rejected(self):
+        m = _identity_model()
+        with pytest.raises(ConfigError, match="u_trajectory"):
+            simulate(m, np.zeros(1), np.ones((5, 1)), 5, 0,
+                     u_trajectory=np.ones(4))
+
     def test_exogenous_input_forwarded(self):
         seen = []
 

@@ -48,6 +48,32 @@ class TestParticleEnsemble:
         with pytest.raises(ConfigError):
             ParticleEnsemble(np.array([[np.inf]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("weights", [
+        [1.0, 1.0], [1.5, -0.5], [0.5, 0.5 + 2 * smc.WEIGHT_SUM_TOL],
+        [np.nan, 1.0], [0.0, 0.0]],
+        ids=["sum-2", "negative", "just-past-tolerance", "nan", "zero"])
+    def test_weights_off_the_simplex_rejected(self, weights):
+        # Unchecked, weights [1, 1] made residual resampling return 4
+        # indices for 2 particles.
+        with pytest.raises(ConfigError, match="weights"):
+            ParticleEnsemble(np.zeros((2, 1)), np.array(weights))
+
+    def test_weights_within_tolerance_accepted(self):
+        w = np.array([0.5, 0.5 + 0.5 * smc.WEIGHT_SUM_TOL])
+        assert ParticleEnsemble(np.zeros((2, 1)), w).n == 2
+
+
+class TestAsRng:
+    def test_generator_returned_as_is(self):
+        rng = np.random.default_rng(3)
+        assert as_rng(rng) is rng
+
+    @pytest.mark.parametrize("seed", [0, 7, np.random.SeedSequence(11)],
+                             ids=["int-0", "int-7", "seed-sequence"])
+    def test_seed_gives_default_rng_stream(self, seed):
+        assert as_rng(seed).random(5).tobytes() == \
+            np.random.default_rng(seed).random(5).tobytes()
+
 
 class TestBootstrapResampling:
     def test_point_mass(self):
