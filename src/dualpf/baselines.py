@@ -50,6 +50,7 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
                      model: ModelSpec, shrinkage: float, seed,
                      u=None) -> BayesianKSState:
     """Joint propagate / reweight / regularize of the augmented vector."""
+    y_t = model.check_observation(y_t)
     rng = as_rng(seed)
     n_x = model.n_x
     xs = state.particles[:, :n_x]
@@ -136,6 +137,7 @@ def rml_spsa_step(state: RMLState, y_t: np.ndarray, model: ModelSpec,
     An undefined gradient (likelihood underflow in a branch) freezes the
     parameter for this step and is tallied in `skipped_steps`.
     """
+    y_t = model.check_observation(y_t)
     rng = as_rng(seed)
     try:
         grad = spsa_gradient(state.filter.particles, state.theta_hat, y_t,

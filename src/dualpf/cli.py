@@ -194,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dual particle-filter estimation and fault diagnosis")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(name, summary, func):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", help="YAML config file")
         sp.add_argument("--model", choices=harness.MODELS)
         sp.add_argument("--estimator", choices=harness.ESTIMATORS)
@@ -205,34 +206,25 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--predictor", choices=PREDICTORS)
         sp.add_argument("--cov-mode", dest="cov_mode", choices=COV_MODES)
         sp.add_argument("--out", dest="output_dir")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("simulate", help="simulate a truth trajectory")
-    common(sp)
-    sp.set_defaults(func=cmd_simulate)
+    common("simulate", "simulate a truth trajectory", cmd_simulate)
+    common("estimate", "run an estimator on one scenario", cmd_estimate)
 
-    sp = sub.add_parser("estimate", help="run an estimator on one scenario")
-    common(sp)
-    sp.set_defaults(func=cmd_estimate)
-
-    sp = sub.add_parser("calibrate", help="Monte-Carlo threshold calibration")
-    common(sp)
+    sp = common("calibrate", "Monte-Carlo threshold calibration", cmd_calibrate)
     sp.add_argument("--runs", type=int, default=25)
     sp.add_argument("--base-seed", type=int, default=0)
     sp.add_argument("--coverage", type=float, default=RUN_DEFAULTS["coverage"])
-    sp.set_defaults(func=cmd_calibrate)
 
-    sp = sub.add_parser("diagnose", help="estimate + threshold decisions")
-    common(sp)
+    sp = common("diagnose", "estimate + threshold decisions", cmd_diagnose)
     sp.add_argument("--band", required=True, help="band.json from calibrate")
-    sp.set_defaults(func=cmd_diagnose)
 
-    sp = sub.add_parser("campaign", help="mixed-fault confusion campaign")
-    common(sp)
+    sp = common("campaign", "mixed-fault confusion campaign", cmd_campaign)
     sp.add_argument("--band", help="band.json; calibrated if omitted")
     sp.add_argument("--calibration-runs", type=int, default=25)
     sp.add_argument("--runs-per-category", type=int, default=7)
     sp.add_argument("--base-seed", type=int, default=0)
-    sp.set_defaults(func=cmd_campaign)
 
     sp = sub.add_parser("complexity", help="equivalent-flop report")
     sp.add_argument("--n-x", type=int, default=4)

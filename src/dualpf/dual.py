@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import param_filter, state_filter
-from .errors import ConfigError, DualPFError
+from .errors import DualPFError
 from .model import ModelSpec
 from .param_filter import ParamFilterConfig, ParamFilterState, init_param_filter
 from .smc import as_rng, sample_gaussian
@@ -73,8 +73,8 @@ def _shared_transition(est: DualEstimatorState, u
     model, particles = est.model, est.state.particles
     n = particles.shape[0]
     noise = sample_gaussian(model.process_noise_cov, n, est.rng)
-    distinct, runs = param_filter.distinct_runs(est.params.particles)
-    stacked = param_filter.perturbation_stack(distinct, model.param_domain)
+    stacked, runs = param_filter.perturbation_stack(est.params.particles,
+                                                    model.param_domain)
     m = stacked.shape[0]
     rows = np.atleast_2d(model.step_state(
         np.concatenate([particles,
@@ -94,9 +94,7 @@ def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState
     names its phase and the step; one raised by the model call the two
     filters share under "one_step" (`_shared_transition`) names both.
     """
-    y_t = np.atleast_1d(np.asarray(y_t, dtype=float))
-    if y_t.shape[0] != est.model.n_y:
-        raise ConfigError("observation dimension mismatch")
+    y_t = est.model.check_observation(y_t)
     model, t, config = est.model, est.t + 1, est.param_config
     one_step = config.predictor == "one_step"
     x_prev = est.state.estimate
@@ -124,8 +122,7 @@ def run(est: DualEstimatorState, observations: np.ndarray,
         u_trajectory: np.ndarray | None = None) -> list[np.ndarray]:
     """Fold step over an observation sequence; returns the history."""
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    if u_trajectory is not None and len(u_trajectory) < observations.shape[0]:
-        raise ConfigError("u_trajectory shorter than the observations")
+    est.model.check_inputs(u_trajectory, observations.shape[0])
     for t in range(observations.shape[0]):
         u = None if u_trajectory is None else u_trajectory[t]
         step(est, observations[t], u=u)

@@ -222,9 +222,8 @@ def implicit_euler_step(rhs, state: np.ndarray, dt: float) -> np.ndarray:
 
 
 def step_backward_euler(state: np.ndarray, health: np.ndarray,
-                        c: EngineConstants, fuel_flow: float,
-                        dt: float) -> np.ndarray:
-    """One implicit-Euler step of the engine dynamics.
+                        c: EngineConstants, fuel_flow: float) -> np.ndarray:
+    """One implicit-Euler step of DT_DEFAULT of the engine dynamics.
 
     The physical domain is checked once per step, on the entry state and on
     the result; PhysicalDomainError if either leaves the positive orthant.
@@ -235,7 +234,7 @@ def step_backward_euler(state: np.ndarray, health: np.ndarray,
     state = np.broadcast_to(state, np.broadcast_shapes(np.shape(state),
                                                        np.shape(health)))
     nxt = implicit_euler_step(
-        lambda z: derivatives(z, health, c, fuel_flow), state, dt)
+        lambda z: derivatives(z, health, c, fuel_flow), state, DT_DEFAULT)
     _check_positive(nxt)
     return nxt
 
@@ -262,10 +261,10 @@ SCENARIOS = {
 }
 
 
-def fuel_trajectory(T: int, c: EngineConstants, step: int) -> np.ndarray:
-    """Per-step fuel flow: nominal before `step`, stepped by
+def fuel_trajectory(T: int, c: EngineConstants) -> np.ndarray:
+    """Per-step fuel flow: nominal before FUEL_STEP, stepped by
     FUEL_STEP_FRACTION from it on."""
-    return np.where(np.arange(T) >= step,
+    return np.where(np.arange(T) >= FUEL_STEP,
                     c.mdot_f_ref * (1.0 + FUEL_STEP_FRACTION), c.mdot_f_ref)
 
 
@@ -281,7 +280,7 @@ def engine_model(c: EngineConstants) -> ModelSpec:
 
     def transition(x, eff, w, u=None):
         fuel = c.mdot_f_ref if u is None else float(u)
-        return step_backward_euler(x, eff, c, fuel, DT_DEFAULT) + w
+        return step_backward_euler(x, eff, c, fuel) + w
 
     def output(x, eff, u=None):
         return outputs(x, eff, c)

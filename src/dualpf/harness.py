@@ -35,8 +35,8 @@ RUN_DEFAULTS = {
     "n_particles": 50,
     "n_bayesian": 45,
     "n_rml": 150,
-    "shrinkage": 0.93,
-    "step_size_pe": 0.9,
+    "shrinkage": ParamFilterConfig.shrinkage,
+    "step_size_pe": ParamFilterConfig.step_size,
     "step_size_rml": 0.05,
     "coverage": 0.99,
     "persistence": 5,
@@ -59,7 +59,7 @@ class RunConfig:
     shrinkage: float = RUN_DEFAULTS["shrinkage"]
     step_size: float | None = None  # None: the estimator's default
     predictor: str | None = None    # None: the model's default
-    cov_mode: str = "initial"
+    cov_mode: str = ParamFilterConfig.cov_mode
     theta0_std: float = 0.05
     x0_std: float = 0.5
     persistence: int = RUN_DEFAULTS["persistence"]
@@ -130,8 +130,7 @@ def fuel_trajectory(config: RunConfig) -> np.ndarray | None:
     if config.model != "gas_turbine":
         return None
     constants, _ = gas_turbine.nominal_constants()
-    return gas_turbine.fuel_trajectory(config.duration, constants,
-                                       gas_turbine.FUEL_STEP)
+    return gas_turbine.fuel_trajectory(config.duration, constants)
 
 
 def simulate_truth(config: RunConfig):
@@ -154,6 +153,7 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
     all.  The step is looked up on its module at every step, so a wrapper
     installed there sees every step.
     """
+    model.check_inputs(u_trajectory, ys.shape[0])
     rng = as_rng(seed)
     theta0 = _theta0_for(config, model)
     theta0_cov = (config.theta0_std ** 2) * np.eye(model.n_theta)

@@ -137,9 +137,6 @@ class ModelSpec:
             np.asarray(self.process_noise_cov, dtype=float))
         self.measurement_noise_cov = np.atleast_2d(
             np.asarray(self.measurement_noise_cov, dtype=float))
-        self.validate()
-
-    def validate(self):
         for key in ("n_x", "n_theta", "n_y"):
             check_int(key, getattr(self, key), 1)
         L, V = self.process_noise_cov, self.measurement_noise_cov
@@ -156,6 +153,19 @@ class ModelSpec:
             raise ConfigError("V must be strictly positive definite")
         if self.param_domain.dim != self.n_theta:
             raise ConfigError("param_domain dimension mismatch")
+
+    def check_observation(self, y) -> np.ndarray:
+        """y as a vector of n_y floats, or ConfigError naming both shapes."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if y.shape != (self.n_y,):
+            raise ConfigError(f"observation shape {y.shape}, want ({self.n_y},)")
+        return y
+
+    def check_inputs(self, u_trajectory, T: int) -> None:
+        """ConfigError unless u_trajectory (None: no input) covers T steps."""
+        if u_trajectory is not None and len(u_trajectory) < T:
+            raise ConfigError(f"u_trajectory of {len(u_trajectory)} rows is "
+                              f"shorter than the {T} steps")
 
     def step_state(self, x, theta, w, u=None) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -177,10 +187,10 @@ def simulate(model: ModelSpec, x0: np.ndarray, theta_trajectory: np.ndarray,
     """
     rng = as_rng(seed)
     theta_trajectory = np.atleast_2d(np.asarray(theta_trajectory, dtype=float))
-    if theta_trajectory.shape[0] < T:
-        raise ConfigError("theta_trajectory shorter than T")
-    if u_trajectory is not None and len(u_trajectory) < T:
-        raise ConfigError("u_trajectory shorter than T")
+    if theta_trajectory[:T].shape != (T, model.n_theta):
+        raise ConfigError(f"theta_trajectory of shape {theta_trajectory.shape}"
+                          f", need {T} or more rows of {model.n_theta}")
+    model.check_inputs(u_trajectory, T)
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ConfigError("x0 must be finite")

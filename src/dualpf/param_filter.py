@@ -54,7 +54,7 @@ class ParamFilterConfig:
     shrinkage: float = 0.93                 # a in A = a I, 0 < a <= 1
     step_size: float = 0.9                  # gamma > 0
     evolution_cov: np.ndarray | None = None  # initial parameter covariance
-    cov_mode: str = "running"               # one of COV_MODES
+    cov_mode: str = "initial"               # one of COV_MODES
     predictor: str = "output"               # one of PREDICTORS
 
     def __post_init__(self):
@@ -126,16 +126,17 @@ def distinct_runs(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return thetas[edges[:-1]], edges[1:] - edges[:-1]
 
 
-def perturbation_stack(thetas: np.ndarray, domain: ParamDomain) -> np.ndarray:
-    """The K given rows and their 2 n_theta perturbed copies as one
-    ((2 n_theta + 1) K, n_theta) stack; the callers pass the
-    `distinct_runs` of the particles.
+def perturbation_stack(particles: np.ndarray, domain: ParamDomain
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The K `distinct_runs` rows of the particles and their 2 n_theta
+    perturbed copies as one ((2 n_theta + 1) K, n_theta) stack, and the
+    run lengths.
 
     Block 0 is the rows themselves, block 1 + k has column k moved up and
     block 1 + n_theta + k has it moved down, by FD_STEP relative, or not at
     all where that would leave the domain (a one-sided difference).
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    thetas, runs = distinct_runs(particles)
     n_th = thetas.shape[1]
     eta = FD_STEP * np.maximum(1.0, np.abs(thetas))
     up, dn = thetas + eta, thetas - eta
@@ -145,7 +146,7 @@ def perturbation_stack(thetas: np.ndarray, domain: ParamDomain) -> np.ndarray:
     stacked[1 + cols, :, cols] = np.where(up <= domain.upper, up, thetas).T
     stacked[1 + n_th + cols, :, cols] = np.where(dn >= domain.lower, dn,
                                                  thetas).T
-    return stacked.reshape(-1, n_th)
+    return stacked.reshape(-1, n_th), runs
 
 
 def finite_difference(stacked: np.ndarray, y: np.ndarray, runs: np.ndarray
@@ -173,8 +174,7 @@ def output_jacobian(x: np.ndarray, thetas: np.ndarray, model: ModelSpec,
     `perturbation_stack` is predicted in one call of (2 n_theta + 1) K rows
     and the result repeated back to N.
     """
-    distinct, runs = distinct_runs(thetas)
-    stacked = perturbation_stack(distinct, model.param_domain)
+    stacked, runs = perturbation_stack(thetas, model.param_domain)
     y = predicted_outputs(stacked, x, model, predictor, u)
     return finite_difference(stacked, y, runs)
 

@@ -152,6 +152,26 @@ class TestBayesianKS:
         assert np.median(errs) < 0.05 * theta_true
 
 
+class TestObservationCheck:
+    # A 1-value observation on the 4-output mixed model is refused before
+    # any estimate, as dual.step refuses it; numpy would broadcast it.
+    MODEL = synthetic.mixed_fault_model()
+    X0 = synthetic.mixed_equilibrium()
+
+    def test_bayesian_step_rejects_short_observation(self):
+        st = init_bayesian_ks(self.MODEL, self.X0, 0.01 * np.eye(2),
+                              np.ones(4), 1e-4 * np.eye(4), 20, 0)
+        with pytest.raises(ConfigError, match=r"\(1,\).*\(4,\)"):
+            baselines.bayesian_ks_step(st, np.array([1.0]), self.MODEL,
+                                       SHRINKAGE, 1)
+
+    def test_rml_step_rejects_short_observation(self):
+        st = init_rml(self.MODEL, self.X0, 0.01 * np.eye(2), np.ones(4), 20, 0)
+        with pytest.raises(ConfigError, match=r"\(1,\).*\(4,\)"):
+            rml_spsa_step(st, np.array([1.0]), self.MODEL,
+                          RUN_DEFAULTS["step_size_rml"], 1)
+
+
 class TestRmlSpsa:
     def test_gradient_matches_quadratic_closed_form(self):
         # y = theta under Gaussian noise: the incremental log-likelihood

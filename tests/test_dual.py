@@ -15,7 +15,7 @@ from dualpf.state_filter import StateFilterConfig
 
 def _estimator(model, x0, theta0, seed, x0_cov=None, theta0_cov=None,
                param_kwargs=None, n_particles=30):
-    pk = dict(n_particles=n_particles, evolution_cov=None)
+    pk = dict(n_particles=n_particles, evolution_cov=None, cov_mode="running")
     pk.update(param_kwargs or {})
     return dual.init(
         model, x0,
@@ -43,8 +43,17 @@ class TestInit:
     def test_observation_dimension_checked(self):
         model = synthetic.mixed_fault_model()
         est = _estimator(model, synthetic.mixed_equilibrium(), np.ones(4), 0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"\(1,\).*\(4,\)"):
             dual.step(est, np.array([1.0]))
+
+    def test_two_column_observation_rejected(self):
+        # Its first dimension is n_y, so only a check of the whole shape
+        # stops numpy from broadcasting it.
+        model = synthetic.mixed_fault_model()
+        est = _estimator(model, synthetic.mixed_equilibrium(), np.ones(4), 0)
+        with pytest.raises(ConfigError, match=r"\(4, 2\).*\(4,\)"):
+            dual.step(est, np.ones((4, 2)))
+        assert est.t == 0
 
 
 class TestStep:

@@ -13,6 +13,7 @@ from dualpf.gas_turbine import (
     FIXED_POINT_MAX_ITER,
     FIXED_POINT_TOL,
     FUEL_STEP,
+    FUEL_STEP_FRACTION,
     HEALTH_DOMAIN,
     NOMINAL_STATE,
     SCENARIOS,
@@ -50,7 +51,7 @@ class TestEquilibrium:
         state = NOMINAL_STATE.copy()
         for _ in range(100):
             state = step_backward_euler(state, HEALTHY, constants,
-                                        constants.mdot_f_ref, DT_DEFAULT)
+                                        constants.mdot_f_ref)
         drift = np.max(np.abs(state - NOMINAL_STATE) / NOMINAL_STATE)
         assert drift < 1e-6 * 100
 
@@ -230,7 +231,7 @@ class TestImplicitEuler:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             step_backward_euler(states, health, constants,
-                                constants.mdot_f_ref, DT_DEFAULT)
+                                constants.mdot_f_ref)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_newton_trajectory_matches_fixed_point_reference(
@@ -251,28 +252,40 @@ class TestImplicitEuler:
             raise AssertionError("reference did not converge")
 
         health = health_trajectory(HEALTHY, SCENARIOS[scenario], T)
-        fuel = fuel_trajectory(T, c, FUEL_STEP)
+        fuel = fuel_trajectory(T, c)
         noise = sample_gaussian(engine_model(c).process_noise_cov, T, as_rng(0))
         newton = reference = NOMINAL_STATE.copy()
         worst = 0.0
         for t in range(T):
-            newton = (step_backward_euler(newton, health[t], c, fuel[t],
-                                          DT_DEFAULT) + noise[t])
+            newton = (step_backward_euler(newton, health[t], c, fuel[t])
+                      + noise[t])
             reference = fixed_point_step(reference, health[t], fuel[t]) + noise[t]
             worst = max(worst, np.max(np.abs(newton - reference)
                                       / np.abs(reference)))
         assert worst < 1e-9
 
+    def test_step_is_the_solver_at_the_engine_sampling_period(self,
+                                                              constants):
+        # Reference: the generic solver at the engine's sampling period.
+        rng = np.random.default_rng(3)
+        health = rng.uniform(0.8, 1.1, (6, 4))
+        states = NOMINAL_STATE * (1.0 + 0.01 * rng.standard_normal((6, 4)))
+        fuel = constants.mdot_f_ref
+        want = implicit_euler_step(
+            lambda z: derivatives(z, health, constants, fuel), states,
+            DT_DEFAULT)
+        got = step_backward_euler(states, health, constants, fuel)
+        assert got.tobytes() == want.tobytes()
+
     def test_domain_checked_on_entry_and_result(self, constants, monkeypatch):
         with pytest.raises(PhysicalDomainError):
             step_backward_euler(np.array([1300.0, -1.0, 800.0, 300.0]),
-                                HEALTHY, constants, constants.mdot_f_ref,
-                                DT_DEFAULT)
+                                HEALTHY, constants, constants.mdot_f_ref)
         monkeypatch.setattr(gas_turbine, "implicit_euler_step",
                             lambda rhs, state, dt: -state)
         with pytest.raises(PhysicalDomainError):
             step_backward_euler(NOMINAL_STATE, HEALTHY, constants,
-                                constants.mdot_f_ref, DT_DEFAULT)
+                                constants.mdot_f_ref)
 
 
 class TestFaultScenarios:
@@ -309,10 +322,19 @@ class TestFaultScenarios:
 
     def test_fuel_step(self):
         c, _ = nominal_constants()
-        fuel = fuel_trajectory(300, c, FUEL_STEP)
+        fuel = fuel_trajectory(300, c)
         assert FUEL_STEP == 100
         assert np.all(fuel[:100] == c.mdot_f_ref)
         assert fuel[100:] == pytest.approx(0.98 * c.mdot_f_ref)
+
+    def test_fuel_trajectory_matches_its_expression_at_fuel_step(self):
+        # Reference: nominal flow before FUEL_STEP, stepped by
+        # FUEL_STEP_FRACTION from it on, written out.
+        c, _ = nominal_constants()
+        want = np.where(np.arange(300) >= FUEL_STEP,
+                        c.mdot_f_ref * (1.0 + FUEL_STEP_FRACTION),
+                        c.mdot_f_ref)
+        assert fuel_trajectory(300, c).tobytes() == want.tobytes()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigError):
@@ -341,10 +363,9 @@ class TestEngineModel:
         health = np.ones((5, 4))
         health[:, 0] = np.linspace(0.8, 1.0, 5)
         fuel = constants.mdot_f_ref
-        single = step_backward_euler(NOMINAL_STATE, health, constants, fuel,
-                                     DT_DEFAULT)
+        single = step_backward_euler(NOMINAL_STATE, health, constants, fuel)
         tiled = step_backward_euler(np.tile(NOMINAL_STATE, (5, 1)), health,
-                                    constants, fuel, DT_DEFAULT)
+                                    constants, fuel)
         assert np.array_equal(single, tiled)
 
     def test_faulty_health_shifts_equilibrium(self, constants):

@@ -127,6 +127,16 @@ class TestRunConfig:
         assert RunConfig(estimator=estimator).step_size == step_size
         assert RunConfig(estimator=estimator, step_size=0.2).step_size == 0.2
 
+    def test_filter_defaults_come_from_param_filter_config(self):
+        # The literals pin the values, so a moved default shows here.
+        pfc = ParamFilterConfig(evolution_cov=np.eye(1))
+        assert RUN_DEFAULTS["shrinkage"] == pfc.shrinkage == 0.93
+        assert RUN_DEFAULTS["step_size_pe"] == pfc.step_size == 0.9
+        cfg = RunConfig()
+        assert (cfg.shrinkage, cfg.step_size, cfg.cov_mode) == \
+            (pfc.shrinkage, pfc.step_size, pfc.cov_mode) == (0.93, 0.9,
+                                                              "initial")
+
     def test_fault_start_step(self):
         assert fault_start_step(RunConfig(scenario="healthy")) is None
         assert fault_start_step(RunConfig(scenario=SyntheticFault())) is None
@@ -253,6 +263,20 @@ class TestEstimatorLoop:
         run_scenario(RunConfig(**{**SMALL_MIXED, "estimator": estimator}))
         assert calls == {name: (SMALL_MIXED["duration"] if name == estimator
                                 else 0) for name in self.STEPS}
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_short_input_trajectory_rejected_before_any_step(
+            self, monkeypatch, estimator):
+        calls = []
+        for module, attr in self.STEPS.values():
+            monkeypatch.setattr(module, attr,
+                                lambda *args, **kwargs: calls.append(1))
+        cfg = RunConfig(**{**SMALL_MIXED, "estimator": estimator})
+        model, x0 = build_model(cfg)
+        with pytest.raises(ConfigError, match="3 rows.*5 steps"):
+            run_estimator(model, np.ones((5, 4)), cfg, 0, x0,
+                          u_trajectory=np.zeros(3))
+        assert calls == []
 
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_particle_steps_for_every_estimator(self, estimator):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from dualpf import synthetic
 from dualpf.errors import ConfigError, SimulationDivergenceError
 from dualpf.model import (
     Fault,
@@ -216,6 +217,13 @@ class TestSimulate:
         m = _identity_model()
         with pytest.raises(ConfigError):
             simulate(m, np.zeros(1), np.ones((2, 1)), 5, 0)
+
+    def test_narrow_theta_trajectory_rejected(self):
+        # One health column would be broadcast over all four parameters.
+        m = synthetic.mixed_fault_model()
+        with pytest.raises(ConfigError,
+                           match=r"\(5, 1\).*5 or more rows of 4"):
+            simulate(m, synthetic.mixed_equilibrium(), np.ones((5, 1)), 5, 0)
 
     def test_short_input_trajectory_rejected(self):
         m = _identity_model()

@@ -43,33 +43,41 @@ def _scaling_model(power=1, lower=0.0, upper=3.0, sigma_v=1.0):
 
 
 class TestConfigValidation:
+    # Each match names the setting, so the ConfigError of the default
+    # cov_mode's missing evolution_cov cannot stand in for it.
     def test_bad_shrinkage(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="shrinkage"):
             ParamFilterConfig(shrinkage=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="shrinkage"):
             ParamFilterConfig(shrinkage=1.5)
 
     def test_bad_modes(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="cov_mode"):
             ParamFilterConfig(cov_mode="frozen")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="predictor"):
             ParamFilterConfig(predictor="two_step")
 
     def test_initial_cov_mode_needs_evolution_cov(self):
         with pytest.raises(ConfigError):
             ParamFilterConfig(cov_mode="initial")
 
+    def test_default_cov_mode_needs_evolution_cov(self):
+        # "initial" is the one default, as in every harness run.
+        with pytest.raises(ConfigError, match="evolution_cov"):
+            ParamFilterConfig()
+        assert ParamFilterConfig(evolution_cov=np.eye(1)).cov_mode == "initial"
+
     def test_config_reused_across_inits_is_unchanged(self):
         m = _scaling_model()
-        cfg = ParamFilterConfig(n_particles=10)
+        cfg = ParamFilterConfig(n_particles=10, cov_mode="running")
         for seed, cov in ((0, 0.01), (1, 0.04)):
             init_param_filter(np.array([1.0]), cov * np.eye(1),
                               m.param_domain, cfg, seed)
-        assert cfg == ParamFilterConfig(n_particles=10)
+        assert cfg == ParamFilterConfig(n_particles=10, cov_mode="running")
 
     @pytest.mark.parametrize("step_size", [0.0, -0.5, float("nan")])
     def test_non_positive_step_size_rejected(self, step_size):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="step_size"):
             ParamFilterConfig(step_size=step_size)
 
 
@@ -78,12 +86,14 @@ class TestInit:
         with pytest.raises(ConfigError):
             init_param_filter(np.array([5.0]), np.eye(1),
                               ParamDomain([0.0], [1.0]),
-                              ParamFilterConfig(n_particles=10), 0)
+                              ParamFilterConfig(n_particles=10,
+                                                cov_mode="running"), 0)
 
     def test_particles_inside_domain(self):
         domain = ParamDomain([0.9], [1.1])
         st = init_param_filter(np.array([1.0]), 0.05 * np.eye(1), domain,
-                               ParamFilterConfig(n_particles=200), 1)
+                               ParamFilterConfig(n_particles=200,
+                                                 cov_mode="running"), 1)
         assert np.all(domain.contains(st.particles))
 
 
@@ -456,7 +466,7 @@ class TestEvolve:
 class TestUpdate:
     def test_identical_particles_fixed_point(self):
         m = _scaling_model()
-        cfg = ParamFilterConfig(n_particles=4)
+        cfg = ParamFilterConfig(n_particles=4, cov_mode="running")
         tilde = np.full((4, 1), 1.25)
         st = update(tilde, np.array([2.0]), np.array([2.5]), m, cfg, 0)
         assert np.all(st.particles == 1.25)
@@ -464,14 +474,14 @@ class TestUpdate:
 
     def test_dominant_likelihood_selects_survivor(self):
         m = _scaling_model(sigma_v=1e-3)
-        cfg = ParamFilterConfig(n_particles=2)
+        cfg = ParamFilterConfig(n_particles=2, cov_mode="running")
         tilde = np.array([[1.0], [2.9]])
         st = update(tilde, np.array([1.0]), np.array([1.0]), m, cfg, 0)
         assert np.all(st.particles == 1.0)
 
     def test_escaped_particle_raises(self):
         m = _scaling_model(upper=2.0)
-        cfg = ParamFilterConfig(n_particles=2)
+        cfg = ParamFilterConfig(n_particles=2, cov_mode="running")
         with pytest.raises(DualPFError):
             update(np.array([[1.0], [2.5]]), np.array([1.0]),
                    np.array([1.0]), m, cfg, 0)
@@ -482,7 +492,7 @@ class TestUpdate:
         # posterior mean on average.
         x, sigma_v, mu0, sigma0, y = 2.0, 0.5, 1.0, 0.3, 2.4
         m = _scaling_model(lower=-10.0, upper=10.0, sigma_v=sigma_v)
-        cfg = ParamFilterConfig(n_particles=500)
+        cfg = ParamFilterConfig(n_particles=500, cov_mode="running")
         precision = 1.0 / sigma0 ** 2 + x ** 2 / sigma_v ** 2
         target = (mu0 / sigma0 ** 2 + x * y / sigma_v ** 2) / precision
         rng = as_rng(10)

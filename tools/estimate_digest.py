@@ -7,7 +7,9 @@ Run from the root of a checkout; the library is imported from `src/`.
 Prints one line per `harness.run_scenario` config: 3 models x 3 estimators
 x 2 predictors at N = 30, seed 3, 300 steps (the engine on
 `scenario_I_concurrent`), each with the MD5 of its theta_hat and x_hat
-bytes, or the error it raised.  Then one line with the MD5 of a 4-run
+bytes, or the error it raised; then the dual on each model and predictor
+again with `cov_mode="running"`, the mode the unit tests use (the runs
+above take the default, "initial").  Then one line with the MD5 of a 4-run
 mixed-model `calibrate_band` and the labels of a `campaign_design(1)`
 confusion round against that band.  Run it on two commits and diff the
 output: equal lines mean bit-identical estimates.
@@ -41,22 +43,31 @@ def md5(*arrays: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def run_digest(model: str, estimator: str, predictor: str,
+               **settings) -> str:
+    """The MD5 of one run's estimates, or the error it raised."""
+    scenario = ("scenario_I_concurrent" if model == "gas_turbine"
+                else "healthy")
+    cfg = RunConfig(model=model, estimator=estimator,
+                    n_particles=N_PARTICLES, duration=DURATION, seed=SEED,
+                    scenario=scenario, predictor=predictor, **settings)
+    try:
+        run = run_scenario(cfg)
+        return md5(run["theta_hat"], run["x_hat"])
+    except DualPFError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def scenario_lines():
     for model in MODELS:
-        scenario = ("scenario_I_concurrent" if model == "gas_turbine"
-                    else "healthy")
         for estimator in ESTIMATORS:
             for predictor in PREDICTORS:
-                cfg = RunConfig(model=model, estimator=estimator,
-                                n_particles=N_PARTICLES, duration=DURATION,
-                                seed=SEED, scenario=scenario,
-                                predictor=predictor)
-                try:
-                    run = run_scenario(cfg)
-                    result = md5(run["theta_hat"], run["x_hat"])
-                except DualPFError as exc:
-                    result = f"{type(exc).__name__}: {exc}"
+                result = run_digest(model, estimator, predictor)
                 yield f"{model} {estimator} {predictor}: {result}"
+    for model in MODELS:
+        for predictor in PREDICTORS:
+            result = run_digest(model, "dual", predictor, cov_mode="running")
+            yield f"{model} dual {predictor} running: {result}"
 
 
 def campaign_line() -> str:
