@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedMetricError, check_int, check_real
+from .errors import (CalibrationError, ConfigError, UndefinedMetricError,
+                     check_int, check_real)
 from .model import COMPONENTS
 from .smc import sample_cov
 
@@ -60,6 +61,9 @@ class ConfusionMatrix:
         default_factory=lambda: np.zeros((5, 5), dtype=int))
 
     def add(self, actual: str, decided: str, n: int):
+        for name in (actual, decided):
+            if name not in CATEGORIES:
+                raise ConfigError(f"unknown category {name!r}")
         self.counts[CATEGORIES.index(actual), CATEGORIES.index(decided)] += n
 
 
@@ -96,6 +100,8 @@ def calibrate_thresholds(healthy_residual_runs: list[np.ndarray],
     independent healthy Monte-Carlo runs.
     """
     check_coverage(coverage)
+    if not healthy_residual_runs:
+        raise CalibrationError("no healthy residual run to calibrate on")
     pooled = np.concatenate([np.atleast_2d(r) for r in healthy_residual_runs])
     alpha = (1.0 - coverage) / 2.0
     lo = np.quantile(pooled, alpha, axis=0)

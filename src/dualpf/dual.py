@@ -7,15 +7,11 @@ against one state estimate, its anchor: the freshly produced one under the
 factorization where each marginal filter conditions on the other filter's
 most recent output.
 
-Under the "one_step" predictor the anchor is the state estimate of the
-previous step, not this step's, so the two filters' transitions are
-independent and one model call evaluates both: the state filter's N
-particles at the previous parameter estimate and the parameter filter's
-(2 n_theta + 1) K finite-difference rows at the previous state estimate,
-where K is the number of distinct parameter particles (on the gas turbine
-residual resampling collapses the ensemble to about one of N).  That makes
-two implicit solves per engine dual step instead of three, with every
-estimate bit-identical to running the filters one after the other.
+Under the "one_step" predictor the anchor is the previous state estimate,
+so the two filters' predictions are independent: the parameter filter's
+finite-difference rows ride in the state filter's `predict`, one
+transition call and one output call for both, with every estimate
+bit-identical to running the filters one after the other.
 """
 from __future__ import annotations
 
@@ -27,7 +23,7 @@ from . import param_filter, state_filter
 from .errors import DualPFError
 from .model import ModelSpec
 from .param_filter import ParamFilterConfig, ParamFilterState, init_param_filter
-from .smc import as_rng, sample_gaussian
+from .smc import as_rng
 from .state_filter import StateFilterConfig, StateFilterState, init_state_filter
 
 
@@ -62,49 +58,34 @@ def init(model: ModelSpec, x0_mean, x0_cov, theta0_mean, theta0_cov,
                               param_config=param_cfg, rng=rng)
 
 
-def _shared_transition(est: DualEstimatorState, u
-                       ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Both filters' transitions of one step in one `model.step_state` call:
-    the predicted state particles at the previous parameter estimate
-    (process noise drawn from est.rng where `state_filter.predict` draws
-    it) and the parameter filter's `output_jacobian`, its rows pushed
-    noise-free from the previous state estimate, once per distinct
-    parameter particle."""
-    model, particles = est.model, est.state.particles
-    n = particles.shape[0]
-    noise = sample_gaussian(model.process_noise_cov, n, est.rng)
-    stacked, runs = param_filter.perturbation_stack(est.params.particles,
-                                                    model.param_domain)
-    m = stacked.shape[0]
-    rows = np.atleast_2d(model.step_state(
-        np.concatenate([particles,
-                        np.broadcast_to(est.state.estimate, (m, model.n_x))]),
-        np.concatenate([np.broadcast_to(est.params.estimate,
-                                        (n, model.n_theta)), stacked]),
-        np.concatenate([noise, np.zeros((m, model.n_x))]), u=u))
-    return rows[:n], param_filter.finite_difference(
-        stacked, model.measure(rows[n:], stacked, u=u), runs)
-
-
 def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState:
     """One joint cycle: state update at frozen theta, then parameter update.
 
     The parameter filter's anchor is picked once, so neither filter reads
     the other's same-step intermediate quantities out of order.  An error
-    names its phase and the step; one raised by the model call the two
-    filters share under "one_step" (`_shared_transition`) names both.
+    names its phase and the step; one raised by the `predict` call the two
+    filters share under "one_step" names both.
     """
     y_t = est.model.check_observation(y_t)
     model, t, config = est.model, est.t + 1, est.param_config
     one_step = config.predictor == "one_step"
     x_prev = est.state.estimate
-    phase = "state and parameter filters"
+    phase, jacobian = "state and parameter filters", None
     try:
-        predicted, jacobian = (_shared_transition(est, u) if one_step
-                               else (None, None))
-        phase = "state filter"
-        est.state = state_filter.step(est.state, est.params.estimate, y_t,
-                                      model, est.rng, u=u, predicted=predicted)
+        if one_step:
+            stacked, runs = param_filter.perturbation_stack(
+                est.params.particles, model.param_domain)
+            predicted, outputs, fd_y = state_filter.predict(
+                est.state.particles, est.params.estimate, model, est.rng,
+                u=u, extra=(x_prev, stacked))
+            jacobian = param_filter.finite_difference(stacked, fd_y, runs)
+            phase = "state filter"
+            est.state = state_filter.update(predicted, outputs, y_t, model,
+                                            est.rng)
+        else:
+            phase = "state filter"
+            est.state = state_filter.step(est.state, est.params.estimate,
+                                          y_t, model, est.rng, u=u)
         phase = "parameter filter"
         anchor = x_prev if one_step else est.state.estimate
         tilde = param_filter.evolve(est.params, anchor, y_t, model, config,

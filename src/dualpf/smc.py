@@ -224,6 +224,7 @@ def regular_grid(values: np.ndarray,
     as a complete population).  A stack of particle sets (..., N) gives one
     grid per set, (..., n_reg), and one spacing per set.
     """
+    check_int("n_reg", n_reg, 2)
     values = np.asarray(values, dtype=float)
     return _span_grid(values.min(axis=-1), values.max(axis=-1),
                       values.std(axis=-1), n_reg)

@@ -52,34 +52,45 @@ def init_state_filter(mean: np.ndarray, cov: np.ndarray,
 
 
 def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
-            seed, u=None, predicted: np.ndarray | None = None
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the ensemble one step at the frozen parameter estimate
-    (or at one parameter row per particle).
+            seed, u=None, extra: tuple[np.ndarray, np.ndarray] | None = None
+            ) -> tuple[np.ndarray, ...]:
+    """Propagate the ensemble one step with process noise at the frozen
+    parameter estimate (or at one parameter row per particle), and measure
+    it.  Returns the predicted particles and their predicted outputs.
 
-    `predicted`, when given, holds the particles already pushed through the
-    transition with this step's process noise (see `dual.step`), and the
-    noise draw and the transition are skipped.  Returns the predicted
-    particles and their predicted outputs.
+    `extra=(x_rows, theta_rows)` adds rows that ride noise-free in the same
+    transition call and the same output call (the parameter filter's
+    finite-difference rows under "one_step", see `dual.step`); their outputs
+    come back as a third value.  No extra random number is drawn.
     """
-    if predicted is None:
-        noise = sample_gaussian(model.process_noise_cov, particles.shape[0],
-                                as_rng(seed))
-        predicted = model.step_state(particles, theta_hat, noise, u=u)
-    predicted = np.atleast_2d(predicted)
-    if not np.isfinite(predicted).all():
-        bad = ~np.isfinite(predicted).all(axis=1)
-        raise FilterDivergenceError(
-            f"non-finite particle at index {np.flatnonzero(bad)[0]}")
-    outputs = np.atleast_2d(model.measure(predicted, theta_hat, u=u))
-    return predicted, outputs
+    n = particles.shape[0]
+    xs, thetas = particles, theta_hat
+    noise = sample_gaussian(model.process_noise_cov, n, as_rng(seed))
+    if extra is not None:
+        x_rows, theta_rows = extra
+        m = theta_rows.shape[0]
+        xs = np.concatenate([particles,
+                             np.broadcast_to(x_rows, (m, model.n_x))])
+        thetas = np.concatenate(
+            [np.broadcast_to(theta_hat, (n, model.n_theta)), theta_rows])
+        noise = np.concatenate([noise, np.zeros((m, model.n_x))])
+    predicted = np.atleast_2d(model.step_state(xs, thetas, noise, u=u))
+    outputs = np.atleast_2d(model.measure(predicted, thetas, u=u))
+    if extra is None:
+        return predicted, outputs
+    return predicted[:n], outputs[:n], outputs[n:]
 
 
 def update(predicted: np.ndarray, outputs: np.ndarray, y: np.ndarray,
            model: ModelSpec, seed) -> StateFilterState:
     """The correction step: likelihood weights w_i proportional to
     N(y - yhat_i; 0, V) on the predicted particles, their kernel-regularized
-    redraw, and the summary of the equally weighted result."""
+    redraw, and the summary of the equally weighted result.  A predicted
+    particle with a non-finite entry raises FilterDivergenceError."""
+    if not np.isfinite(predicted).all():
+        bad = ~np.isfinite(predicted).all(axis=1)
+        raise FilterDivergenceError(
+            f"non-finite particle at index {np.flatnonzero(bad)[0]}")
     resid = np.asarray(y, dtype=float) - np.atleast_2d(outputs)
     ensemble = ParticleEnsemble(
         predicted, likelihood_weights(resid, model.measurement_noise_cov))
@@ -96,10 +107,8 @@ def update(predicted: np.ndarray, outputs: np.ndarray, y: np.ndarray,
 
 
 def step(state: StateFilterState, theta_hat: np.ndarray, y: np.ndarray,
-         model: ModelSpec, seed, u=None,
-         predicted: np.ndarray | None = None) -> StateFilterState:
-    """Full predict / weight / regularized-resample cycle; `predicted` as
-    in `predict`."""
+         model: ModelSpec, seed, u=None) -> StateFilterState:
+    """Full predict / weight / regularized-resample cycle."""
     rng = as_rng(seed)
-    return update(*predict(state.particles, theta_hat, model, rng, u=u,
-                           predicted=predicted), y, model, rng)
+    return update(*predict(state.particles, theta_hat, model, rng, u=u),
+                  y, model, rng)

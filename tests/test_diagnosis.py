@@ -20,6 +20,7 @@ from dualpf.diagnosis import (
     residual,
 )
 from dualpf.errors import (
+    CalibrationError,
     ConfigError,
     UndefinedMetricError,
 )
@@ -103,6 +104,10 @@ class TestCalibration:
     def test_coverage_outside_unit_interval_rejected(self, coverage):
         with pytest.raises(ConfigError, match="coverage"):
             calibrate_thresholds([np.zeros((10, 1))], coverage=coverage)
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(CalibrationError):
+            calibrate_thresholds([], coverage=0.99)
 
     def test_band_ordering_validated(self):
         with pytest.raises(ConfigError):
@@ -211,6 +216,14 @@ class TestConfusionMetrics:
         m.add("no_fault", "no_fault", n=3)
         assert m.counts[0, 3] == 1
         assert m.counts[4, 4] == 3
+
+    @pytest.mark.parametrize("actual, decided", [("foo", "no_fault"),
+                                                 ("eta_c", "foo")])
+    def test_unknown_category_rejected(self, actual, decided):
+        m = ConfusionMatrix()
+        with pytest.raises(ConfigError, match="'foo'"):
+            m.add(actual, decided, 1)
+        assert not m.counts.any()
 
 
 class TestMae:

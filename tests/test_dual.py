@@ -149,10 +149,10 @@ class TestStep:
             assert est.t == 0
 
 
-def _recording(base, calls=None, bad_above=None):
+def _recording(base, calls=None, bad_above=None, output_calls=None):
     """`base` with a transition that records the rows of each call and
     raises PhysicalDomainError on a row whose parameter exceeds
-    `bad_above`."""
+    `bad_above`, and an output map that records the rows of each call."""
     def transition(x, eff, w, u=None):
         eff = np.asarray(eff, dtype=float)
         if calls is not None:
@@ -161,8 +161,14 @@ def _recording(base, calls=None, bad_above=None):
             raise PhysicalDomainError("parameter row left the domain")
         return base.transition(x, eff, w, u=u)
 
+    def output(x, eff, u=None):
+        if output_calls is not None:
+            output_calls.append(
+                np.broadcast_shapes(np.shape(x), np.shape(eff))[0])
+        return base.output(x, eff, u=u)
+
     return ModelSpec(n_x=base.n_x, n_theta=base.n_theta, n_y=base.n_y,
-                     transition=transition, output=base.output,
+                     transition=transition, output=output,
                      process_noise_cov=base.process_noise_cov,
                      measurement_noise_cov=base.measurement_noise_cov,
                      param_domain=base.param_domain)
@@ -170,7 +176,8 @@ def _recording(base, calls=None, bad_above=None):
 
 class TestSharedTransition:
     """Under one_step the state prediction and the parameter filter's
-    finite-difference rows share one model call."""
+    finite-difference rows share one transition call and one output call
+    (`state_filter.predict(..., extra=...)`)."""
 
     @staticmethod
     def _case(name):
@@ -213,16 +220,19 @@ class TestSharedTransition:
                 ref.params.particles.tobytes()
         assert est.rng.random() == ref.rng.random()
 
+    # rows: the rows of each transition call, then of each output call.
     @pytest.mark.parametrize("predictor, rows", [
-        ("one_step", [12 + 3 * 12, 12]), ("output", [12])])
+        ("one_step", ([12 + 3 * 12, 12], [12 + 3 * 12, 12])),
+        ("output", ([12], [12, 3 * 12, 12]))])
     def test_one_call_carries_both_filters_rows(self, predictor, rows):
-        calls = []
-        model = _recording(synthetic.scalar_growth_model(), calls)
+        calls, output_calls = [], []
+        model = _recording(synthetic.scalar_growth_model(), calls,
+                           output_calls=output_calls)
         est = _estimator(model, np.array([5.0]), np.array([0.8]), 0,
                          param_kwargs=dict(predictor=predictor),
                          n_particles=12)
         dual.step(est, np.array([5.0]))
-        assert calls == rows
+        assert (calls, output_calls) == rows
 
     def test_shared_call_carries_one_jacobian_per_distinct_particle(self):
         calls = []
@@ -238,8 +248,9 @@ class TestSharedTransition:
         assert calls == [12 + 3 * k, 12]
 
     def test_divergence_message_names_filter_step_and_particle(self):
-        # The non-finite check runs on the state filter's rows of the shared
-        # call, so the message is the one of the output predictor.
+        # The non-finite check runs at the start of the state filter's
+        # update, after the shared call, so the message is the one of the
+        # output predictor.
         model = synthetic.mixed_fault_model()
         est = _estimator(model, synthetic.mixed_equilibrium(), np.ones(4), 0,
                          param_kwargs=dict(predictor="one_step"))

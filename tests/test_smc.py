@@ -418,6 +418,12 @@ def test_regular_grid_stacks_along_last_axis():
         assert step == one_dx
 
 
+@pytest.mark.parametrize("n_reg", [1, 0, 2.0])
+def test_regular_grid_needs_two_integer_points(n_reg):
+    with pytest.raises(ConfigError, match="n_reg"):
+        regular_grid(np.array([0.0, 1.0]), n_reg)
+
+
 _SYMMETRIC = np.array([[2.0, 0.5], [0.5, 1.0]])
 
 

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from dualpf import state_filter
+from dualpf import param_filter, state_filter, synthetic
 from dualpf.baselines import bayesian_ks_step, init_bayesian_ks
 from dualpf.errors import FilterDivergenceError
+from dualpf.gas_turbine import NOMINAL_STATE, engine_model, nominal_constants
 from dualpf.model import ModelSpec, ParamDomain
 from dualpf.smc import (
     DEFAULT_REGULARIZATION,
@@ -92,9 +93,13 @@ class TestPredict:
         assert np.all(np.abs(pred.mean(axis=0) - m_expect) < tol)
         assert np.allclose(cov, p_expect, atol=0.05)
 
+    # The predicted particles are checked for non-finite entries at the
+    # start of `update`, so a step flags what its predict produced.
     def test_divergence_flags_particle(self):
+        sf = init_state_filter(np.ones(1), np.zeros((1, 1)),
+                               StateFilterConfig(n_particles=4), 0)
         with pytest.raises(FilterDivergenceError):
-            predict(np.ones((4, 1)), THETA, _diverging_model(), 0)
+            state_filter.step(sf, THETA, np.ones(1), _diverging_model(), 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_divergence_message_names_the_first_bad_row(self, bad):
@@ -104,7 +109,34 @@ class TestPredict:
         predicted[5, 0] = np.nan
         with pytest.raises(FilterDivergenceError,
                            match=r"^non-finite particle at index 3$"):
-            predict(np.ones((6, 2)), THETA, model, 0, predicted=predicted)
+            update(predicted, np.ones((6, 2)), np.ones(2), model, 0)
+
+    @pytest.mark.parametrize("name", ["scalar", "mixed", "engine"])
+    def test_extra_rows_change_nothing_but_the_call_count(self, name):
+        if name == "scalar":
+            model, x0, u = synthetic.scalar_growth_model(), np.array([5.0]), None
+        elif name == "mixed":
+            model, x0, u = (synthetic.mixed_fault_model(),
+                            synthetic.mixed_equilibrium(), None)
+        else:
+            c = nominal_constants()[0]
+            model, x0, u = engine_model(c), NOMINAL_STATE, c.mdot_f_ref
+        rng = as_rng(5)
+        particles = x0 * (1.0 + 1e-3 * rng.normal(size=(12, model.n_x)))
+        theta_hat = np.full(model.n_theta, 0.98)
+        thetas = 0.97 + 0.02 * rng.random((12, model.n_theta))
+        ths, _ = param_filter.perturbation_stack(thetas, model.param_domain)
+        x = particles.mean(axis=0)
+        plain_rng, extra_rng = as_rng(8), as_rng(8)
+        pred, outs = predict(particles, theta_hat, model, plain_rng, u=u)
+        pred_x, outs_x, extra = predict(particles, theta_hat, model,
+                                        extra_rng, u=u, extra=(x, ths))
+        want = param_filter.predicted_outputs(ths, x, model, "one_step", u)
+        assert extra.shape == want.shape
+        assert extra.tobytes() == want.tobytes()
+        assert pred_x.tobytes() == pred.tobytes()
+        assert outs_x.tobytes() == outs.tobytes()
+        assert extra_rng.random() == plain_rng.random()
 
     def test_bayesian_step_shares_the_divergence_check(self):
         model = _diverging_model()

@@ -9,7 +9,11 @@ x 2 predictors at N = 30, seed 3, 300 steps (the engine on
 `scenario_I_concurrent`), each with the MD5 of its theta_hat and x_hat
 bytes, or the error it raised; then the dual on each model and predictor
 again with `cov_mode="running"`, the mode the unit tests use (the runs
-above take the default, "initial").  Then one line with the MD5 of a 4-run
+above take the default, "initial").  Then the runs at the benchmark's
+sizes: the engine dual under "one_step" at N = 50 for 400 steps, and the
+mixed model's matched budgets over 300 steps (dual 41, Bayesian 45, RML
+150; theta0_std 0.005, x0_std 0.1; step size 0.1 for the dual, 1e-4 for
+RML; the "output" predictor).  Then one line with the MD5 of a 4-run
 mixed-model `calibrate_band` and the labels of a `campaign_design(1)`
 confusion round against that band.  Run it on two commits and diff the
 output: equal lines mean bit-identical estimates.
@@ -34,6 +38,9 @@ N_PARTICLES = 30
 SEED = 3
 DURATION = 300
 CALIBRATION_RUNS = 4
+# (estimator, N, step size) of the mixed model's matched-budget campaign.
+MATCHED_BUDGETS = (("dual", 41, 0.1), ("bayesian", 45, None),
+                   ("rml", 150, 1e-4))
 
 
 def md5(*arrays: np.ndarray) -> str:
@@ -45,11 +52,12 @@ def md5(*arrays: np.ndarray) -> str:
 
 def run_digest(model: str, estimator: str, predictor: str,
                **settings) -> str:
-    """The MD5 of one run's estimates, or the error it raised."""
+    """The MD5 of one run's estimates, or the error it raised; `settings`
+    override the N, the duration and any other `RunConfig` field."""
     scenario = ("scenario_I_concurrent" if model == "gas_turbine"
                 else "healthy")
-    cfg = RunConfig(model=model, estimator=estimator,
-                    n_particles=N_PARTICLES, duration=DURATION, seed=SEED,
+    settings = {"n_particles": N_PARTICLES, "duration": DURATION, **settings}
+    cfg = RunConfig(model=model, estimator=estimator, seed=SEED,
                     scenario=scenario, predictor=predictor, **settings)
     try:
         run = run_scenario(cfg)
@@ -68,6 +76,14 @@ def scenario_lines():
         for predictor in PREDICTORS:
             result = run_digest(model, "dual", predictor, cov_mode="running")
             yield f"{model} dual {predictor} running: {result}"
+    result = run_digest("gas_turbine", "dual", "one_step", n_particles=50,
+                        duration=400)
+    yield f"gas_turbine dual one_step N=50 T=400: {result}"
+    for estimator, n, step_size in MATCHED_BUDGETS:
+        result = run_digest("mixed", estimator, "output", n_particles=n,
+                            step_size=step_size, theta0_std=0.005,
+                            x0_std=0.1)
+        yield f"mixed {estimator} matched N={n}: {result}"
 
 
 def campaign_line() -> str:
