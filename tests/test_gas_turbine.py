@@ -1,5 +1,6 @@
 """Unit tests for the single-spool engine model."""
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from dualpf.gas_turbine import (
     FUEL_STEP,
     FUEL_STEP_FRACTION,
     HEALTH_DOMAIN,
+    JACOBIAN_STEP,
     NOMINAL_STATE,
     SCENARIOS,
     compressor_exit_temp,
@@ -30,10 +32,108 @@ from dualpf.gas_turbine import (
     turbine_exit_temp,
     turbine_flow,
 )
+from dualpf.harness import RunConfig, simulate_truth
 from dualpf.model import Fault, health_trajectory
 from dualpf.smc import as_rng, sample_gaussian
 
 HEALTHY = np.ones(4)
+
+
+# Frozen references: the solver, right-hand side and output map with every
+# right-hand side on arrays (a 1-D state's sweeps on 0-d arrays) and every
+# component map inlined.  The engine's figures must match them bit for bit,
+# since its estimates are chaotic under rounding-level changes of the truth.
+
+def _ref_derivatives(state, health, c, fuel_flow):
+    state = np.asarray(state, dtype=float)
+    t_cc, s, p_cc, p_nlt = (state[..., i] for i in range(4))
+    health = np.asarray(health, dtype=float)
+    th_ec, th_mc, th_et, th_mt = (health[..., i] for i in range(4))
+    ex = (c.gamma - 1.0) / c.gamma
+    t_comp = c.T_d * (1.0 + ((p_cc / c.P_d) ** ex - 1.0) / (th_ec * c.eta_c))
+    t_turb = t_cc * (1.0 - th_et * c.eta_t * (1.0 - (p_nlt / p_cc) ** ex))
+    mdot_c = th_mc * (c.mdot_c_ref * (s / c.S_ref)
+                      * (1.0 + c.k_pc * (1.0 - p_cc / c.P_cc_ref)))
+    mdot_t = th_mt * (c.mdot_t_ref * (p_cc / c.P_cc_ref)
+                      * np.sqrt(c.T_cc_ref / t_cc))
+    net_mass = mdot_c + fuel_flow - mdot_t
+    d_tcc = (c.c_p * (mdot_c * t_comp - mdot_t * t_cc)
+             + c.eta_cc * c.H_u * fuel_flow
+             - c.c_v * t_cc * net_mass) / (c.c_v * c.m_cc)
+    d_pcc = (p_cc / t_cc) * d_tcc + (c.gamma * c.R * t_cc / c.V_cc) * net_mass
+    w_comp = mdot_c * c.c_p * (t_comp - c.T_d)
+    w_turb = mdot_t * c.c_p * (t_cc - t_turb)
+    d_s = 1e3 * (c.eta_mech * w_turb - w_comp) / (c.J * s * (np.pi / 30.0) ** 2)
+    d_pnlt = (c.R * c.T_m / c.V_m) * (
+        mdot_t + c.beta / (c.beta + 1.0) * mdot_c
+        - c.mdot_n_ref * (p_nlt / c.P_nlt_ref))
+    return np.stack([d_tcc, d_s, d_pcc, d_pnlt], axis=-1)
+
+
+def _ref_check_positive(state):
+    if np.any(np.asarray(state, dtype=float) <= 0):
+        raise PhysicalDomainError("engine state left the positive orthant")
+
+
+def _ref_outputs(state, health, c):
+    _ref_check_positive(state)
+    state = np.asarray(state, dtype=float)
+    t_cc, s, p_cc, p_nlt = (state[..., i] for i in range(4))
+    health = np.asarray(health, dtype=float)
+    ex = (c.gamma - 1.0) / c.gamma
+    y1 = c.T_d * (1.0 + ((p_cc / c.P_d) ** ex - 1.0) / (health[..., 0] * c.eta_c))
+    y5 = t_cc * (1.0 - health[..., 2] * c.eta_t * (1.0 - (p_nlt / p_cc) ** ex))
+    return np.stack(np.broadcast_arrays(y1, p_cc, s, p_nlt, y5), axis=-1)
+
+
+def _ref_implicit_euler_step(rhs, state, dt):
+    if dt <= 0:
+        raise IntegrationError("dt must be positive")
+    state = np.asarray(state, dtype=float)
+    n = state.shape[-1]
+    h = JACOBIAN_STEP * np.maximum(np.abs(state), 1.0)
+    f = rhs(np.stack([state] + [state + h * e for e in np.eye(n)]))
+    increment = dt * f[0]
+    with np.errstate(invalid="ignore"):
+        jacobian = np.moveaxis(f[1:] - f[0], 0, -1) / h[..., None, :]
+    m_inv = np.linalg.inv(np.eye(n) - dt * jacobian)
+    residual = -increment
+    z = state
+    active = np.ones(increment.shape[:-1], dtype=bool)
+    for _ in range(FIXED_POINT_MAX_ITER):
+        update = np.einsum("...ij,...j->...i", m_inv, residual)
+        delta = np.max(np.abs(update) / np.maximum(np.abs(z), 1.0), axis=-1)
+        z = np.where(active[..., None], z - update, z)
+        if not np.all(np.isfinite(z)):
+            raise IntegrationError(f"implicit step diverged from {state!r}")
+        active &= ~(delta < FIXED_POINT_TOL)
+        if not np.any(active):
+            return z
+        residual = z - state - dt * rhs(z)
+    warnings.warn("implicit step did not converge; explicit Euler fallback")
+    return np.where(active[..., None], state + increment, z)
+
+
+def _ref_step(state, health, c, fuel_flow):
+    _ref_check_positive(state)
+    state = np.broadcast_to(state, np.broadcast_shapes(np.shape(state),
+                                                       np.shape(health)))
+    nxt = _ref_implicit_euler_step(
+        lambda z: _ref_derivatives(z, health, c, fuel_flow), state, DT_DEFAULT)
+    _ref_check_positive(nxt)
+    return nxt
+
+
+def _outcome(call):
+    """(result bytes or error, warning messages) of call(); numpy's scalar
+    and array warnings name the same condition, so "scalar " is dropped."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call().tobytes()
+        except (IntegrationError, PhysicalDomainError) as exc:
+            result = (type(exc), str(exc))
+    return result, {str(w.message).replace("scalar ", "") for w in caught}
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +292,11 @@ class TestImplicitEuler:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(IntegrationError):
             implicit_euler_step(lambda z: z, np.array([1.0]), 0.0)
+        # A NaN or infinite dt passes `dt <= 0`; it must not reach the sweeps.
+        for dt in (np.nan, np.inf, -np.inf):
+            for state in (np.array([1.0]), np.ones((2, 1))):
+                with pytest.raises(IntegrationError, match="dt must be positive"):
+                    implicit_euler_step(lambda z: z, state, dt)
 
     def test_divergent_rhs_raises(self):
         with warnings.catch_warnings():
@@ -199,6 +304,18 @@ class TestImplicitEuler:
             with pytest.raises(IntegrationError):
                 implicit_euler_step(lambda z: z * np.inf, np.array([1.0]),
                                     0.01)
+
+    @pytest.mark.parametrize("rhs", [
+        lambda z: -100.0 * z ** 3,
+        (lambda z: -100.0 * z ** 3, lambda x: (x[0] ** 3,),
+         lambda x, cube: (-100.0 * cube[0],))],
+        ids=["plain", "split"])
+    def test_one_state_sweep_cap_falls_back_to_explicit_euler(self, rhs):
+        # The stiff cubic of the batched test below, alone and 1-D.
+        with pytest.warns(UserWarning, match="explicit Euler fallback") as rec:
+            out = implicit_euler_step(rhs, np.array([5.0]), 0.01)
+        assert len(rec) == 1
+        assert out.tobytes() == np.array([5.0 + 0.01 * -12500.0]).tobytes()
 
     def test_only_the_unconverged_row_falls_back(self):
         # Row 0 decays at rate 2 and converges in a few sweeps.  Row 1 is
@@ -286,6 +403,74 @@ class TestImplicitEuler:
         with pytest.raises(PhysicalDomainError):
             step_backward_euler(NOMINAL_STATE, HEALTHY, constants,
                                 constants.mdot_f_ref)
+
+
+class TestFrozenReference:
+    """The one-state solve runs on np.float64 scalars; it must reproduce the
+    frozen references above byte for byte, failures and warnings included."""
+
+    def test_one_state_at_a_time_matches_bit_for_bit(self, constants):
+        c = constants
+        rng = np.random.default_rng(30)
+        n = 240
+        states = NOMINAL_STATE * (1.0 + 0.05 * rng.standard_normal((n, 4)))
+        health = rng.uniform(0.5, 1.2, (n, 4))
+        health[::3] = rng.choice(HEALTH_DOMAIN.lower.tolist()
+                                 + HEALTH_DOMAIN.upper.tolist(), (80, 4))
+        fuels = (c.mdot_f_ref, c.mdot_f_ref * (1.0 + FUEL_STEP_FRACTION))
+        for k in range(n):
+            x, th, fuel = states[k], health[k], fuels[k % 2]
+            assert (derivatives(x, th, c, fuel).tobytes()
+                    == _ref_derivatives(x, th, c, fuel).tobytes())
+            assert outputs(x, th, c).tobytes() == _ref_outputs(x, th, c).tobytes()
+            assert (_outcome(lambda: step_backward_euler(x, th, c, fuel))
+                    == _outcome(lambda: _ref_step(x, th, c, fuel)))
+            rhs = lambda z: _ref_derivatives(z, th, c, fuel)  # noqa: E731
+            assert (_outcome(lambda: implicit_euler_step(rhs, x, DT_DEFAULT))
+                    == _outcome(lambda: _ref_implicit_euler_step(
+                        rhs, x, DT_DEFAULT)))
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_truth_matches_bit_for_bit(self, scenario, monkeypatch):
+        cfg = RunConfig(model="gas_turbine", scenario=scenario, duration=2500,
+                        seed=0)
+
+        def truth_md5():
+            _, states, ys, _, _ = simulate_truth(cfg)
+            return hashlib.md5(states.tobytes() + ys.tobytes()).hexdigest()
+
+        got = truth_md5()
+        monkeypatch.setattr(gas_turbine, "step_backward_euler", _ref_step)
+        monkeypatch.setattr(gas_turbine, "outputs", _ref_outputs)
+        assert got == truth_md5()
+
+    def test_one_state_failures_match(self, constants):
+        # States up to e^4 off nominal at the health bounds: iterates go
+        # negative (nan from `**` and sqrt), overflow, hit the sweep cap or
+        # leave the positive orthant, as they did before.
+        c = constants
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(400):
+            x = NOMINAL_STATE * np.exp(rng.uniform(-4.0, 4.0, 4))
+            th = rng.choice([0.5, 1.2], 4)
+            fuel = c.mdot_f_ref * rng.choice([1.0, 1.0 + FUEL_STEP_FRACTION])
+            got, got_warnings = _outcome(
+                lambda: step_backward_euler(x, th, c, fuel))
+            want, want_warnings = _outcome(lambda: _ref_step(x, th, c, fuel))
+            assert got == want
+            assert got_warnings <= want_warnings
+            if isinstance(got, tuple) and got[0] is IntegrationError:
+                # np.float64, not float: no complex, no ZeroDivisionError.
+                with warnings.catch_warnings(), np.errstate(all="ignore"):
+                    warnings.simplefilter("error")
+                    with pytest.raises(IntegrationError):
+                        step_backward_euler(x, th, c, fuel)
+            seen.add(got[0] if isinstance(got, tuple) else bytes)
+            seen |= {w for w in got_warnings if "explicit Euler" in w}
+        assert seen == {bytes, IntegrationError, PhysicalDomainError,
+                        "implicit step did not converge; explicit Euler "
+                        "fallback"}
 
 
 class TestFaultScenarios:

@@ -1,26 +1,30 @@
-"""MD5 digests of the library's estimates, for checking that a refactor
-changes no bit of any estimate.
+"""MD5 digests of the library's truths and estimates, for checking that a
+refactor changes no bit of either.
 
     python tools/estimate_digest.py
 
 Run from the root of a checkout; the library is imported from `src/`.
-Prints one line per `harness.run_scenario` config: 3 models x 3 estimators
-x 2 predictors at N = 30, seed 3, 300 steps (the engine on
-`scenario_I_concurrent`), each with the MD5 of its theta_hat and x_hat
-bytes, or the error it raised; then the dual on each model and predictor
-again with `cov_mode="running"`, the mode the unit tests use (the runs
-above take the default, "initial").  Then the runs at the benchmark's
-sizes: the engine dual under "one_step" at N = 50 for 400 steps, and the
-mixed model's matched budgets over 300 steps (dual 41, Bayesian 45, RML
-150; theta0_std 0.005, x0_std 0.1; step size 0.1 for the dual, 1e-4 for
-RML; the "output" predictor).  Then one line with the MD5 of a 4-run
-mixed-model `calibrate_band` and the labels of a `campaign_design(1)`
-confusion round against that band.  Run it on two commits and diff the
-output: equal lines mean bit-identical estimates.
+Prints one line per `harness.simulate_truth` first, with the MD5 of its
+states and outputs: the scalar and mixed models (healthy) and the engine
+on `scenario_I_concurrent` and `scenario_II_simultaneous`, seed 3, 2,500
+steps, past every fault onset.  Then one line per `harness.run_scenario`
+config: 3 models x 3 estimators x 2 predictors at N = 30, seed 3, 300
+steps (the engine on `scenario_I_concurrent`), each with the MD5 of its
+theta_hat and x_hat bytes, or the error it raised; then the dual on each
+model and predictor again with `cov_mode="running"`, the mode the unit
+tests use (the runs above take the default, "initial").  Then the runs at
+the benchmark's sizes: the engine dual under "one_step" at N = 50 for 400
+steps, and the mixed model's matched budgets over 300 steps (dual 41,
+Bayesian 45, RML 150; theta0_std 0.005, x0_std 0.1; step size 0.1 for the
+dual, 1e-4 for RML; the "output" predictor).  Then one line with the MD5
+of a 4-run mixed-model `calibrate_band` and the labels of a
+`campaign_design(1)` confusion round against that band.  Run it on two
+commits and diff the output: equal lines mean bit-identical results.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -31,13 +35,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from dualpf.errors import DualPFError  # noqa: E402
 from dualpf.harness import (ESTIMATORS, MODELS, RunConfig,  # noqa: E402
                             calibrate_band, campaign_design,
-                            confusion_campaign, run_scenario)
+                            confusion_campaign, run_scenario, simulate_truth)
 from dualpf.param_filter import PREDICTORS  # noqa: E402
 
 N_PARTICLES = 30
 SEED = 3
 DURATION = 300
 CALIBRATION_RUNS = 4
+TRUTH_STEPS = 2500
+TRUTHS = (("scalar", "healthy"), ("mixed", "healthy"),
+          ("gas_turbine", "scenario_I_concurrent"),
+          ("gas_turbine", "scenario_II_simultaneous"))
 # (estimator, N, step size) of the mixed model's matched-budget campaign.
 MATCHED_BUDGETS = (("dual", 41, 0.1), ("bayesian", 45, None),
                    ("rml", 150, 1e-4))
@@ -64,6 +72,14 @@ def run_digest(model: str, estimator: str, predictor: str,
         return md5(run["theta_hat"], run["x_hat"])
     except DualPFError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def truth_lines():
+    for model, scenario in TRUTHS:
+        cfg = RunConfig(model=model, scenario=scenario, seed=SEED,
+                        duration=TRUTH_STEPS)
+        _, states, ys, _, _ = simulate_truth(cfg)
+        yield f"{model} {scenario} truth T={TRUTH_STEPS}: {md5(states, ys)}"
 
 
 def scenario_lines():
@@ -96,7 +112,7 @@ def campaign_line() -> str:
 
 
 def main() -> int:
-    for line in scenario_lines():
+    for line in itertools.chain(truth_lines(), scenario_lines()):
         print(line, flush=True)
     print(campaign_line())
     return 0
