@@ -4,10 +4,11 @@ A healthy baseline is fitted over a converged window of parameter
 estimates; residuals are the baseline minus the running estimate, so a
 loss of effectiveness shows up as a positive residual.  Thresholds are
 empirical quantile envelopes over healthy Monte-Carlo runs; decisions
-require a persistence of consecutive out-of-band samples.
+and band widening share one persistence test for out-of-band samples.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,9 @@ from .smc import sample_cov
 
 CONVERGENCE_WINDOW = 200   # healthy-fit horizon and MAE tail, steps (2 s at 10 ms)
 MIN_BAND_WIDTH = 1e-6
-SEVERITY_WINDOW = 100      # steps after detection averaged into the severity
+SEVERITY_WINDOW = 100      # steps from t_detect averaged into the severity
+BAND_MAX_WIDENINGS = 60
+BAND_TARGET_FP = 0.04      # healthy runs allowed to raise any detection
 CATEGORIES = COMPONENTS + ("no_fault",)
 
 
@@ -111,38 +114,60 @@ def calibrate_thresholds(healthy_residual_runs: list[np.ndarray],
     return ThresholdBand(mid - half, mid + half)
 
 
+def _trip_starts(residuals: np.ndarray, band: ThresholdBand,
+                 persistence: int) -> np.ndarray:
+    """Per component, the first step of the first `persistence` consecutive
+    out-of-band residuals, or -1 where there is none."""
+    outside = (residuals < band.lower) | (residuals > band.upper)
+    if outside.shape[0] < persistence:
+        return np.full(outside.shape[1], -1)
+    count = np.cumsum(outside, axis=0)   # row t: out-of-band in t-p+1 .. t
+    count[persistence:] -= count[:-persistence]
+    full = count == persistence
+    return np.where(full.any(0), full.argmax(0) - persistence + 1, -1)
+
+
+def calibrate_band(healthy_residual_runs: list[np.ndarray], coverage: float,
+                   persistence: int) -> ThresholdBand:
+    """calibrate_thresholds' envelope, widened x1.1 about its midpoint for
+    up to BAND_MAX_WIDENINGS passes until at most BAND_TARGET_FP of the runs
+    trip the persistence test: residuals are strongly autocorrelated, so the
+    pooled envelope alone does not control run-level false alarms.  A
+    missed target is warned about and the widest band returned."""
+    band = calibrate_thresholds(healthy_residual_runs, coverage=coverage)
+    check_int("persistence", persistence, 1)
+    mid = 0.5 * (band.lower + band.upper)
+    half = 0.5 * (band.upper - band.lower)
+    scale = 1.0
+    for _ in range(BAND_MAX_WIDENINGS):
+        cand = ThresholdBand(mid - scale * half, mid + scale * half)
+        false_alarms = np.mean([
+            _trip_starts(np.atleast_2d(r), cand, persistence).max() >= 0
+            for r in healthy_residual_runs])
+        if false_alarms <= BAND_TARGET_FP:
+            return cand
+        scale *= 1.1
+    warnings.warn(f"target_fp {BAND_TARGET_FP} missed: {false_alarms:.3f} "
+                  f"of the healthy runs still raise a detection after "
+                  f"{BAND_MAX_WIDENINGS} band widenings")
+    return cand
+
+
 def decide(residuals: np.ndarray, band: ThresholdBand,
            persistence: int) -> list[ComponentDecision]:
-    """Per-component persistence test against the band.
-
-    A component is flagged when its residual stays outside the band for
-    `persistence` consecutive steps; the detection time is the first step
-    of that run and the severity is the mean residual over the trailing
-    SEVERITY_WINDOW steps after detection.
-    """
+    """Per-component persistence test against the band: a component is
+    flagged when its residual stays outside the band for `persistence`
+    consecutive steps; t_detect is the first of them and the severity the
+    mean residual over the SEVERITY_WINDOW steps from t_detect."""
     check_int("persistence", persistence, 1)
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
-    t_len, n_th = residuals.shape
+    n_th = residuals.shape[1]
     if band.lower.shape != (n_th,):
         raise ConfigError(f"{band.lower.size}-component band for "
                           f"{n_th}-component residuals")
-    out = []
-    outside = (residuals < band.lower) | (residuals > band.upper)
-    for j in range(n_th):
-        col = outside[:, j]
-        decision = ComponentDecision(detected=False)
-        run = 0
-        for t in range(t_len):
-            run = run + 1 if col[t] else 0
-            if run >= persistence:
-                start = t - persistence + 1
-                tail = residuals[start:start + SEVERITY_WINDOW, j]
-                decision = ComponentDecision(
-                    detected=True, t_detect=start,
-                    severity=float(tail.mean()))
-                break
-        out.append(decision)
-    return out
+    return [ComponentDecision(False) if t < 0 else ComponentDecision(
+                True, int(t), float(residuals[t:t + SEVERITY_WINDOW, j].mean()))
+            for j, t in enumerate(_trip_starts(residuals, band, persistence))]
 
 
 def classify(decisions: list[ComponentDecision], band: ThresholdBand) -> str:

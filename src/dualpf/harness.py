@@ -25,8 +25,6 @@ from .state_filter import StateFilterConfig
 
 ESTIMATORS = ("dual", "bayesian", "rml")
 MODELS = ("scalar", "mixed", "gas_turbine")
-BAND_MAX_WIDENINGS = 60
-BAND_TARGET_FP = 0.04      # healthy runs allowed to raise any detection
 CAMPAIGN_SEVERITIES = (0.06, 0.07, 0.08, 0.09, 0.10, 0.11, 0.12)
 BOOTSTRAP_RESAMPLES = 2000
 
@@ -268,15 +266,9 @@ def seeded_runs(config: RunConfig, scenarios: list, base_seed: int,
 def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
                    coverage: float = RUN_DEFAULTS["coverage"]
                    ) -> diagnosis.ThresholdBand:
-    """Healthy-condition Monte-Carlo threshold calibration.
-
-    Starts from the per-step quantile envelope, then widens the band about
-    its midpoint until at most BAND_TARGET_FP of the healthy calibration
-    runs would raise any detection under the configured persistence rule —
-    residuals are strongly autocorrelated, so the pooled envelope alone
-    does not control run-level false alarms.  `coverage` is checked first;
-    failed runs are dropped with a warning, or a CalibrationError if all fail.
-    """
+    """diagnosis.calibrate_band over n_runs healthy runs at the configured
+    persistence.  `coverage` is checked first; failed runs are dropped with
+    a warning, or a CalibrationError if all fail."""
     check_int("n_runs", n_runs, 1)
     diagnosis.check_coverage(coverage)
     runs, failures = seeded_runs(config, ["healthy"] * n_runs, base_seed)
@@ -286,25 +278,8 @@ def calibrate_band(config: RunConfig, n_runs: int, base_seed: int,
         if not runs:
             raise CalibrationError(f"no calibration run finished: {note}")
         warnings.warn(note)
-    residual_runs = [run["residuals"] for _, run in runs]
-    band = diagnosis.calibrate_thresholds(residual_runs, coverage=coverage)
-    mid = 0.5 * (band.lower + band.upper)
-    half = 0.5 * (band.upper - band.lower)
-    scale = 1.0
-    for _ in range(BAND_MAX_WIDENINGS):
-        cand = diagnosis.ThresholdBand(mid - scale * half, mid + scale * half)
-        trips = sum(
-            any(d.detected for d in diagnosis.decide(
-                res, cand, config.persistence))
-            for res in residual_runs)
-        false_alarms = trips / len(residual_runs)
-        if false_alarms <= BAND_TARGET_FP:
-            return cand
-        scale *= 1.1
-    warnings.warn(f"target_fp {BAND_TARGET_FP} missed: {false_alarms:.3f} "
-                  f"of the healthy runs still raise a detection after "
-                  f"{BAND_MAX_WIDENINGS} band widenings")
-    return cand
+    return diagnosis.calibrate_band([run["residuals"] for _, run in runs],
+                                    coverage, config.persistence)
 
 
 def campaign_design(n_per_category: int = 7,

@@ -155,10 +155,15 @@ class ModelSpec:
             raise ConfigError("param_domain dimension mismatch")
 
     def check_observation(self, y) -> np.ndarray:
-        """y as a vector of n_y floats, or ConfigError naming both shapes."""
+        """y as a vector of n_y floats; ConfigError naming both shapes, or
+        the first channel y_1..y_n that holds an infinity."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (self.n_y,):
             raise ConfigError(f"observation shape {y.shape}, want ({self.n_y},)")
+        if np.isinf(y).any():
+            j = int(np.isinf(y).argmax())
+            raise ConfigError(f"observation y_{j + 1} is {y[j]}: an infinite "
+                              f"sample cannot be weighed")
         return y
 
     def check_inputs(self, u_trajectory, T: int) -> None:

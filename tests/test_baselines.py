@@ -171,6 +171,23 @@ class TestObservationCheck:
             rml_spsa_step(st, np.array([1.0]), self.MODEL,
                           RUN_DEFAULTS["step_size_rml"], 1)
 
+    # An infinite sample is refused by name; it would otherwise end the run
+    # as a likelihood collapse.
+    Y_INF = np.array([1.0, np.inf, 1.0, 1.0])
+
+    def test_bayesian_step_rejects_infinite_observation(self):
+        st = init_bayesian_ks(self.MODEL, self.X0, 0.01 * np.eye(2),
+                              np.ones(4), 1e-4 * np.eye(4), 20, 0)
+        with pytest.raises(ConfigError, match="y_2 is inf"):
+            baselines.bayesian_ks_step(st, self.Y_INF, self.MODEL,
+                                       SHRINKAGE, 1)
+
+    def test_rml_step_rejects_infinite_observation(self):
+        st = init_rml(self.MODEL, self.X0, 0.01 * np.eye(2), np.ones(4), 20, 0)
+        with pytest.raises(ConfigError, match="y_2 is inf"):
+            rml_spsa_step(st, self.Y_INF, self.MODEL,
+                          RUN_DEFAULTS["step_size_rml"], 1)
+
 
 class TestRmlSpsa:
     def test_gradient_matches_quadratic_closed_form(self):

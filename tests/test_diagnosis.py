@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from dualpf.diagnosis import (
+    BAND_MAX_WIDENINGS,
     CATEGORIES,
     ComponentDecision,
     ConfusionMatrix,
     ThresholdBand,
+    calibrate_band,
     calibrate_thresholds,
     classify,
     confusion_metrics,
@@ -24,6 +26,76 @@ from dualpf.errors import (
     ConfigError,
     UndefinedMetricError,
 )
+
+
+# Frozen copies of the decision layer as it stood with a per-step loop:
+# `decide` and the band widening that called it for every calibration run.
+# The shared persistence test must reproduce both bit for bit.
+def _ref_decide(residuals, band, persistence):
+    residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
+    t_len, n_th = residuals.shape
+    out = []
+    outside = (residuals < band.lower) | (residuals > band.upper)
+    for j in range(n_th):
+        col = outside[:, j]
+        decision = ComponentDecision(detected=False)
+        run = 0
+        for t in range(t_len):
+            run = run + 1 if col[t] else 0
+            if run >= persistence:
+                start = t - persistence + 1
+                tail = residuals[start:start + 100, j]
+                decision = ComponentDecision(
+                    detected=True, t_detect=start,
+                    severity=float(tail.mean()))
+                break
+        out.append(decision)
+    return out
+
+
+def _ref_calibrate_band(residual_runs, coverage, persistence):
+    band = calibrate_thresholds(residual_runs, coverage=coverage)
+    mid = 0.5 * (band.lower + band.upper)
+    half = 0.5 * (band.upper - band.lower)
+    scale = 1.0
+    for _ in range(60):
+        cand = ThresholdBand(mid - scale * half, mid + scale * half)
+        trips = sum(
+            any(d.detected for d in _ref_decide(res, cand, persistence))
+            for res in residual_runs)
+        false_alarms = trips / len(residual_runs)
+        if false_alarms <= 0.04:
+            return cand
+        scale *= 1.1
+    warnings.warn(f"target_fp 0.04 missed: {false_alarms:.3f} "
+                  f"of the healthy runs still raise a detection after "
+                  f"60 band widenings")
+    return cand
+
+
+def _bits(decisions):
+    return [(d.detected, d.t_detect, type(d.t_detect),
+             None if d.severity is None else d.severity.hex())
+            for d in decisions]
+
+
+def _random_residuals(rng, t_len, n_th):
+    """Random walks on a coarse grid, so values land exactly on bounds
+    taken from them, with excursions of either sign."""
+    res = np.round(np.cumsum(rng.normal(0.0, 0.3, (t_len, n_th)), axis=0), 1)
+    for _ in range(rng.integers(0, 3)):
+        start, length = rng.integers(0, t_len + 1), rng.integers(1, 12)
+        res[start:start + length, rng.integers(n_th)] += rng.choice(
+            [-3.0, 3.0])
+    return res
+
+
+def _calibrate(call, runs, persistence):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        band = call(runs, 0.9, persistence)
+    return band.lower.tobytes(), band.upper.tobytes(), [
+        (w.category, str(w.message)) for w in caught]
 
 
 class TestBaselineFit:
@@ -109,6 +181,28 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_thresholds([], coverage=0.99)
 
+    def test_band_widens_until_the_healthy_runs_stop_tripping(self):
+        # Each run holds one 5-step excursion to 0.5: too rare to move the
+        # pooled 0.99 envelope of the noise, so widening must cover it.
+        rng = np.random.default_rng(5)
+        runs = [0.01 * rng.standard_normal((2000, 1)) for _ in range(10)]
+        for k, r in enumerate(runs):
+            r[100 * k:100 * k + 5] = 0.5
+        envelope = calibrate_thresholds(runs, coverage=0.99)
+        band = calibrate_band(runs, 0.99, persistence=5)
+        assert envelope.upper[0] < 0.1
+        assert band.upper[0] >= 0.5
+        assert band.lower[0] < envelope.lower[0]
+        assert not any(decide(r, band, 5)[0].detected for r in runs)
+
+    def test_band_persistence_validated(self):
+        with pytest.raises(ConfigError, match="persistence"):
+            calibrate_band([np.zeros((10, 1))], 0.99, persistence=0)
+
+    def test_band_without_runs_rejected(self):
+        with pytest.raises(CalibrationError):
+            calibrate_band([], 0.99, persistence=5)
+
     def test_band_ordering_validated(self):
         with pytest.raises(ConfigError):
             ThresholdBand(np.array([1.0]), np.array([0.0]))
@@ -161,6 +255,56 @@ class TestDecide:
     def test_persistence_validated(self):
         with pytest.raises(ConfigError):
             decide(np.zeros((5, 1)), self.BAND, persistence=0)
+
+
+class TestFrozenReference:
+    """decide and calibrate_band run one vectorized persistence test; they
+    must match the frozen per-step loop above bit for bit."""
+
+    def test_decide_matches_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        short = 0
+        for _ in range(3000):
+            t_len, n_th = int(rng.integers(0, 40)), int(rng.integers(1, 5))
+            persistence = int(rng.integers(1, 9))
+            res = _random_residuals(rng, t_len, n_th)
+            lower = np.round(rng.uniform(-2.0, 0.0, n_th), 1) - 0.1
+            upper = np.round(rng.uniform(0.0, 2.0, n_th), 1)
+            if rng.random() < 0.3 and t_len:
+                # Pin some entries exactly on a bound.
+                res[rng.integers(t_len), :] = upper
+                res[rng.integers(t_len), :] = lower
+            band = ThresholdBand(lower, upper)
+            short += t_len < persistence
+            assert (_bits(decide(res, band, persistence))
+                    == _bits(_ref_decide(res, band, persistence)))
+        assert short > 100
+
+    def test_calibrate_band_matches_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        missed = 0
+        for case in range(300):
+            n_th, persistence = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            runs = [_random_residuals(rng, int(rng.integers(1, 60)), n_th)
+                    for _ in range(int(rng.integers(1, 9)))]
+            if case % 30 == 0:
+                # One persistence-long spike per run, too rare for the
+                # envelope and too tall for every widening: a missed target.
+                for r in runs:
+                    r[:] = 0.0
+                    r[-persistence:] = 1e6
+                runs.append(np.zeros((4000, n_th)))
+            got = _calibrate(calibrate_band, runs, persistence)
+            assert got == _calibrate(_ref_calibrate_band, runs, persistence)
+            missed += bool(got[2])
+        assert missed >= 10
+
+    def test_missed_target_names_the_rate(self):
+        runs = [np.zeros((4000, 1))] + [np.r_[np.zeros(50), np.full(5, 9.0)]
+                                        [:, None] for _ in range(3)]
+        with pytest.warns(UserWarning, match=f"0.750 of the healthy runs .* "
+                                             f"{BAND_MAX_WIDENINGS} band"):
+            calibrate_band(runs, 0.99, persistence=5)
 
 
 class TestClassify:

@@ -46,6 +46,13 @@ class TestInit:
         with pytest.raises(ConfigError, match=r"\(1,\).*\(4,\)"):
             dual.step(est, np.array([1.0]))
 
+    def test_infinite_observation_rejected(self):
+        model = synthetic.mixed_fault_model()
+        est = _estimator(model, synthetic.mixed_equilibrium(), np.ones(4), 0)
+        with pytest.raises(ConfigError, match="y_2 is -inf"):
+            dual.step(est, np.array([1.0, -np.inf, 1.0, 1.0]))
+        assert est.t == 0
+
     def test_two_column_observation_rejected(self):
         # Its first dimension is n_y, so only a check of the whole shape
         # stops numpy from broadcasting it.
@@ -292,6 +299,18 @@ class TestRun:
             dual.run(est, np.full((4, 1), 5.0), u_trajectory=np.zeros(3))
         assert est.t == 0
         assert est.history == []
+
+    def test_infinite_observation_stops_the_run_at_its_step(self):
+        # Named as such, not as the likelihood collapse it would cause.
+        model = synthetic.mixed_fault_model()
+        est = _estimator(model, synthetic.mixed_equilibrium(), np.ones(4), 0)
+        _, ys = simulate(model, synthetic.mixed_equilibrium(),
+                         np.ones((10, 4)), 10, 0)
+        ys[5, 1] = np.inf
+        with pytest.raises(ConfigError, match="y_2 is inf"):
+            dual.run(est, ys)
+        assert est.t == 5
+        assert len(est.history) == 5
 
     def test_history_length_and_steps(self):
         model = synthetic.scalar_growth_model()

@@ -446,10 +446,13 @@ class TestCalibration:
         assert np.array_equal(a.upper, b.upper)
 
     def test_missed_target_fp_warns(self, monkeypatch):
-        def always_detect(residuals, band, persistence=5):
-            return [diagnosis.ComponentDecision(True, 0, 1.0)
-                    for _ in range(np.shape(residuals)[1])]
-        monkeypatch.setattr(diagnosis, "decide", always_detect)
+        # Each run's residuals hold one 5-step excursion: too rare to move
+        # the pooled envelope and too tall for every widening to cover.
+        def spiked(config, band=None):
+            res = np.zeros((2000, 4))
+            res[100:105] = 1.0
+            return {**run_scenario(config, band=band), "residuals": res}
+        monkeypatch.setattr(harness, "run_scenario", spiked)
         with pytest.warns(UserWarning, match="1.000 of the healthy runs"):
             band = calibrate_band(RunConfig(**SMALL_MIXED), 3, 0)
         assert np.all(band.lower < band.upper)

@@ -82,6 +82,19 @@ class TestModelSpecValidation:
         m = _identity_model()
         assert m.measure(np.array([2.0]), np.array([1.0])) == pytest.approx([2.0])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_observation_names_its_channel(self, value):
+        m = synthetic.mixed_fault_model()
+        y = np.ones(4)
+        y[[1, 3]] = value
+        with pytest.raises(ConfigError, match=f"y_2 is {value}"):
+            m.check_observation(y)
+
+    def test_missing_observation_passes(self):
+        # NaN stands for a missing sample and is left to the estimators.
+        y = synthetic.mixed_fault_model().check_observation([1.0, np.nan, 1, 1])
+        assert np.isnan(y[1])
+
 
 def _loop_health(nominal, fault, T):
     """Per-step reference: one fault, scaled by (1 - loss) step by step."""

@@ -17,9 +17,12 @@ the benchmark's sizes: the engine dual under "one_step" at N = 50 for 400
 steps, and the mixed model's matched budgets over 300 steps (dual 41,
 Bayesian 45, RML 150; theta0_std 0.005, x0_std 0.1; step size 0.1 for the
 dual, 1e-4 for RML; the "output" predictor).  Then one line with the MD5
-of a 4-run mixed-model `calibrate_band` and the labels of a
-`campaign_design(1)` confusion round against that band.  Run it on two
-commits and diff the output: equal lines mean bit-identical results.
+of a 4-run mixed-model `calibrate_band` (widened once, scale 1.1) and the
+labels of a `campaign_design(1)` confusion round against that band, and
+one line with the MD5 of the acceptance tests' dual band: 25 runs at
+calibration seed 0, coverage 0.995, persistence 10, the dual's matched
+budget above; it is widened twice (scale 1.21).  Run it on two commits
+and diff the output: equal lines mean bit-identical results.
 """
 from __future__ import annotations
 
@@ -111,10 +114,20 @@ def campaign_line() -> str:
             f"labels {out['labels']} failures {len(out['failures'])}")
 
 
+def acceptance_band_line() -> str:
+    _, n, step_size = MATCHED_BUDGETS[0]
+    cfg = RunConfig(model="mixed", estimator="dual", n_particles=n,
+                    step_size=step_size, theta0_std=0.005, x0_std=0.1,
+                    persistence=10)
+    band = calibrate_band(cfg, 25, base_seed=0, coverage=0.995)
+    return f"mixed dual acceptance band R=25: {md5(band.lower, band.upper)}"
+
+
 def main() -> int:
     for line in itertools.chain(truth_lines(), scenario_lines()):
         print(line, flush=True)
-    print(campaign_line())
+    print(campaign_line(), flush=True)
+    print(acceptance_band_line())
     return 0
 
 
