@@ -33,7 +33,7 @@ def _load_config(args) -> tuple[RunConfig, Path]:
     doc = None
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, "rb") as fh:
                 doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid YAML in {args.config}: {exc}") from exc

@@ -1,10 +1,10 @@
 """Scenario execution and Monte-Carlo campaigns.
 
 Single entry points used by both the CLI and the test suite: simulate a
-truth trajectory with fault injection, run one of the three estimators on
-the noisy outputs, turn parameter estimates into residuals/decisions, and
-aggregate campaigns into confusion matrices and MAE tables.  Every result
-is returned; nothing here writes a file.
+truth trajectory (`simulate_truth` builds its fault and fuel inputs), run
+one of the three estimators on the noisy outputs, turn parameter estimates
+into residuals/decisions, and aggregate campaigns into confusion matrices
+and MAE tables.  Every result is returned; nothing here writes a file.
 """
 from __future__ import annotations
 
@@ -117,25 +117,15 @@ def _theta0_for(config: RunConfig, model: ModelSpec) -> np.ndarray:
     return np.ones(model.n_theta)
 
 
-def theta_trajectory(config: RunConfig, model: ModelSpec) -> np.ndarray:
-    """Per-step true health vector for the configured scenario."""
-    return health_trajectory(_theta0_for(config, model), _faults(config),
-                             config.duration)
-
-
-def fuel_trajectory(config: RunConfig) -> np.ndarray | None:
-    """Per-step fuel flow of an engine run (its FUEL_STEP excitation)."""
-    if config.model != "gas_turbine":
-        return None
-    constants, _ = gas_turbine.nominal_constants()
-    return gas_turbine.fuel_trajectory(config.duration, constants)
-
-
 def simulate_truth(config: RunConfig):
-    """(model, states, outputs, thetas, u) for the configured scenario."""
+    """(model, states, outputs, thetas, u) for the configured scenario; u is
+    an engine run's fuel flow per step (its FUEL_STEP excitation), else None."""
     model, x0 = build_model(config)
-    thetas = theta_trajectory(config, model)
-    u = fuel_trajectory(config)
+    thetas = health_trajectory(_theta0_for(config, model), _faults(config),
+                               config.duration)
+    u = (gas_turbine.fuel_trajectory(config.duration,
+                                     gas_turbine.nominal_constants()[0])
+         if config.model == "gas_turbine" else None)
     states, ys = simulate(model, x0, thetas, config.duration, config.seed,
                           u_trajectory=u)
     return model, states, ys, thetas, u

@@ -21,6 +21,7 @@ from .smc import (
     ParticleEnsemble,
     _row_sum,
     as_rng,
+    check_cov_shape,
     likelihood_weights,
     resample_residual,
     sample_cov,
@@ -77,6 +78,10 @@ class ParamFilterState:
 
 def init_param_filter(mean: np.ndarray, cov: np.ndarray, domain: ParamDomain,
                       config: ParamFilterConfig, seed) -> ParamFilterState:
+    """The prior draw; ConfigError unless the evolution covariance, if set,
+    is (domain.dim, domain.dim)."""
+    if config.evolution_cov is not None:
+        check_cov_shape("evolution_cov", config.evolution_cov, domain.dim)
     particles = draw_prior(mean, cov, config.n_particles, domain, seed)
     return ParamFilterState(particles=particles,
                             estimate=particles.mean(axis=0))
@@ -213,8 +218,10 @@ def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,
 def draw_prior(mean: np.ndarray, cov: np.ndarray, n: int, domain: ParamDomain,
                seed) -> np.ndarray:
     """n parameter particles from N(mean, cov), each draw's offset from the
-    mean projected into the domain; the mean itself must be admissible."""
+    mean projected into the domain; the mean itself must be admissible and
+    cov square in its length."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    check_cov_shape("initial parameter covariance", cov, mean.shape[0])
     if not domain.contains(mean):
         raise ConfigError("initial parameter mean outside the domain")
     particles = mean + sample_gaussian(cov, n, as_rng(seed))

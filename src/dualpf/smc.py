@@ -175,6 +175,13 @@ def sample_gaussian(cov: np.ndarray, n: int, seed) -> np.ndarray:
     return rng.standard_normal((n, a.shape[0])) @ a.T
 
 
+def check_cov_shape(name: str, cov, dim: int) -> None:
+    """ConfigError naming both shapes unless cov is (dim, dim); added to a
+    mean, a (1, 1) one would give every component the same offset."""
+    if np.shape(cov) != (dim, dim):
+        raise ConfigError(f"{name} shape {np.shape(cov)}, want ({dim}, {dim})")
+
+
 def gaussian_loglik(residuals: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Log density of N(0, cov) at each residual row; cov must be regular."""
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))

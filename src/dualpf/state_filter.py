@@ -17,6 +17,7 @@ from .smc import (
     DEFAULT_REGULARIZATION,
     ParticleEnsemble,
     as_rng,
+    check_cov_shape,
     likelihood_weights,
     regularize,
     sample_cov,
@@ -43,9 +44,11 @@ class StateFilterState:
 
 def init_state_filter(mean: np.ndarray, cov: np.ndarray,
                       config: StateFilterConfig, seed) -> StateFilterState:
-    """Draw the initial ensemble from N(mean, cov)."""
+    """Draw the initial ensemble from N(mean, cov); ConfigError unless cov
+    is square in the mean's length."""
     rng = as_rng(seed)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    check_cov_shape("initial state covariance", cov, mean.shape[0])
     particles = mean + sample_gaussian(cov, config.n_particles, rng)
     return StateFilterState(particles=particles,
                             estimate=particles.mean(axis=0))

@@ -403,13 +403,14 @@ class TestErrorHandling:
         assert "n_per_category" in err["message"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text", ["- a\n", "just a string\n",
-                                      "model: [mixed\n"],
-                             ids=["list", "string", "syntax-error"])
+    @pytest.mark.parametrize("text", [b"- a\n", b"just a string\n",
+                                      b"model: [mixed\n", b"model: \xff\n"],
+                             ids=["list", "string", "syntax-error",
+                                  "not-utf8"])
     def test_config_that_is_not_a_mapping_exits_2(self, tmp_path, capsys,
                                                   text):
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(text)
+        cfg.write_bytes(text)
         rc = main(["estimate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dualpf import dual, param_filter, state_filter, synthetic
+from dualpf import dual, harness, param_filter, state_filter, synthetic
 from dualpf.dual import history_arrays
 from dualpf.errors import (ConfigError, DegenerateWeightsError,
                            FilterDivergenceError, PhysicalDomainError)
@@ -31,6 +31,21 @@ class TestInit:
         model = synthetic.scalar_growth_model()
         with pytest.raises(ConfigError):
             _estimator(model, np.array([5.0]), np.array([2.0]), 0)
+
+    @pytest.mark.parametrize("key", ["x0_cov", "theta0_cov",
+                                     "evolution_cov"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_covariance_of_the_wrong_shape_rejected(self, key, width):
+        # A (1, 1) covariance would broadcast one offset over every
+        # component; each prior and the evolution noise are refused.
+        cov = 1e-4 * np.eye(width)
+        kwargs = ({"param_kwargs": {"evolution_cov": cov,
+                                    "cov_mode": "initial"}}
+                  if key == "evolution_cov" else {key: cov})
+        with pytest.raises(ConfigError,
+                           match=rf"\({width}, {width}\).*\((2, 2|4, 4)\)"):
+            _estimator(synthetic.mixed_fault_model(),
+                       synthetic.mixed_equilibrium(), np.ones(4), 0, **kwargs)
 
     def test_zero_covariance_collapses_both_ensembles(self):
         model = synthetic.scalar_growth_model()
@@ -282,6 +297,30 @@ class TestSharedTransition:
                                    "parameter row left the domain")
         assert est.t == 0
         assert est.history == []
+
+
+class TestOneBadParticle:
+    @pytest.mark.xfail(strict=True, raises=PhysicalDomainError,
+                       reason="ROADMAP item 9: a non-physical engine "
+                              "particle ends the run instead of itself")
+    def test_engine_run_outlives_one_non_physical_particle(self,
+                                                           monkeypatch):
+        # The harness defaults at N=20 ("one_step", seed 0); after 3 steps
+        # one state particle's P_CC is set to -1.
+        cfg = harness.RunConfig(model="gas_turbine", n_particles=20,
+                                duration=8, seed=0)
+        model, states, ys, _, u = harness.simulate_truth(cfg)
+        real_step = dual.step
+
+        def step(est, y, u=None):
+            if est.t == 3:
+                est.state.particles[7, 2] = -1.0
+            return real_step(est, y, u=u)
+
+        monkeypatch.setattr(dual, "step", step)
+        run = harness.run_estimator(model, ys, cfg, cfg.seed, states[0],
+                                    u_trajectory=u)
+        assert np.all(np.isfinite(run["theta_hat"][-1]))
 
 
 class TestRun:

@@ -305,15 +305,17 @@ class TestImplicitEuler:
                 implicit_euler_step(lambda z: z * np.inf, np.array([1.0]),
                                     0.01)
 
-    @pytest.mark.parametrize("rhs", [
-        lambda z: -100.0 * z ** 3,
-        (lambda z: -100.0 * z ** 3, lambda x: (x[0] ** 3,),
-         lambda x, cube: (-100.0 * cube[0],))],
+    @pytest.mark.parametrize("solve", [
+        lambda x: implicit_euler_step(lambda z: -100.0 * z ** 3, x, 0.01),
+        lambda x: gas_turbine._solve_one(
+            lambda x: (x[0] ** 3,), lambda x, cube: (-100.0 * cube[0],), x,
+            0.01)],
         ids=["plain", "split"])
-    def test_one_state_sweep_cap_falls_back_to_explicit_euler(self, rhs):
-        # The stiff cubic of the batched test below, alone and 1-D.
+    def test_one_state_sweep_cap_falls_back_to_explicit_euler(self, solve):
+        # The stiff cubic of the batched test below, alone and 1-D, through
+        # the generic solver and through the one-state solve.
         with pytest.warns(UserWarning, match="explicit Euler fallback") as rec:
-            out = implicit_euler_step(rhs, np.array([5.0]), 0.01)
+            out = solve(np.array([5.0]))
         assert len(rec) == 1
         assert out.tobytes() == np.array([5.0 + 0.01 * -12500.0]).tobytes()
 
@@ -398,11 +400,44 @@ class TestImplicitEuler:
         with pytest.raises(PhysicalDomainError):
             step_backward_euler(np.array([1300.0, -1.0, 800.0, 300.0]),
                                 HEALTHY, constants, constants.mdot_f_ref)
+        # One state takes `_solve_one`, a batch `implicit_euler_step`.
+        monkeypatch.setattr(gas_turbine, "_solve_one",
+                            lambda terms, rates, state, dt: -state)
         monkeypatch.setattr(gas_turbine, "implicit_euler_step",
                             lambda rhs, state, dt: -state)
-        with pytest.raises(PhysicalDomainError):
-            step_backward_euler(NOMINAL_STATE, HEALTHY, constants,
-                                constants.mdot_f_ref)
+        for states in (NOMINAL_STATE, np.tile(NOMINAL_STATE, (3, 1))):
+            with pytest.raises(PhysicalDomainError):
+                step_backward_euler(states, HEALTHY, constants,
+                                    constants.mdot_f_ref)
+
+    def test_one_state_never_enters_the_generic_solver(self, constants,
+                                                       monkeypatch):
+        want = step_backward_euler(NOMINAL_STATE, HEALTHY, constants,
+                                   constants.mdot_f_ref)
+
+        def refuse(*args):
+            raise AssertionError("the generic solver ran on one state")
+
+        monkeypatch.setattr(gas_turbine, "implicit_euler_step", refuse)
+        got = step_backward_euler(NOMINAL_STATE, HEALTHY, constants,
+                                  constants.mdot_f_ref)
+        assert got.tobytes() == want.tobytes()
+
+    def test_batch_never_enters_the_one_state_solve(self, constants,
+                                                    monkeypatch):
+        # A single state against a batch of health vectors is a batch too.
+        health = np.array([HEALTHY, 0.95 * HEALTHY])
+        want = step_backward_euler(NOMINAL_STATE, health, constants,
+                                   constants.mdot_f_ref)
+
+        def refuse(*args):
+            raise AssertionError("the one-state solve ran on a batch")
+
+        monkeypatch.setattr(gas_turbine, "_solve_one", refuse)
+        got = step_backward_euler(NOMINAL_STATE, health, constants,
+                                  constants.mdot_f_ref)
+        assert got.shape == (2, 4)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFrozenReference:

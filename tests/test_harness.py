@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualpf import baselines, diagnosis, dual, harness
+from dualpf import baselines, diagnosis, dual, gas_turbine, harness
 from dualpf.diagnosis import CATEGORIES, ThresholdBand, classify
 from dualpf.errors import (CalibrationError, ConfigError,
                            DegenerateWeightsError)
@@ -25,7 +25,6 @@ from dualpf.harness import (
     run_scenario,
     seeded_runs,
     simulate_truth,
-    theta_trajectory,
 )
 from dualpf.param_filter import ParamFilterConfig, output_jacobian
 from dualpf.state_filter import StateFilterConfig
@@ -97,8 +96,7 @@ class TestRunConfig:
         # output predictor would leave some row at exactly 0.
         cfg = RunConfig(model=model, duration=1)
         spec, x0 = build_model(cfg)
-        theta0 = theta_trajectory(cfg, spec)[:1]
-        u = harness.fuel_trajectory(cfg)
+        _, _, _, theta0, u = simulate_truth(cfg)
         u = None if u is None else u[0]
 
         def zero_rows(predictor):
@@ -161,8 +159,7 @@ class TestModelsAndTrajectories:
 
     def test_scalar_healthy_trajectory(self):
         cfg = RunConfig(model="scalar", duration=20)
-        model, _ = build_model(cfg)
-        thetas = theta_trajectory(cfg, model)
+        thetas = simulate_truth(cfg)[3]
         assert thetas.shape == (20, 1)
         assert np.all(thetas == 0.8)
 
@@ -170,8 +167,7 @@ class TestModelsAndTrajectories:
         cfg = RunConfig(model="scalar", duration=20,
                         scenario=SyntheticFault(component=0, magnitude=0.05,
                                                 start_step=10))
-        model, _ = build_model(cfg)
-        thetas = theta_trajectory(cfg, model)
+        thetas = simulate_truth(cfg)[3]
         assert np.all(thetas[:10] == 0.8)
         assert np.allclose(thetas[10:], 0.8 * 0.95)
 
@@ -180,8 +176,7 @@ class TestModelsAndTrajectories:
                         scenario=SyntheticFault(component=1, magnitude=0.1,
                                                 start_step=10, profile="ramp",
                                                 ramp_end_step=20))
-        model, _ = build_model(cfg)
-        thetas = theta_trajectory(cfg, model)
+        thetas = simulate_truth(cfg)[3]
         assert thetas[15, 1] == pytest.approx(0.95)
         assert np.allclose(thetas[20:, 1], 0.9)
         assert np.all(thetas[:, 0] == 1.0)
@@ -189,9 +184,20 @@ class TestModelsAndTrajectories:
     def test_unknown_synthetic_scenario(self):
         for name in ("surge", "scenario_I_concurrent"):
             cfg = RunConfig(model="mixed", scenario=name)
-            model, _ = build_model(cfg)
-            with pytest.raises(ConfigError):
-                theta_trajectory(cfg, model)
+            with pytest.raises(ConfigError, match="unknown scenario"):
+                simulate_truth(cfg)
+
+    @pytest.mark.parametrize("model", ["scalar", "mixed", "gas_turbine"])
+    def test_truth_inputs(self, model):
+        # Only the engine takes an input: the fuel flow with its FUEL_STEP.
+        cfg = RunConfig(model=model, duration=150)
+        u = simulate_truth(cfg)[4]
+        if model != "gas_turbine":
+            assert u is None
+            return
+        constants = gas_turbine.nominal_constants()[0]
+        want = gas_turbine.fuel_trajectory(150, constants)
+        assert u.tobytes() == want.tobytes()
 
     def test_fault_on_gas_turbine(self):
         fault = SyntheticFault(component=2, magnitude=0.05, start_step=10)

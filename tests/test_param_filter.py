@@ -1,4 +1,6 @@
 """Unit tests for the prediction-error parameter particle filter."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from dualpf.param_filter import (
     FD_STEP,
     ParamFilterConfig,
     distinct_runs,
+    draw_prior,
     evolve,
     init_param_filter,
     kernel_shrink,
@@ -88,6 +91,28 @@ class TestInit:
                               ParamDomain([0.0], [1.0]),
                               ParamFilterConfig(n_particles=10,
                                                 cov_mode="running"), 0)
+
+    def test_prior_covariance_of_the_wrong_shape_rejected(self):
+        # A (1, 1) covariance would give all four components one offset.
+        domain = mixed_fault_model().param_domain
+        for cov in (1e-4 * np.eye(1), 1e-4 * np.eye(3)):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"shape {cov.shape}, want (4, 4)")):
+                draw_prior(np.ones(4), cov, 5, domain, 0)
+            with pytest.raises(ConfigError, match="initial parameter cov"):
+                init_param_filter(np.ones(4), cov, domain,
+                                  ParamFilterConfig(n_particles=5,
+                                                    cov_mode="running"), 0)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_evolution_covariance_of_the_wrong_shape_rejected(self, width):
+        # Checked against the domain, before any step draws a jitter.
+        cfg = ParamFilterConfig(n_particles=5,
+                                evolution_cov=1e-4 * np.eye(width))
+        with pytest.raises(ConfigError, match=rf"evolution_cov shape "
+                           rf"\({width}, {width}\), want \(4, 4\)"):
+            init_param_filter(np.ones(4), 1e-4 * np.eye(4),
+                              mixed_fault_model().param_domain, cfg, 0)
 
     def test_particles_inside_domain(self):
         domain = ParamDomain([0.9], [1.1])

@@ -4,7 +4,7 @@ import pytest
 
 from dualpf import param_filter, state_filter, synthetic
 from dualpf.baselines import bayesian_ks_step, init_bayesian_ks
-from dualpf.errors import FilterDivergenceError
+from dualpf.errors import ConfigError, FilterDivergenceError
 from dualpf.gas_turbine import NOMINAL_STATE, engine_model, nominal_constants
 from dualpf.model import ModelSpec, ParamDomain
 from dualpf.smc import (
@@ -59,6 +59,15 @@ class TestInit:
                                StateFilterConfig(n_particles=7), 0)
         assert np.all(sf.particles == [1.0, 2.0])
         assert np.allclose(sf.estimate, [1.0, 2.0])
+
+    @pytest.mark.parametrize("cov", [[[0.01]], 0.01 * np.eye(3),
+                                     np.full(2, 0.01)],
+                             ids=["1x1", "3x3", "vector"])
+    def test_covariance_of_the_wrong_shape_rejected(self, cov):
+        # A (1, 1) covariance would give both components one offset.
+        with pytest.raises(ConfigError, match=r"shape \(.*\), want \(2, 2\)"):
+            init_state_filter(np.array([1.0, 1.0]), cov, StateFilterConfig(5),
+                              0)
 
     def test_seed_determinism(self):
         a = init_state_filter(np.zeros(1), np.eye(1),
