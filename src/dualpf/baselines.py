@@ -1,16 +1,17 @@
 """Comparison estimators and the equivalent-flop complexity accountant.
 
-Two baselines share the model interface of the dual estimator: an
+Two baselines step as the dual estimator does, `step(state, y_t, u=None)`,
+from a state holding the model, one setting and the run's Generator: an
 augmented-state particle filter whose parameters evolve by pure
 kernel-smoothing shrinkage (no prediction-error term), and a recursive
 maximum-likelihood scheme that follows a simultaneous-perturbation
 estimate of the log-likelihood gradient with a plain state particle
-filter underneath.  The flop accountant prices all three so particle
-budgets can be matched for fair comparisons.
+filter underneath.  A step returns a new state and leaves its input as it
+was.  The flop accountant prices all three so budgets can be matched.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +32,9 @@ SPSA_PERTURBATION = 0.01   # SPSA scale c_t
 
 @dataclass
 class BayesianKSState:
+    model: ModelSpec
+    shrinkage: float
+    rng: np.random.Generator
     particles: np.ndarray   # (N, n_x + n_theta)
     x_hat: np.ndarray
     theta_hat: np.ndarray
@@ -38,27 +42,26 @@ class BayesianKSState:
 
 
 def init_bayesian_ks(model: ModelSpec, x0_mean, x0_cov, theta0_mean,
-                     theta0_cov, n: int, seed) -> BayesianKSState:
+                     theta0_cov, n: int, shrinkage: float,
+                     seed) -> BayesianKSState:
     rng = as_rng(seed)
     sf = init_state_filter(x0_mean, x0_cov, StateFilterConfig(n), rng)
     ths = draw_prior(theta0_mean, theta0_cov, n, model.param_domain, rng)
-    return BayesianKSState(np.hstack([sf.particles, ths]), sf.estimate,
+    return BayesianKSState(model, shrinkage, rng,
+                           np.hstack([sf.particles, ths]), sf.estimate,
                            ths.mean(axis=0))
 
 
 def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
-                     model: ModelSpec, shrinkage: float, seed,
                      u=None) -> BayesianKSState:
     """Joint propagate / reweight / regularize of the augmented vector."""
+    model, rng, n_x = state.model, state.rng, state.model.n_x
     y_t = model.check_observation(y_t)
-    rng = as_rng(seed)
-    n_x = model.n_x
-    xs = state.particles[:, :n_x]
-    ths = state.particles[:, n_x:]
+    xs, ths = state.particles[:, :n_x], state.particles[:, n_x:]
 
     # Parameter evolution: shrink toward the ensemble mean, inflate back.
     ths_new = kernel_shrink(ths, ths.mean(axis=0), sample_cov(ths),
-                            shrinkage, model.param_domain, rng)
+                            state.shrinkage, model.param_domain, rng)
 
     # State propagation at the evolved parameters, then the state filter's
     # correction step on the augmented rows.
@@ -68,8 +71,8 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
     post = posterior.particles
     # Regularization jitter can push parameters past the box edge; clip.
     post[:, n_x:] = model.param_domain.clip(post[:, n_x:])
-    return BayesianKSState(post, post[:, :n_x].mean(axis=0),
-                           post[:, n_x:].mean(axis=0), posterior.ess)
+    return replace(state, particles=post, x_hat=post[:, :n_x].mean(axis=0),
+                   theta_hat=post[:, n_x:].mean(axis=0), ess=posterior.ess)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +81,9 @@ def bayesian_ks_step(state: BayesianKSState, y_t: np.ndarray,
 
 @dataclass
 class RMLState:
+    model: ModelSpec
+    step_size: float
+    rng: np.random.Generator
     filter: StateFilterState
     theta_hat: np.ndarray
     skipped_steps: int = 0
@@ -88,13 +94,13 @@ class RMLState:
 
 
 def init_rml(model: ModelSpec, x0_mean, x0_cov, theta0_mean, n: int,
-             seed) -> RMLState:
+             step_size: float, seed) -> RMLState:
     rng = as_rng(seed)
     theta0_mean = np.atleast_1d(np.asarray(theta0_mean, dtype=float))
     if not model.param_domain.contains(theta0_mean):
         raise ConfigError("initial parameter outside the domain")
-    return RMLState(init_state_filter(x0_mean, x0_cov, StateFilterConfig(n),
-                                      rng), theta0_mean)
+    return RMLState(model, step_size, rng, init_state_filter(
+        x0_mean, x0_cov, StateFilterConfig(n), rng), theta0_mean)
 
 
 def spsa_gradient(particles: np.ndarray, theta_hat: np.ndarray,
@@ -130,27 +136,26 @@ def spsa_gradient(particles: np.ndarray, theta_hat: np.ndarray,
     return grad
 
 
-def rml_spsa_step(state: RMLState, y_t: np.ndarray, model: ModelSpec,
-                  step_size: float, seed, u=None) -> RMLState:
+def rml_spsa_step(state: RMLState, y_t: np.ndarray, u=None) -> RMLState:
     """Parameter gradient step followed by one state-filter cycle.
 
     An undefined gradient (likelihood underflow in a branch) freezes the
     parameter for this step and is tallied in `skipped_steps`.
     """
+    model, rng = state.model, state.rng
     y_t = model.check_observation(y_t)
-    rng = as_rng(seed)
     try:
         grad = spsa_gradient(state.filter.particles, state.theta_hat, y_t,
                              model, rng, u=u)
         theta_new = project_step(state.theta_hat[None],
-                                 (step_size * grad)[None],
+                                 (state.step_size * grad)[None],
                                  model.param_domain)[0]
         skipped = state.skipped_steps
     except GradientUndefinedError:
-        theta_new = state.theta_hat
-        skipped = state.skipped_steps + 1
+        theta_new, skipped = state.theta_hat, state.skipped_steps + 1
     sf = state_filter.step(state.filter, theta_new, y_t, model, rng, u=u)
-    return RMLState(sf, np.atleast_1d(theta_new), skipped)
+    return replace(state, filter=sf, theta_hat=np.atleast_1d(theta_new),
+                   skipped_steps=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +246,7 @@ def complexity_report(cost: EFCostModel, n_dual: int, n_bayesian: int,
     for method, n in (("dual", n_dual), ("bayesian", n_bayesian),
                       ("rml", n_rml)):
         check_int(f"n_{method}", n, 0)
-        out["flops"][method] = n * _PER_PARTICLE[method](cost)
+        out["flops"][method] = ef_complexity(method, replace(cost, N=n))
     for ref, n in (("bayesian", n_bayesian), ("rml", n_rml)):
         try:
             out["matched_dual_budget"][ref] = match_particle_budget(ref, cost, n)

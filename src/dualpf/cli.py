@@ -99,19 +99,14 @@ def _write_csv(path: Path, **columns: np.ndarray) -> None:
             writer.writerow([t] + [repr(float(v)) for v in row])
 
 
-def _write_run(outdir: Path, run: dict,
-               band: diagnosis.ThresholdBand | None = None) -> None:
-    """trajectory.csv, residuals.csv and report.json; a band adds the
-    diagnosis block to the report.  Row t of trajectory.csv holds state x_t,
-    the output measured on it and the parameter of step t."""
+def _write_run(outdir: Path, run: dict) -> None:
+    """trajectory.csv, residuals.csv and the run's report.json.  Row t of
+    trajectory.csv holds state x_t, the output measured on it and the
+    parameter of step t."""
     _write_csv(outdir / "trajectory.csv", x=run["states"][1:], y=run["ys"],
                theta=run["thetas"])
     _write_csv(outdir / "residuals.csv", r=run["residuals"])
-    report = run["report"]
-    if band is not None:
-        report = {**report, "diagnosis": diagnosis.report(
-            run["baseline"], band, run["decisions"])}
-    _write_json(outdir / "report.json", report)
+    _write_json(outdir / "report.json", run["report"])
 
 
 def cmd_simulate(args) -> int:
@@ -145,7 +140,7 @@ def cmd_diagnose(args) -> int:
     cfg, outdir = _load_config(args)
     band = _band_from_file(args.band, cfg)
     run = harness.run_scenario(cfg, band=band)
-    _write_run(outdir, run, band)
+    _write_run(outdir, run)
     for name, d in zip(diagnosis.CATEGORIES, run["decisions"]):
         status = (f"detected at step {d.t_detect}, severity {d.severity:+.4f}"
                   if d.detected else "no fault")

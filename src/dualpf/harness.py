@@ -136,10 +136,10 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
                   u_trajectory: np.ndarray | None = None) -> dict:
     """Run the configured estimator over ys; returns dense estimate arrays.
 
-    Each estimator sets its initial state, the module and name of its step
-    function and the step's arguments after (state, y); one loop runs them
-    all.  The step is looked up on its module at every step, so a wrapper
-    installed there sees every step.
+    Each estimator's init stores the model, its settings and the run's
+    Generator in its state, so one loop steps them all as
+    `step(state, y_t, u=u)`.  The step is looked up on its module at every
+    step, so a wrapper installed there sees every step.
     """
     model.check_inputs(u_trajectory, ys.shape[0])
     rng = as_rng(seed)
@@ -157,22 +157,21 @@ def run_estimator(model: ModelSpec, ys: np.ndarray, config: RunConfig,
             predictor=config.predictor, cov_mode=config.cov_mode)
         st = dual.init(model, x0_mean, x0_cov, theta0, theta0_cov,
                        StateFilterConfig(n), pc, rng)
-        module, name, args = dual, "step", ()
+        module, name = dual, "step"
     elif config.estimator == "bayesian":
         st = baselines.init_bayesian_ks(model, x0_mean, x0_cov, theta0,
-                                        theta0_cov, n, rng)
+                                        theta0_cov, n, config.shrinkage, rng)
         module, name = baselines, "bayesian_ks_step"
-        args = (model, config.shrinkage, rng)
     else:
-        st = baselines.init_rml(model, x0_mean, x0_cov, theta0, n, rng)
+        st = baselines.init_rml(model, x0_mean, x0_cov, theta0, n,
+                                config.step_size, rng)
         module, name = baselines, "rml_spsa_step"
-        args = (model, config.step_size, rng)
 
     theta_hat = np.empty((T, model.n_theta))
     x_hat = np.empty((T, model.n_x))
     for t in range(T):
         u = None if u_trajectory is None else u_trajectory[t]
-        st = getattr(module, name)(st, ys[t], *args, u=u)
+        st = getattr(module, name)(st, ys[t], u=u)
         theta_hat[t], x_hat[t] = st.theta_hat, st.x_hat
     return {"theta_hat": theta_hat, "x_hat": x_hat,
             "elapsed_s": time.perf_counter() - t_start,
@@ -188,9 +187,10 @@ def fault_start_step(config: RunConfig) -> int | None:
 
 def run_scenario(config: RunConfig,
                  band: diagnosis.ThresholdBand | None = None) -> dict:
-    """Single truth + estimation + diagnosis run.  A run with fewer than 2
-    estimates before its fault onset (or in all) to fit the healthy baseline
-    on raises ConfigError before anything is simulated."""
+    """Truth + estimation run; a band adds decisions and the report's
+    "diagnosis" block.  A run with fewer than 2 estimates before its fault
+    onset (or in all) to fit the healthy baseline on raises ConfigError
+    before anything is simulated."""
     start = fault_start_step(config)
     window_end = config.duration if start is None else start
     if window_end < 2:
@@ -207,8 +207,6 @@ def run_scenario(config: RunConfig,
     window = min(diagnosis.CONVERGENCE_WINDOW, window_end)
     baseline = diagnosis.fit_healthy_baseline(theta_hat[:window_end], window)
     residuals = diagnosis.residual(baseline, theta_hat)
-    decisions = (None if band is None
-                 else diagnosis.decide(residuals, band, config.persistence))
     mae = {}
     tail = slice(-diagnosis.CONVERGENCE_WINDOW, None)
     for j in range(model.n_theta):
@@ -221,6 +219,10 @@ def run_scenario(config: RunConfig,
         "elapsed_s": result["elapsed_s"],
         "baseline_theta0": baseline.theta0.tolist(),
     }
+    decisions = None
+    if band is not None:
+        decisions = diagnosis.decide(residuals, band, config.persistence)
+        report["diagnosis"] = diagnosis.report(baseline, band, decisions)
     return {"model": model, "states": states, "ys": ys, "thetas": thetas,
             "theta_hat": theta_hat, "x_hat": result["x_hat"],
             "residuals": residuals, "baseline": baseline,

@@ -1,4 +1,6 @@
 """Unit tests for the comparison estimators and the flop accountant."""
+from dataclasses import fields, is_dataclass, replace
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,8 @@ class TestBayesianKS:
         m = _output_scaling_model(lower=0.5, upper=1.2)
         with pytest.raises(ConfigError):
             init_bayesian_ks(m, np.array([10.0]), np.eye(1), np.array([1.3]),
-                             0.01 * np.eye(1), RUN_DEFAULTS["n_bayesian"], 0)
+                             0.01 * np.eye(1), RUN_DEFAULTS["n_bayesian"],
+                             SHRINKAGE, 0)
 
     def test_determinism(self):
         m = _output_scaling_model()
@@ -75,10 +78,10 @@ class TestBayesianKS:
         for _ in range(2):
             rng = as_rng(5)
             st = init_bayesian_ks(m, np.array([10.0]), np.eye(1),
-                                  np.array([0.8]), 0.01 * np.eye(1), 40, rng)
+                                  np.array([0.8]), 0.01 * np.eye(1), 40,
+                                  SHRINKAGE, rng)
             for _ in range(10):
-                st = baselines.bayesian_ks_step(st, np.array([8.0]), m,
-                                                SHRINKAGE, rng)
+                st = baselines.bayesian_ks_step(st, np.array([8.0]))
             runs.append(st.particles)
         assert np.array_equal(runs[0], runs[1])
 
@@ -86,32 +89,33 @@ class TestBayesianKS:
         m = _output_scaling_model()
         rng = as_rng(0)
         st = init_bayesian_ks(m, np.array([10.0]), np.eye(1),
-                              np.array([0.8]), np.zeros((1, 1)), 30, rng)
+                              np.array([0.8]), np.zeros((1, 1)), 30, 1.0, rng)
         for _ in range(15):
-            st = baselines.bayesian_ks_step(st, np.array([8.0]), m, 1.0, rng)
+            st = baselines.bayesian_ks_step(st, np.array([8.0]))
         assert np.all(st.particles[:, 1] == 0.8)
 
     def test_parameters_stay_in_domain(self):
         m = _output_scaling_model()
         rng = as_rng(3)
         st = init_bayesian_ks(m, np.array([10.0]), np.eye(1),
-                              np.array([1.0]), 0.05 * np.eye(1), 60, rng)
+                              np.array([1.0]), 0.05 * np.eye(1), 60,
+                              SHRINKAGE, rng)
         for _ in range(40):
-            st = baselines.bayesian_ks_step(st, np.array([9.0]), m,
-                                            SHRINKAGE, rng)
+            st = baselines.bayesian_ks_step(st, np.array([9.0]))
             assert np.all(m.param_domain.contains(st.particles[:, 1:]))
 
     def test_matches_the_inline_sequence(self):
         # kernel_shrink -> predict -> likelihood_weights -> ParticleEnsemble
         # -> regularize -> clip, from one seed, step after step.  The prior
         # sits near the upper bound, so the clip acts (11 rows in 3 steps).
+        # The step draws only from the state's Generator, here a fresh one.
         m = synthetic.mixed_fault_model()
         ys = np.array([[1.02, 0.97, 1.0, 0.7], [0.95, 1.05, 1.01, 0.68],
                        [1.1, 0.9, 0.98, 0.72]])
         st = init_bayesian_ks(m, synthetic.mixed_equilibrium(),
                               0.01 * np.eye(2), np.full(4, 1.18),
-                              0.01 * np.eye(4), 30, 2)
-        got, rng, want_rng = st, as_rng(6), as_rng(6)
+                              0.01 * np.eye(4), 30, SHRINKAGE, 2)
+        got, want_rng = replace(st, rng=as_rng(6)), as_rng(6)
         clipped = 0
         for y in ys:
             xs, ths = st.particles[:, :2], st.particles[:, 2:]
@@ -125,7 +129,7 @@ class TestBayesianKS:
                               DEFAULT_REGULARIZATION, want_rng).particles
             clipped += np.sum(~m.param_domain.contains(post[:, 2:]))
             post[:, 2:] = m.param_domain.clip(post[:, 2:])
-            got = baselines.bayesian_ks_step(got, y, m, SHRINKAGE, rng)
+            got = baselines.bayesian_ks_step(got, y)
             assert got.particles.tobytes() == post.tobytes()
             assert got.x_hat.tobytes() == post[:, :2].mean(axis=0).tobytes()
             assert got.theta_hat.tobytes() == \
@@ -145,9 +149,9 @@ class TestBayesianKS:
                              np.full((T, 1), theta_true), T, rng)
             st = init_bayesian_ks(m, np.array([10.0]), np.eye(1),
                                   np.array([0.85]), 0.01 * np.eye(1),
-                                  500, rng)
+                                  500, SHRINKAGE, rng)
             for t in range(T):
-                st = baselines.bayesian_ks_step(st, ys[t], m, SHRINKAGE, rng)
+                st = baselines.bayesian_ks_step(st, ys[t])
             errs.append(abs(st.theta_hat[0] - theta_true))
         assert np.median(errs) < 0.05 * theta_true
 
@@ -160,16 +164,15 @@ class TestObservationCheck:
 
     def test_bayesian_step_rejects_short_observation(self):
         st = init_bayesian_ks(self.MODEL, self.X0, 0.01 * np.eye(2),
-                              np.ones(4), 1e-4 * np.eye(4), 20, 0)
+                              np.ones(4), 1e-4 * np.eye(4), 20, SHRINKAGE, 0)
         with pytest.raises(ConfigError, match=r"\(1,\).*\(4,\)"):
-            baselines.bayesian_ks_step(st, np.array([1.0]), self.MODEL,
-                                       SHRINKAGE, 1)
+            baselines.bayesian_ks_step(st, np.array([1.0]))
 
     def test_rml_step_rejects_short_observation(self):
-        st = init_rml(self.MODEL, self.X0, 0.01 * np.eye(2), np.ones(4), 20, 0)
+        st = init_rml(self.MODEL, self.X0, 0.01 * np.eye(2), np.ones(4), 20,
+                      RUN_DEFAULTS["step_size_rml"], 0)
         with pytest.raises(ConfigError, match=r"\(1,\).*\(4,\)"):
-            rml_spsa_step(st, np.array([1.0]), self.MODEL,
-                          RUN_DEFAULTS["step_size_rml"], 1)
+            rml_spsa_step(st, np.array([1.0]))
 
     # An infinite sample is refused by name; it would otherwise end the run
     # as a likelihood collapse.
@@ -177,16 +180,15 @@ class TestObservationCheck:
 
     def test_bayesian_step_rejects_infinite_observation(self):
         st = init_bayesian_ks(self.MODEL, self.X0, 0.01 * np.eye(2),
-                              np.ones(4), 1e-4 * np.eye(4), 20, 0)
+                              np.ones(4), 1e-4 * np.eye(4), 20, SHRINKAGE, 0)
         with pytest.raises(ConfigError, match="y_2 is inf"):
-            baselines.bayesian_ks_step(st, self.Y_INF, self.MODEL,
-                                       SHRINKAGE, 1)
+            baselines.bayesian_ks_step(st, self.Y_INF)
 
     def test_rml_step_rejects_infinite_observation(self):
-        st = init_rml(self.MODEL, self.X0, 0.01 * np.eye(2), np.ones(4), 20, 0)
+        st = init_rml(self.MODEL, self.X0, 0.01 * np.eye(2), np.ones(4), 20,
+                      RUN_DEFAULTS["step_size_rml"], 0)
         with pytest.raises(ConfigError, match="y_2 is inf"):
-            rml_spsa_step(st, self.Y_INF, self.MODEL,
-                          RUN_DEFAULTS["step_size_rml"], 1)
+            rml_spsa_step(st, self.Y_INF)
 
 
 class TestRmlSpsa:
@@ -217,22 +219,23 @@ class TestRmlSpsa:
     def test_zero_step_size_keeps_parameter_constant(self):
         m = _output_scaling_model()
         rng = as_rng(2)
-        st = init_rml(m, np.array([10.0]), np.eye(1), np.array([0.8]), 30, rng)
+        st = init_rml(m, np.array([10.0]), np.eye(1), np.array([0.8]), 30,
+                      0.0, rng)
         for _ in range(10):
-            st = rml_spsa_step(st, np.array([8.0]), m, 0.0, rng)
+            st = rml_spsa_step(st, np.array([8.0]))
         assert st.theta_hat[0] == 0.8
 
     def test_undefined_gradient_freezes_and_tallies(self, monkeypatch):
         m = _output_scaling_model()
         rng = as_rng(4)
-        st = init_rml(m, np.array([10.0]), np.eye(1), np.array([0.8]), 30, rng)
+        st = init_rml(m, np.array([10.0]), np.eye(1), np.array([0.8]), 30,
+                      RUN_DEFAULTS["step_size_rml"], rng)
 
         def boom(*args, **kwargs):
             raise GradientUndefinedError("forced")
 
         monkeypatch.setattr(baselines, "spsa_gradient", boom)
-        st = rml_spsa_step(st, np.array([8.0]), m,
-                           RUN_DEFAULTS["step_size_rml"], rng)
+        st = rml_spsa_step(st, np.array([8.0]))
         assert st.theta_hat[0] == 0.8
         assert st.skipped_steps == 1
 
@@ -240,7 +243,7 @@ class TestRmlSpsa:
         m = _output_scaling_model()
         with pytest.raises(ConfigError):
             init_rml(m, np.array([10.0]), np.eye(1), np.array([5.0]),
-                     RUN_DEFAULTS["n_rml"], 0)
+                     RUN_DEFAULTS["n_rml"], RUN_DEFAULTS["step_size_rml"], 0)
 
     def test_tracks_parameter_on_observable_model(self):
         m = _output_scaling_model()
@@ -252,11 +255,78 @@ class TestRmlSpsa:
             _, ys = simulate(m, np.array([10.0]),
                              np.full((T, 1), theta_true), T, rng)
             st = init_rml(m, np.array([10.0]), np.eye(1), np.array([1.0]),
-                          100, rng)
+                          100, 2e-4, rng)
             for t in range(T):
-                st = rml_spsa_step(st, ys[t], m, 2e-4, rng)
+                st = rml_spsa_step(st, ys[t])
             errs.append(abs(st.theta_hat[0] - theta_true))
         assert np.median(errs) < 0.05 * theta_true
+
+
+def _mixed_baseline(estimator, seed):
+    """(initial state, step) of a baseline on the mixed model at N = 20."""
+    m, x0 = synthetic.mixed_fault_model(), synthetic.mixed_equilibrium()
+    if estimator == "bayesian":
+        return (init_bayesian_ks(m, x0, 0.01 * np.eye(2), np.ones(4),
+                                 1e-4 * np.eye(4), 20, SHRINKAGE, seed),
+                baselines.bayesian_ks_step)
+    return (init_rml(m, x0, 0.01 * np.eye(2), np.ones(4), 20,
+                     RUN_DEFAULTS["step_size_rml"], seed), rml_spsa_step)
+
+
+def _field_bytes(state):
+    """Each field of a state as bytes, nested dataclasses field by field;
+    the model and the Generator by identity."""
+    out = {}
+    for f in fields(state):
+        value = getattr(state, f.name)
+        if f.name in ("model", "rng"):
+            out[f.name] = id(value)
+        elif is_dataclass(value):
+            out[f.name] = _field_bytes(value)
+        else:
+            out[f.name] = np.asarray(value).tobytes()
+    return out
+
+
+@pytest.mark.parametrize("estimator", ["bayesian", "rml"])
+class TestStateOwnsItsStream:
+    # A state carries its run's Generator, so runs stepped in turn do not
+    # share draws, and a step builds a new state: a caller may compare the
+    # input with the output (as the benchmark's skipped-step count does).
+    YS = simulate(synthetic.mixed_fault_model(), synthetic.mixed_equilibrium(),
+                  np.ones((15, 4)), 15, 0)[1]
+
+    def _estimates(self, st, step):
+        for y in self.YS:
+            st = step(st, y)
+            yield st.theta_hat.tobytes(), st.x_hat.tobytes()
+
+    def test_interleaved_runs_match_runs_alone(self, estimator):
+        alone = {seed: list(self._estimates(*_mixed_baseline(estimator, seed)))
+                 for seed in (1, 2)}
+        runs = [self._estimates(*_mixed_baseline(estimator, seed))
+                for seed in (1, 2)]
+        turns = list(zip(*runs))   # run 1 steps, then run 2, then run 1 ...
+        assert [a for a, _ in turns] == alone[1]
+        assert [b for _, b in turns] == alone[2]
+        assert alone[1] != alone[2]
+
+    def test_step_leaves_its_input_unchanged(self, estimator, monkeypatch):
+        def undefined(*args, **kwargs):
+            raise GradientUndefinedError("forced")
+
+        st, step = _mixed_baseline(estimator, 3)
+        for forced_skip in (False, True):
+            if forced_skip:   # RML freezes theta and tallies the step
+                monkeypatch.setattr(baselines, "spsa_gradient", undefined)
+            before = _field_bytes(st)
+            new = step(st, self.YS[0])
+            assert new is not st and new.rng is st.rng
+            assert _field_bytes(st) == before
+            assert _field_bytes(new) != before
+            st = new
+        if estimator == "rml":
+            assert st.skipped_steps == 1
 
 
 class TestFlopAccounting:

@@ -310,23 +310,19 @@ class TestEstimatorLoop:
                 cov_mode=cfg.cov_mode)
             st = dual.init(model, states[0], x0_cov, np.ones(4), theta0_cov,
                            StateFilterConfig(n_particles=10), pc, 7)
-            step, args = dual.step, ()
+            step = dual.step
+        elif estimator == "bayesian":
+            st = baselines.init_bayesian_ks(model, states[0], x0_cov,
+                                            np.ones(4), theta0_cov, 10,
+                                            RUN_DEFAULTS["shrinkage"], 7)
+            step = baselines.bayesian_ks_step
         else:
-            rng = np.random.default_rng(7)
-            if estimator == "bayesian":
-                st = baselines.init_bayesian_ks(model, states[0], x0_cov,
-                                                np.ones(4), theta0_cov, 10,
-                                                rng)
-                step = baselines.bayesian_ks_step
-                args = (model, RUN_DEFAULTS["shrinkage"], rng)
-            else:
-                st = baselines.init_rml(model, states[0], x0_cov, np.ones(4),
-                                        10, rng)
-                step = baselines.rml_spsa_step
-                args = (model, RUN_DEFAULTS["step_size_rml"], rng)
+            st = baselines.init_rml(model, states[0], x0_cov, np.ones(4), 10,
+                                    RUN_DEFAULTS["step_size_rml"], 7)
+            step = baselines.rml_spsa_step
         want = {"theta_hat": [], "x_hat": []}
         for t in range(ys.shape[0]):
-            st = step(st, ys[t], *args, u=None if u is None else u[t])
+            st = step(st, ys[t], u=None if u is None else u[t])
             want["theta_hat"].append(st.theta_hat.copy())
             want["x_hat"].append(st.x_hat.copy())
         want = {k: np.vstack(v) for k, v in want.items()}

@@ -150,9 +150,9 @@ class TestPredict:
     def test_bayesian_step_shares_the_divergence_check(self):
         model = _diverging_model()
         st = init_bayesian_ks(model, np.ones(1), np.eye(1), THETA,
-                              0.01 * np.eye(1), 4, 0)
+                              0.01 * np.eye(1), 4, 0.93, 0)
         with pytest.raises(FilterDivergenceError):
-            bayesian_ks_step(st, np.ones(1), model, 0.93, 1)
+            bayesian_ks_step(st, np.ones(1))
 
 
 class TestUpdate:
