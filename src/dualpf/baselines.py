@@ -104,13 +104,12 @@ def init_rml(model: ModelSpec, x0_mean, x0_cov, theta0_mean, n: int,
 
 
 def spsa_gradient(particles: np.ndarray, theta_hat: np.ndarray,
-                  y_t: np.ndarray, model: ModelSpec, seed, u=None) -> np.ndarray:
+                  y_t: np.ndarray, model: ModelSpec, rng, u=None) -> np.ndarray:
     """Two-sided SPSA estimate of the incremental log-likelihood gradient.
 
     Both perturbed branches reuse the same process-noise draws so the
     difference isolates the parameter perturbation.
     """
-    rng = as_rng(seed)
     n_th = theta_hat.shape[0]
     delta = rng.choice([-1.0, 1.0], size=n_th)
     c_t = SPSA_PERTURBATION

@@ -64,7 +64,8 @@ def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState
     The parameter filter's anchor is picked once, so neither filter reads
     the other's same-step intermediate quantities out of order.  An error
     names its phase and the step; one raised by the `predict` call the two
-    filters share under "one_step" names both.
+    filters share under "one_step" names both.  After an error `est` is as
+    it was, except that `est.rng` has advanced by the draws made.
     """
     y_t = est.model.check_observation(y_t)
     model, t, config = est.model, est.t + 1, est.param_config
@@ -80,22 +81,21 @@ def step(est: DualEstimatorState, y_t: np.ndarray, u=None) -> DualEstimatorState
                 u=u, extra=(x_prev, stacked))
             jacobian = param_filter.finite_difference(stacked, fd_y, runs)
             phase = "state filter"
-            est.state = state_filter.update(predicted, outputs, y_t, model,
-                                            est.rng)
+            sf = state_filter.update(predicted, outputs, y_t, model, est.rng)
         else:
             phase = "state filter"
-            est.state = state_filter.step(est.state, est.params.estimate,
-                                          y_t, model, est.rng, u=u)
+            sf = state_filter.step(est.state, est.params.estimate, y_t, model,
+                                   est.rng, u=u)
         phase = "parameter filter"
-        anchor = x_prev if one_step else est.state.estimate
+        anchor = x_prev if one_step else sf.estimate
         tilde = param_filter.evolve(est.params, anchor, y_t, model, config,
                                     est.rng, u=u, jacobian=jacobian)
-        est.params = param_filter.update(tilde, anchor, y_t, model, config,
-                                         est.rng, u=u)
+        pf = param_filter.update(tilde, anchor, y_t, model, config, est.rng,
+                                 u=u)
     except DualPFError as exc:
         raise type(exc)(f"{phase}, step {t}: {exc}") from exc
-    est.t = t
-    est.history.append(est.params.estimate.copy())
+    est.state, est.params, est.t = sf, pf, t
+    est.history.append(pf.estimate.copy())
     return est
 
 

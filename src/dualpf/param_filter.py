@@ -20,7 +20,6 @@ from .model import ModelSpec, ParamDomain
 from .smc import (
     ParticleEnsemble,
     _row_sum,
-    as_rng,
     check_cov_shape,
     likelihood_weights,
     resample_residual,
@@ -77,12 +76,12 @@ class ParamFilterState:
 
 
 def init_param_filter(mean: np.ndarray, cov: np.ndarray, domain: ParamDomain,
-                      config: ParamFilterConfig, seed) -> ParamFilterState:
+                      config: ParamFilterConfig, rng) -> ParamFilterState:
     """The prior draw; ConfigError unless the evolution covariance, if set,
     is (domain.dim, domain.dim)."""
     if config.evolution_cov is not None:
         check_cov_shape("evolution_cov", config.evolution_cov, domain.dim)
-    particles = draw_prior(mean, cov, config.n_particles, domain, seed)
+    particles = draw_prior(mean, cov, config.n_particles, domain, rng)
     return ParamFilterState(particles=particles,
                             estimate=particles.mean(axis=0))
 
@@ -216,7 +215,7 @@ def project_step(theta_prev: np.ndarray, raw_step: np.ndarray,
 
 
 def draw_prior(mean: np.ndarray, cov: np.ndarray, n: int, domain: ParamDomain,
-               seed) -> np.ndarray:
+               rng) -> np.ndarray:
     """n parameter particles from N(mean, cov), each draw's offset from the
     mean projected into the domain; the mean itself must be admissible and
     cov square in its length."""
@@ -224,12 +223,12 @@ def draw_prior(mean: np.ndarray, cov: np.ndarray, n: int, domain: ParamDomain,
     check_cov_shape("initial parameter covariance", cov, mean.shape[0])
     if not domain.contains(mean):
         raise ConfigError("initial parameter mean outside the domain")
-    particles = mean + sample_gaussian(cov, n, as_rng(seed))
+    particles = mean + sample_gaussian(cov, n, rng)
     return project_step(mean, particles - mean, domain)
 
 
 def kernel_shrink(centers: np.ndarray, target: np.ndarray, cov: np.ndarray,
-                  a: float, domain: ParamDomain, seed) -> np.ndarray:
+                  a: float, domain: ParamDomain, rng) -> np.ndarray:
     """Kernel-smoothing evolution: shrink, jitter, project into the box.
 
     Each row moves to a * center + (1 - a) * target and takes a zero-mean
@@ -237,7 +236,6 @@ def kernel_shrink(centers: np.ndarray, target: np.ndarray, cov: np.ndarray,
     ensemble variance is preserved; the jitter is scaled by PROJECTION_FACTOR
     until the particle is admissible.
     """
-    rng = as_rng(seed)
     noise_cov = (1.0 - a ** 2) * (cov + COV_FLOOR * np.eye(cov.shape[0]))
     zeta = sample_gaussian(noise_cov, centers.shape[0], rng)
     shrunk = a * centers + (1.0 - a) * target
@@ -245,7 +243,7 @@ def kernel_shrink(centers: np.ndarray, target: np.ndarray, cov: np.ndarray,
 
 
 def evolve(state: ParamFilterState, x: np.ndarray, y: np.ndarray,
-           model: ModelSpec, config: ParamFilterConfig, seed, u=None,
+           model: ModelSpec, config: ParamFilterConfig, rng, u=None,
            force_zero_error: bool = False,
            jacobian: tuple[np.ndarray, np.ndarray] | None = None
            ) -> np.ndarray:
@@ -255,7 +253,6 @@ def evolve(state: ParamFilterState, x: np.ndarray, y: np.ndarray,
     non-dispersion diagnostics).  `jacobian`, when given, is this step's
     `output_jacobian` of the particles, computed by the caller.
     """
-    rng = as_rng(seed)
     thetas = state.particles
     domain = model.param_domain
 
@@ -277,10 +274,9 @@ def evolve(state: ParamFilterState, x: np.ndarray, y: np.ndarray,
 
 
 def update(theta_tilde: np.ndarray, x: np.ndarray, y: np.ndarray,
-           model: ModelSpec, config: ParamFilterConfig, seed,
+           model: ModelSpec, config: ParamFilterConfig, rng,
            u=None) -> ParamFilterState:
     """Likelihood reweighting and residual resampling of the intermediates."""
-    rng = as_rng(seed)
     yhat = predicted_outputs(theta_tilde, x, model, config.predictor, u)
     weights = likelihood_weights(np.asarray(y, dtype=float) - yhat,
                                  model.measurement_noise_cov)

@@ -90,8 +90,8 @@ class RegularizeResult(NamedTuple):
     passthrough_dims: tuple[int, ...]
 
 
-# A Generator from an int seed or a SeedSequence; a Generator is returned
-# as it is.
+# A Generator from a seed (an int, a SeedSequence, or a Generator returned
+# as it is); called where a run's stream starts and by the two resamplers.
 as_rng = np.random.default_rng
 
 
@@ -168,9 +168,8 @@ def _cov_factor(data: bytes, shape: tuple[int, ...]) -> tuple:
     return sample, whiten, 2.0 * float(np.sum(np.log(root[order])))
 
 
-def sample_gaussian(cov: np.ndarray, n: int, seed) -> np.ndarray:
+def sample_gaussian(cov: np.ndarray, n: int, rng) -> np.ndarray:
     """Draw n zero-mean samples with the given PSD covariance."""
-    rng = as_rng(seed)
     a = _cov_factor(*_cache_key(cov))[0]
     return rng.standard_normal((n, a.shape[0])) @ a.T
 
@@ -265,7 +264,7 @@ def _kernel_density_1d(grid: np.ndarray, centers: np.ndarray,
 
 
 def regularize(ensemble: ParticleEnsemble, cov: np.ndarray,
-               config: RegularizationConfig, seed) -> RegularizeResult:
+               config: RegularizationConfig, rng) -> RegularizeResult:
     """Draw N fresh particles from a kernel-smoothed continuous density.
 
     The weighted ensemble is whitened on the eigenbasis of `cov` (the prior
@@ -282,9 +281,8 @@ def regularize(ensemble: ParticleEnsemble, cov: np.ndarray,
     dimension takes its grid cells (by inverse CDF) and the offsets within
     them from one `rng.random((2, N))` call: the same uniforms, order and
     arithmetic as `rng.choice(n_reg, p=density)` followed by
-    `rng.uniform(-dx/2, dx/2)`, so a seed gives the same particles.
+    `rng.uniform(-dx/2, dx/2)`, so the same stream gives the same particles.
     """
-    rng = as_rng(seed)
     n, d = ensemble.n, ensemble.dim
     w = ensemble.weights
     vals, vecs = _psd_eigh(cov)

@@ -16,7 +16,6 @@ from .model import ModelSpec
 from .smc import (
     DEFAULT_REGULARIZATION,
     ParticleEnsemble,
-    as_rng,
     check_cov_shape,
     likelihood_weights,
     regularize,
@@ -43,10 +42,9 @@ class StateFilterState:
 
 
 def init_state_filter(mean: np.ndarray, cov: np.ndarray,
-                      config: StateFilterConfig, seed) -> StateFilterState:
+                      config: StateFilterConfig, rng) -> StateFilterState:
     """Draw the initial ensemble from N(mean, cov); ConfigError unless cov
     is square in the mean's length."""
-    rng = as_rng(seed)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     check_cov_shape("initial state covariance", cov, mean.shape[0])
     particles = mean + sample_gaussian(cov, config.n_particles, rng)
@@ -55,7 +53,7 @@ def init_state_filter(mean: np.ndarray, cov: np.ndarray,
 
 
 def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
-            seed, u=None, extra: tuple[np.ndarray, np.ndarray] | None = None
+            rng, u=None, extra: tuple[np.ndarray, np.ndarray] | None = None
             ) -> tuple[np.ndarray, ...]:
     """Propagate the ensemble one step with process noise at the frozen
     parameter estimate (or at one parameter row per particle), and measure
@@ -68,7 +66,7 @@ def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
     """
     n = particles.shape[0]
     xs, thetas = particles, theta_hat
-    noise = sample_gaussian(model.process_noise_cov, n, as_rng(seed))
+    noise = sample_gaussian(model.process_noise_cov, n, rng)
     if extra is not None:
         x_rows, theta_rows = extra
         m = theta_rows.shape[0]
@@ -85,7 +83,7 @@ def predict(particles: np.ndarray, theta_hat: np.ndarray, model: ModelSpec,
 
 
 def update(predicted: np.ndarray, outputs: np.ndarray, y: np.ndarray,
-           model: ModelSpec, seed) -> StateFilterState:
+           model: ModelSpec, rng) -> StateFilterState:
     """The correction step: likelihood weights w_i proportional to
     N(y - yhat_i; 0, V) on the predicted particles, their kernel-regularized
     redraw, and the summary of the equally weighted result.  A predicted
@@ -98,7 +96,7 @@ def update(predicted: np.ndarray, outputs: np.ndarray, y: np.ndarray,
     ensemble = ParticleEnsemble(
         predicted, likelihood_weights(resid, model.measurement_noise_cov))
     result = regularize(ensemble, sample_cov(predicted),
-                        DEFAULT_REGULARIZATION, as_rng(seed))
+                        DEFAULT_REGULARIZATION, rng)
     posterior = result.particles
     return StateFilterState(
         particles=posterior,
@@ -110,8 +108,7 @@ def update(predicted: np.ndarray, outputs: np.ndarray, y: np.ndarray,
 
 
 def step(state: StateFilterState, theta_hat: np.ndarray, y: np.ndarray,
-         model: ModelSpec, seed, u=None) -> StateFilterState:
+         model: ModelSpec, rng, u=None) -> StateFilterState:
     """Full predict / weight / regularized-resample cycle."""
-    rng = as_rng(seed)
     return update(*predict(state.particles, theta_hat, model, rng, u=u),
                   y, model, rng)

@@ -1,15 +1,19 @@
 """Unit tests for the concurrent state/parameter estimator."""
+import itertools
+
 import numpy as np
 import pytest
 
-from dualpf import dual, harness, param_filter, state_filter, synthetic
+from dualpf import (baselines, dual, harness, param_filter, state_filter,
+                    synthetic)
 from dualpf.dual import history_arrays
 from dualpf.errors import (ConfigError, DegenerateWeightsError,
                            FilterDivergenceError, PhysicalDomainError)
 from dualpf.gas_turbine import NOMINAL_STATE, engine_model, nominal_constants
 from dualpf.model import ModelSpec, ParamDomain, simulate
 from dualpf.param_filter import ParamFilterConfig
-from dualpf.smc import as_rng
+from dualpf.smc import (DEFAULT_REGULARIZATION, ParticleEnsemble, as_rng,
+                        regularize, sample_cov, sample_gaussian)
 from dualpf.state_filter import StateFilterConfig
 
 
@@ -156,19 +160,25 @@ class TestStep:
 
     def test_parameter_filter_error_keeps_its_type_and_names_the_filter(
             self, monkeypatch):
-        # The parameter filter is `evolve` then `update`; either may raise.
+        # The parameter filter is `evolve` then `update`; either may raise,
+        # and the state filter's new ensemble is then not stored either.
         def degenerate(*args, **kwargs):
             raise DegenerateWeightsError("all particle likelihoods vanished")
         model = synthetic.mixed_fault_model()
-        for name in ("evolve", "update"):
+        for predictor, name in itertools.product(param_filter.PREDICTORS,
+                                                 ("evolve", "update")):
             with monkeypatch.context() as patch:
                 patch.setattr(param_filter, name, degenerate)
                 est = _estimator(model, synthetic.mixed_equilibrium(),
-                                 np.ones(4), 0)
+                                 np.ones(4), 0,
+                                 param_kwargs=dict(predictor=predictor))
+                before = est.state.particles.tobytes()
                 with pytest.raises(DegenerateWeightsError) as info:
                     dual.step(est, np.zeros(model.n_y))
             assert str(info.value).startswith("parameter filter, step 1:")
             assert est.t == 0
+            assert est.state.particles.tobytes() == before
+            assert est.history == []
 
 
 def _recording(base, calls=None, bad_above=None, output_calls=None):
@@ -321,6 +331,84 @@ class TestOneBadParticle:
         run = harness.run_estimator(model, ys, cfg, cfg.seed, states[0],
                                     u_trajectory=u)
         assert np.all(np.isfinite(run["theta_hat"][-1]))
+
+
+class TestStateOwnsItsStream:
+    # Each estimator draws only from its own Generator, so runs stepped in
+    # turn (as a batch of runs would be) match the same runs stepped alone:
+    # no random state is shared through a module, such as smc's factor cache.
+    MODEL, X0 = synthetic.mixed_fault_model(), synthetic.mixed_equilibrium()
+    YS = simulate(MODEL, X0, np.ones((15, 4)), 15, 0)[1]
+
+    def _estimates(self, seed, predictor):
+        est = _estimator(self.MODEL, self.X0, np.ones(4), seed,
+                         param_kwargs=dict(predictor=predictor),
+                         n_particles=20)
+        for y in self.YS:
+            dual.step(est, y)
+            yield (est.theta_hat.tobytes(), est.x_hat.tobytes(),
+                   est.state.particles.tobytes(),
+                   est.params.particles.tobytes())
+
+    @pytest.mark.parametrize("predictor", param_filter.PREDICTORS)
+    def test_interleaved_runs_match_runs_alone(self, predictor):
+        alone = {seed: list(self._estimates(seed, predictor))
+                 for seed in (1, 2)}
+        turns = list(zip(self._estimates(1, predictor),
+                         self._estimates(2, predictor)))
+        assert [a for a, _ in turns] == alone[1]
+        assert [b for _, b in turns] == alone[2]
+        assert alone[1] != alone[2]
+
+
+def _drawing_calls():
+    """name -> call(rng) of each function that draws below a run's entry
+    points, on inputs that draw (non-flat particles for `regularize`)."""
+    model, x0 = synthetic.mixed_fault_model(), synthetic.mixed_equilibrium()
+    theta, domain, y = np.ones(4), model.param_domain, np.ones(model.n_y)
+    xs = x0 + 0.01 * as_rng(0).standard_normal((10, 2))
+    ths = domain.clip(1.0 + 0.01 * as_rng(1).standard_normal((10, 4)))
+    ens = ParticleEnsemble(xs, np.full(10, 0.1))
+    sf = state_filter.StateFilterState(xs, xs.mean(axis=0))
+    pf = param_filter.ParamFilterState(ths, ths.mean(axis=0))
+    cfg = ParamFilterConfig(n_particles=10, cov_mode="running")
+    return {
+        "smc.sample_gaussian": lambda r: sample_gaussian(np.eye(2), 5, r),
+        "smc.regularize": lambda r: regularize(
+            ens, sample_cov(xs), DEFAULT_REGULARIZATION, r),
+        "state_filter.init_state_filter": lambda r: (
+            state_filter.init_state_filter(x0, 0.01 * np.eye(2),
+                                           StateFilterConfig(10), r)),
+        "state_filter.predict": lambda r: state_filter.predict(
+            xs, theta, model, r),
+        "state_filter.update": lambda r: state_filter.update(
+            xs, model.measure(xs, theta), y, model, r),
+        "state_filter.step": lambda r: state_filter.step(
+            sf, theta, y, model, r),
+        "param_filter.init_param_filter": lambda r: (
+            param_filter.init_param_filter(theta, 1e-4 * np.eye(4), domain,
+                                           cfg, r)),
+        "param_filter.draw_prior": lambda r: param_filter.draw_prior(
+            theta, 1e-4 * np.eye(4), 10, domain, r),
+        "param_filter.kernel_shrink": lambda r: param_filter.kernel_shrink(
+            ths, ths.mean(axis=0), sample_cov(ths), 0.93, domain, r),
+        "param_filter.evolve": lambda r: param_filter.evolve(
+            pf, x0, y, model, cfg, r),
+        "baselines.spsa_gradient": lambda r: baselines.spsa_gradient(
+            xs, theta, y, model, r),
+    }
+
+
+# `param_filter.update` is not listed: its one draw is resample_residual's,
+# and the two resamplers still take a seed.
+@pytest.mark.parametrize("name", sorted(_drawing_calls()))
+def test_drawing_function_refuses_an_int_for_its_generator(name):
+    # An int would seed a fresh Generator at every call and replay the same
+    # draws at every step; it fails at the first draw instead.
+    call = _drawing_calls()[name]
+    call(as_rng(0))
+    with pytest.raises(AttributeError, match="'int' object has no attr"):
+        call(0)
 
 
 class TestRun:

@@ -119,9 +119,12 @@ def test_prediction_error_step_is_inert_with_one_output():
     cfg = ParamFilterConfig(n_particles=50, predictor="one_step",
                             evolution_cov=0.05 ** 2 * np.eye(1))
     st = param_filter.init_param_filter(np.array([0.8]), cfg.evolution_cov,
-                                        model.param_domain, cfg, 1)
+                                        model.param_domain, cfg,
+                                        np.random.default_rng(1))
     x, y = np.array([5.0]), np.array([5.3])
-    with_step = param_filter.evolve(st, x, y, model, cfg, 2)
-    without = param_filter.evolve(st, x, y, model, cfg, 2,
+    with_step = param_filter.evolve(st, x, y, model, cfg,
+                                    np.random.default_rng(2))
+    without = param_filter.evolve(st, x, y, model, cfg,
+                                  np.random.default_rng(2),
                                   force_zero_error=True)
     assert with_step.tobytes() == without.tobytes()

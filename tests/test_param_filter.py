@@ -75,7 +75,7 @@ class TestConfigValidation:
         cfg = ParamFilterConfig(n_particles=10, cov_mode="running")
         for seed, cov in ((0, 0.01), (1, 0.04)):
             init_param_filter(np.array([1.0]), cov * np.eye(1),
-                              m.param_domain, cfg, seed)
+                              m.param_domain, cfg, as_rng(seed))
         assert cfg == ParamFilterConfig(n_particles=10, cov_mode="running")
 
     @pytest.mark.parametrize("step_size", [0.0, -0.5, float("nan")])
@@ -90,7 +90,8 @@ class TestInit:
             init_param_filter(np.array([5.0]), np.eye(1),
                               ParamDomain([0.0], [1.0]),
                               ParamFilterConfig(n_particles=10,
-                                                cov_mode="running"), 0)
+                                                cov_mode="running"),
+                              as_rng(0))
 
     def test_prior_covariance_of_the_wrong_shape_rejected(self):
         # A (1, 1) covariance would give all four components one offset.
@@ -98,11 +99,12 @@ class TestInit:
         for cov in (1e-4 * np.eye(1), 1e-4 * np.eye(3)):
             with pytest.raises(ConfigError, match=re.escape(
                     f"shape {cov.shape}, want (4, 4)")):
-                draw_prior(np.ones(4), cov, 5, domain, 0)
+                draw_prior(np.ones(4), cov, 5, domain, as_rng(0))
             with pytest.raises(ConfigError, match="initial parameter cov"):
                 init_param_filter(np.ones(4), cov, domain,
                                   ParamFilterConfig(n_particles=5,
-                                                    cov_mode="running"), 0)
+                                                    cov_mode="running"),
+                                  as_rng(0))
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_evolution_covariance_of_the_wrong_shape_rejected(self, width):
@@ -112,13 +114,15 @@ class TestInit:
         with pytest.raises(ConfigError, match=rf"evolution_cov shape "
                            rf"\({width}, {width}\), want \(4, 4\)"):
             init_param_filter(np.ones(4), 1e-4 * np.eye(4),
-                              mixed_fault_model().param_domain, cfg, 0)
+                              mixed_fault_model().param_domain, cfg,
+                              as_rng(0))
 
     def test_particles_inside_domain(self):
         domain = ParamDomain([0.9], [1.1])
         st = init_param_filter(np.array([1.0]), 0.05 * np.eye(1), domain,
                                ParamFilterConfig(n_particles=200,
-                                                 cov_mode="running"), 1)
+                                                 cov_mode="running"),
+                               as_rng(1))
         assert np.all(domain.contains(st.particles))
 
 
@@ -429,9 +433,9 @@ class TestEvolve:
         cfg = ParamFilterConfig(n_particles=50, shrinkage=1.0,
                                 evolution_cov=np.zeros((1, 1)))
         st = init_param_filter(np.array([1.0]), 0.01 * np.eye(1),
-                               m.param_domain, cfg, 0)
+                               m.param_domain, cfg, as_rng(0))
         before = st.particles.copy()
-        tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, 1,
+        tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, as_rng(1),
                        force_zero_error=True)
         assert np.array_equal(tilde, before)
 
@@ -441,9 +445,9 @@ class TestEvolve:
                                 cov_mode="initial",
                                 evolution_cov=np.zeros((1, 1)))
         st = init_param_filter(np.array([2.0]), np.zeros((1, 1)),
-                               m.param_domain, cfg, 0)
+                               m.param_domain, cfg, as_rng(0))
         st.particles = np.array([[1.0], [2.0], [3.0]])
-        tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, 1,
+        tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, as_rng(1),
                        force_zero_error=True)
         # Each particle moves halfway to the ensemble mean 2, up to the
         # floored evolution noise (the evolution covariance is 0).
@@ -456,12 +460,13 @@ class TestEvolve:
         cfg = ParamFilterConfig(n_particles=3, shrinkage=0.5,
                                 cov_mode="running")
         st = init_param_filter(np.array([2.0]), np.zeros((1, 1)),
-                               m.param_domain, cfg, 0)
+                               m.param_domain, cfg, as_rng(0))
         st.particles = np.array([[1.0], [2.0], [3.0]])
-        tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, 1,
+        tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, as_rng(1),
                        force_zero_error=True)
         want = kernel_shrink(st.particles, st.particles.mean(axis=0),
-                             sample_cov(st.particles), 0.5, m.param_domain, 1)
+                             sample_cov(st.particles), 0.5, m.param_domain,
+                             as_rng(1))
         assert tilde.tobytes() == want.tobytes()
 
     def test_variance_approximately_preserved(self):
@@ -469,8 +474,9 @@ class TestEvolve:
         v0 = 0.04 * np.eye(1)
         cfg = ParamFilterConfig(n_particles=20_000, shrinkage=0.9,
                                 cov_mode="initial", evolution_cov=v0.copy())
-        st = init_param_filter(np.array([1.5]), v0, m.param_domain, cfg, 2)
-        tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, 3,
+        st = init_param_filter(np.array([1.5]), v0, m.param_domain, cfg,
+                               as_rng(2))
+        tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, as_rng(3),
                        force_zero_error=True)
         assert np.var(tilde) == pytest.approx(np.var(st.particles), rel=0.05)
 
@@ -484,7 +490,7 @@ class TestEvolve:
         cov_floored = cov + 1e-12 * np.eye(3)
         zeta = sample_gaussian((1.0 - a ** 2) * cov_floored, 40, as_rng(5))
         expect = project_step(a * centers + (1.0 - a) * target, zeta, domain)
-        got = kernel_shrink(centers, target, cov, a, domain, 5)
+        got = kernel_shrink(centers, target, cov, a, domain, as_rng(5))
         assert np.array_equal(got, expect)
 
 
@@ -493,7 +499,7 @@ class TestUpdate:
         m = _scaling_model()
         cfg = ParamFilterConfig(n_particles=4, cov_mode="running")
         tilde = np.full((4, 1), 1.25)
-        st = update(tilde, np.array([2.0]), np.array([2.5]), m, cfg, 0)
+        st = update(tilde, np.array([2.0]), np.array([2.5]), m, cfg, as_rng(0))
         assert np.all(st.particles == 1.25)
         assert st.estimate == pytest.approx([1.25])
 
@@ -501,7 +507,7 @@ class TestUpdate:
         m = _scaling_model(sigma_v=1e-3)
         cfg = ParamFilterConfig(n_particles=2, cov_mode="running")
         tilde = np.array([[1.0], [2.9]])
-        st = update(tilde, np.array([1.0]), np.array([1.0]), m, cfg, 0)
+        st = update(tilde, np.array([1.0]), np.array([1.0]), m, cfg, as_rng(0))
         assert np.all(st.particles == 1.0)
 
     def test_escaped_particle_raises(self):
@@ -509,7 +515,7 @@ class TestUpdate:
         cfg = ParamFilterConfig(n_particles=2, cov_mode="running")
         with pytest.raises(DualPFError):
             update(np.array([[1.0], [2.5]]), np.array([1.0]),
-                   np.array([1.0]), m, cfg, 0)
+                   np.array([1.0]), m, cfg, as_rng(0))
 
     def test_tracks_conjugate_posterior_mean(self):
         # Linear observation y = theta * x with Gaussian prior: the

@@ -144,15 +144,16 @@ class TestResidualResampling:
 
 class TestGaussianSampling:
     def test_zero_cov(self):
-        assert np.all(sample_gaussian(np.zeros((2, 2)), 10, 0) == 0)
+        assert np.all(sample_gaussian(np.zeros((2, 2)), 10, as_rng(0)) == 0)
 
     def test_large_sample_covariance(self):
-        draws = sample_gaussian(np.eye(2), 100_000, 2)
+        draws = sample_gaussian(np.eye(2), 100_000, as_rng(2))
         assert np.allclose(np.cov(draws.T), np.eye(2), atol=0.05)
 
     def test_indefinite_cov_rejected(self):
         with pytest.raises(CovarianceError):
-            sample_gaussian(np.array([[1.0, 0.0], [0.0, -1.0]]), 5, 0)
+            sample_gaussian(np.array([[1.0, 0.0], [0.0, -1.0]]), 5,
+                            as_rng(0))
 
     def test_psd_eigh_reconstructs(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -250,13 +251,13 @@ class TestRegularization:
         particles = np.column_stack([np.full(30, 2.5),
                                      as_rng(1).standard_normal(30)])
         ens = _uniform(particles)
-        res = regularize(ens, np.eye(2), RegularizationConfig(), 1)
+        res = regularize(ens, np.eye(2), RegularizationConfig(), as_rng(1))
         assert 0 in res.passthrough_dims
         assert np.all(res.particles[:, 0] == 2.5)
 
     def test_single_value_fixed_point(self):
         ens = _uniform(np.full((20, 1), 3.0))
-        res = regularize(ens, np.eye(1), RegularizationConfig(), 4)
+        res = regularize(ens, np.eye(1), RegularizationConfig(), as_rng(4))
         assert np.all(res.particles == 3.0)
 
     def test_mean_preserved(self):
@@ -330,7 +331,7 @@ def test_regularize_matches_factor_rebuild_reference(d):
     weights = rng.random(50)
     ens = ParticleEnsemble(particles, weights / weights.sum())
     cov = sample_cov(particles)
-    got = regularize(ens, cov, RegularizationConfig(), 7)
+    got = regularize(ens, cov, RegularizationConfig(), as_rng(7))
     ref = _factor_rebuild_regularize(ens, cov, RegularizationConfig(), 7)
     assert got.passthrough_dims == ()
     np.testing.assert_allclose(got.particles, ref, rtol=0, atol=1e-9)
@@ -474,16 +475,16 @@ def _measurement_cov(name):
 class TestFactorCache:
     def test_fresh_copy_hits_the_cache(self):
         cov = np.array([[0.3, 0.1], [0.1, 0.2]])
-        sample_gaussian(cov, 4, 0)
+        sample_gaussian(cov, 4, as_rng(0))
         hits = smc._cov_factor.cache_info().hits
-        sample_gaussian(cov.copy(), 4, 0)
+        sample_gaussian(cov.copy(), 4, as_rng(0))
         gaussian_loglik(np.zeros((1, 2)), cov.copy())
         assert smc._cov_factor.cache_info().hits == hits + 2
 
     def test_one_factor_serves_sampling_and_likelihoods(self):
         cov = np.array([[0.7, 0.2], [0.2, 0.4]])
         smc._cov_factor.cache_clear()
-        sample_gaussian(cov, 4, 0)
+        sample_gaussian(cov, 4, as_rng(0))
         gaussian_loglik(np.zeros((1, 2)), cov)
         info = smc._cov_factor.cache_info()
         assert (info.misses, info.hits) == (1, 1)
@@ -493,7 +494,7 @@ class TestFactorCache:
         vals, vecs = _psd_eigh(cov)
         expect = as_rng(3).standard_normal((9, 2)) @ (vecs * np.sqrt(vals)).T
         for _ in range(2):
-            assert sample_gaussian(cov, 9, 3).tobytes() == expect.tobytes()
+            assert sample_gaussian(cov, 9, as_rng(3)).tobytes() == expect.tobytes()
         res = as_rng(4).standard_normal((9, 2))
         expect = _cholesky_loglik(res, cov)
         for _ in range(2):
@@ -515,11 +516,11 @@ class TestFactorCache:
 
     def test_mutated_covariance_gets_a_new_factor(self):
         cov = np.diag([1.0, 2.0])
-        before = sample_gaussian(cov, 5, 1)
+        before = sample_gaussian(cov, 5, as_rng(1))
         cov[0, 0] = 4.0
         vals, vecs = _psd_eigh(cov)
         expect = as_rng(1).standard_normal((5, 2)) @ (vecs * np.sqrt(vals)).T
-        after = sample_gaussian(cov, 5, 1)
+        after = sample_gaussian(cov, 5, as_rng(1))
         assert after.tobytes() == expect.tobytes()
         assert not np.array_equal(after, before)
         ll = gaussian_loglik(np.ones((1, 2)), cov)
@@ -541,7 +542,7 @@ class TestFactorCache:
     def test_rejected_sampling_covariance_raises_every_call(self, cov):
         for _ in range(3):
             with pytest.raises(CovarianceError):
-                sample_gaussian(cov, 5, 0)
+                sample_gaussian(cov, 5, as_rng(0))
 
     def test_non_pd_likelihood_covariance_raises_every_call(self):
         cov = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -549,7 +550,7 @@ class TestFactorCache:
             with pytest.raises(CovarianceError, match="singular"):
                 gaussian_loglik(np.zeros((1, 2)), cov)
         # The same factor still samples: a singular covariance is PSD.
-        draws = sample_gaussian(cov, 5, 0)
+        draws = sample_gaussian(cov, 5, as_rng(0))
         assert np.all(draws[:, 1] == 0.0)
 
     def test_cache_stays_bounded(self):
@@ -557,7 +558,7 @@ class TestFactorCache:
         assert info.maxsize is not None
         for k in range(3 * info.maxsize):
             cov = np.eye(2) * (1.0 + k)
-            sample_gaussian(cov, 2, 0)
+            sample_gaussian(cov, 2, as_rng(0))
             gaussian_loglik(np.zeros((1, 2)), cov)
         info = smc._cov_factor.cache_info()
         assert info.currsize <= info.maxsize

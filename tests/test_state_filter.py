@@ -56,7 +56,7 @@ def _diverging_model():
 class TestInit:
     def test_zero_cov_collapses_to_mean(self):
         sf = init_state_filter(np.array([1.0, 2.0]), np.zeros((2, 2)),
-                               StateFilterConfig(n_particles=7), 0)
+                               StateFilterConfig(n_particles=7), as_rng(0))
         assert np.all(sf.particles == [1.0, 2.0])
         assert np.allclose(sf.estimate, [1.0, 2.0])
 
@@ -67,13 +67,13 @@ class TestInit:
         # A (1, 1) covariance would give both components one offset.
         with pytest.raises(ConfigError, match=r"shape \(.*\), want \(2, 2\)"):
             init_state_filter(np.array([1.0, 1.0]), cov, StateFilterConfig(5),
-                              0)
+                              as_rng(0))
 
     def test_seed_determinism(self):
         a = init_state_filter(np.zeros(1), np.eye(1),
-                              StateFilterConfig(n_particles=5), 3)
+                              StateFilterConfig(n_particles=5), as_rng(3))
         b = init_state_filter(np.zeros(1), np.eye(1),
-                              StateFilterConfig(n_particles=5), 3)
+                              StateFilterConfig(n_particles=5), as_rng(3))
         assert np.array_equal(a.particles, b.particles)
 
 
@@ -81,7 +81,7 @@ class TestPredict:
     def test_identity_noise_free_preserves_particles(self):
         model = _linear_model(np.eye(1), np.zeros((1, 1)), np.eye(1))
         particles = np.array([[0.0], [2.0]])
-        pred, outs = predict(particles, THETA, model, 0)
+        pred, outs = predict(particles, THETA, model, as_rng(0))
         assert np.array_equal(pred, particles)
         assert np.array_equal(outs, particles)
 
@@ -106,9 +106,10 @@ class TestPredict:
     # start of `update`, so a step flags what its predict produced.
     def test_divergence_flags_particle(self):
         sf = init_state_filter(np.ones(1), np.zeros((1, 1)),
-                               StateFilterConfig(n_particles=4), 0)
+                               StateFilterConfig(n_particles=4), as_rng(0))
         with pytest.raises(FilterDivergenceError):
-            state_filter.step(sf, THETA, np.ones(1), _diverging_model(), 0)
+            state_filter.step(sf, THETA, np.ones(1), _diverging_model(),
+                              as_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_divergence_message_names_the_first_bad_row(self, bad):
@@ -118,7 +119,7 @@ class TestPredict:
         predicted[5, 0] = np.nan
         with pytest.raises(FilterDivergenceError,
                            match=r"^non-finite particle at index 3$"):
-            update(predicted, np.ones((6, 2)), np.ones(2), model, 0)
+            update(predicted, np.ones((6, 2)), np.ones(2), model, as_rng(0))
 
     @pytest.mark.parametrize("name", ["scalar", "mixed", "engine"])
     def test_extra_rows_change_nothing_but_the_call_count(self, name):
@@ -159,7 +160,7 @@ class TestUpdate:
     def test_equal_outputs_give_uniform_weights(self):
         model = _linear_model(np.eye(1), np.zeros((1, 1)), np.eye(1))
         sf = update(np.arange(6.0)[:, None], np.ones((6, 1)), np.array([0.3]),
-                    model, 0)
+                    model, as_rng(0))
         assert sf.ess == pytest.approx(6.0)
         assert not sf.degenerate
 
@@ -167,14 +168,14 @@ class TestUpdate:
         # w0 / w1 = exp(1/2): residuals 0 and 1 under unit noise.
         model = _linear_model(np.eye(1), np.zeros((1, 1)), np.eye(1))
         sf = update(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]),
-                    np.array([0.0]), model, 0)
+                    np.array([0.0]), model, as_rng(0))
         w0 = 1.0 / (1.0 + np.exp(-0.5))
         assert sf.ess == pytest.approx(1.0 / (w0 ** 2 + (1.0 - w0) ** 2))
 
     def test_dominant_likelihood(self):
         model = _linear_model(np.eye(1), np.zeros((1, 1)), 1e-6 * np.eye(1))
         sf = update(np.array([[0.0], [5.0]]), np.array([[0.0], [5.0]]),
-                    np.array([0.0]), model, 0)
+                    np.array([0.0]), model, as_rng(0))
         assert sf.degenerate
         assert sf.ess == pytest.approx(1.0)
 
@@ -185,7 +186,7 @@ class TestUpdate:
         predicted = as_rng(4).normal(size=(40, 2))
         outputs = predicted + 0.1
         y = np.array([0.2, -0.3])
-        sf = update(predicted, outputs, y, model, 9)
+        sf = update(predicted, outputs, y, model, as_rng(9))
         ensemble = ParticleEnsemble(predicted, likelihood_weights(
             y - outputs, model.measurement_noise_cov))
         want = regularize(ensemble, sample_cov(predicted),
@@ -202,8 +203,8 @@ class TestStep:
     def test_noise_free_fixed_point_at_truth(self):
         model = _linear_model(np.eye(1), np.zeros((1, 1)), 0.01 * np.eye(1))
         sf = init_state_filter(np.array([2.0]), np.zeros((1, 1)),
-                               StateFilterConfig(n_particles=20), 0)
-        sf = state_filter.step(sf, THETA, np.array([2.0]), model, 0)
+                               StateFilterConfig(n_particles=20), as_rng(0))
+        sf = state_filter.step(sf, THETA, np.array([2.0]), model, as_rng(0))
         assert np.allclose(sf.estimate, [2.0])
         assert 0 in sf.passthrough_dims
 

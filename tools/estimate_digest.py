@@ -21,19 +21,33 @@ of a 4-run mixed-model `calibrate_band` (widened once, scale 1.1) and the
 labels of a `campaign_design(1)` confusion round against that band, and
 one line with the MD5 of the acceptance tests' dual band: 25 runs at
 calibration seed 0, coverage 0.995, persistence 10, the dual's matched
-budget above; it is widened twice (scale 1.21).  Run it on two commits
-and diff the output: equal lines mean bit-identical results.
+budget above; it is widened twice (scale 1.21).  Equal lines on two
+commits mean bit-identical results.
+
+    python tools/estimate_digest.py --against REV
+
+compares with a git revision: it extracts `git archive REV src` into a
+temporary directory, runs this script's configs in two subprocesses, one
+importing the library from that `src` and one from the checkout's, and
+prints the lines that differ.  It exits 0 when every line matches, 1 when
+a line differs and 2 when either run fails, and leaves no file behind.
 """
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import itertools
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from dualpf.errors import DualPFError  # noqa: E402
 from dualpf.harness import (ESTIMATORS, MODELS, RunConfig,  # noqa: E402
@@ -123,7 +137,51 @@ def acceptance_band_line() -> str:
     return f"mixed dual acceptance band R=25: {md5(band.lower, band.upper)}"
 
 
-def main() -> int:
+# A child imports the library from the first PYTHONPATH entry before this
+# script puts the checkout's src/ first on sys.path, then runs the script.
+CHILD = ("import runpy, sys, dualpf; sys.argv = sys.argv[1:]; "
+         "runpy.run_path(sys.argv[0], run_name='__main__')")
+
+
+def digest_run(src: Path, cwd: str) -> subprocess.CompletedProcess:
+    """This script's digest in a subprocess, the library taken from src."""
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-c", CHILD, __file__], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+
+
+def compare(rev: str) -> int:
+    """Print the digest lines that differ between rev and the checkout;
+    0 when none does, 1 when one does, 2 when a run fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
+                                 capture_output=True)
+        if archive.returncode != 0:
+            print(archive.stderr.decode().strip(), file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
+                       check=True)
+        runs = {rev: digest_run(Path(tmp) / "src", tmp),
+                "checkout": digest_run(ROOT / "src", tmp)}
+    for name, run in runs.items():
+        if run.returncode != 0:
+            print(f"{name} run failed:\n{run.stderr}", file=sys.stderr)
+            return 2
+    old, new = (runs[name].stdout.splitlines() for name in (rev, "checkout"))
+    diff = list(difflib.unified_diff(old, new, fromfile=rev,
+                                     tofile="checkout", lineterm="", n=0))
+    print("\n".join(diff) if diff else f"{len(old)} lines match {rev}")
+    return 1 if diff else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the library at a git revision")
+    args = parser.parse_args(argv)
+    if args.against:
+        return compare(args.against)
     for line in itertools.chain(truth_lines(), scenario_lines()):
         print(line, flush=True)
     print(campaign_line(), flush=True)
