@@ -91,20 +91,18 @@ class RegularizeResult(NamedTuple):
 
 
 # A Generator from a seed (an int, a SeedSequence, or a Generator returned
-# as it is); called where a run's stream starts and by the two resamplers.
+# as it is); called only where a run's stream starts.
 as_rng = np.random.default_rng
 
 
-def resample_bootstrap(ensemble: ParticleEnsemble, seed) -> np.ndarray:
+def resample_bootstrap(ensemble: ParticleEnsemble, rng) -> np.ndarray:
     """Multinomial (bootstrap) resampling: N i.i.d. index draws."""
-    rng = as_rng(seed)
     n = ensemble.n
     return rng.choice(n, size=n, p=ensemble.weights)
 
 
-def resample_residual(ensemble: ParticleEnsemble, seed) -> np.ndarray:
+def resample_residual(ensemble: ParticleEnsemble, rng) -> np.ndarray:
     """Residual resampling: deterministic floor counts + multinomial rest."""
-    rng = as_rng(seed)
     n = ensemble.n
     w = ensemble.weights
     floors = np.floor(n * w).astype(int)

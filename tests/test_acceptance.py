@@ -416,7 +416,7 @@ def test_regularization_grid_and_resampling_statistics():
         counts = np.zeros(len(weights))
         ens = ParticleEnsemble(np.arange(4.0)[:, None], weights)
         for seed in range(n_seeds):
-            idx = sampler(ens, seed)
+            idx = sampler(ens, as_rng(seed))
             counts += np.bincount(idx, minlength=len(weights))
         expected = n_seeds * len(weights) * weights
         chi[name] = float(np.sum((counts - expected) ** 2 / expected))

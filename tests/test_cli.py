@@ -1,16 +1,21 @@
 """End-to-end tests for the command-line interface."""
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualpf import harness
+from dualpf import diagnosis, harness
 from dualpf.cli import main
 from dualpf.harness import RunConfig
 
 FAST = ["--model", "mixed", "--n-particles", "8", "--duration", "40"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _stdout_json(capsys):
@@ -31,12 +36,19 @@ class TestParser:
 
 class TestSimulate:
     def test_writes_trajectory(self, tmp_path, capsys):
-        rc = main(["simulate", "--model", "scalar", "--duration", "15",
-                   "--seed", "1", "--out", str(tmp_path)])
-        assert rc == 0
-        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
-        assert len(lines) == 16
-        assert "wrote" in capsys.readouterr().out
+        # Engine scenario II runs its ramps and the fuel step through the
+        # one-state implicit solve, every one of its 2,500 steps.
+        for flags, steps in [
+                (["--model", "scalar", "--seed", "1"], 15),
+                (["--model", "gas_turbine",
+                  "--scenario", "scenario_II_simultaneous"], 2500)]:
+            out = tmp_path / flags[1]
+            rc = main(["simulate", *flags, "--duration", str(steps),
+                       "--out", str(out)])
+            assert rc == 0
+            lines = (out / "trajectory.csv").read_text().splitlines()
+            assert len(lines) == steps + 1
+            assert "wrote" in capsys.readouterr().out
 
     def test_flag_overrides_yaml_config(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -86,18 +98,25 @@ class TestEstimate:
         assert (tmp_path / "report.json").exists()
 
     def test_out_writes_the_three_run_files(self, tmp_path):
-        out = tmp_path / "nested" / "est"
-        rc = main(["estimate", *FAST, "--seed", "1", "--out", str(out)])
-        assert rc == 0
-        assert sorted(p.name for p in out.iterdir()) == \
-            ["report.json", "residuals.csv", "trajectory.csv"]
-        lines = (out / "residuals.csv").read_text().splitlines()
-        assert lines[0] == "t,r_1,r_2,r_3,r_4"
-        assert len(lines) == 41
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["config"]["model"] == "mixed"
-        assert "output_dir" not in doc["config"]
-        assert "diagnosis" not in doc
+        # Each estimator on the mixed model, and the dual on the engine,
+        # whose step runs the implicit integrator.
+        for model, estimator in [("mixed", "dual"), ("mixed", "bayesian"),
+                                 ("mixed", "rml"), ("gas_turbine", "dual")]:
+            out = tmp_path / "nested" / model / estimator
+            rc = main(["estimate", "--model", model, "--estimator", estimator,
+                       "--n-particles", "8", "--duration", "40",
+                       "--seed", "1", "--out", str(out)])
+            assert rc == 0
+            assert sorted(p.name for p in out.iterdir()) == \
+                ["report.json", "residuals.csv", "trajectory.csv"]
+            lines = (out / "residuals.csv").read_text().splitlines()
+            assert lines[0] == "t,r_1,r_2,r_3,r_4"
+            assert len(lines) == 41
+            doc = json.loads((out / "report.json").read_text())
+            assert doc["config"]["model"] == model
+            assert doc["config"]["estimator"] == estimator
+            assert "output_dir" not in doc["config"]
+            assert "diagnosis" not in doc
 
     def test_yaml_output_dir_is_the_out_default(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -207,17 +226,36 @@ class TestCalibrateAndDiagnose:
 
 class TestCampaign:
     def test_small_campaign_artifacts(self, tmp_path, capsys):
-        rc = main(["campaign", *FAST, "--calibration-runs", "5",
-                   "--runs-per-category", "1", "--out", str(tmp_path)])
-        assert rc == 0
-        metrics = _stdout_json(capsys)
-        assert "AC" in metrics and "FP" in metrics
-        lines = (tmp_path / "confusion.csv").read_text().splitlines()
-        assert len(lines) == 6
-        assert lines[0] == ",eta_c,m_c,eta_t,m_t,no_fault"
-        agg = json.loads((tmp_path / "aggregate.json").read_text())
-        assert len(agg["labels"]) == 5
-        assert agg["failures"] == []
+        # At 40 steps every design run ends before its step-120 fault, so
+        # each is healthy.  At 200 steps the faults act, and the band goes
+        # calibrate -> band.json -> diagnose and campaign.
+        for duration, actual in [("40", {"no_fault": 5}),
+                                 ("200", dict.fromkeys(diagnosis.CATEGORIES,
+                                                       1))]:
+            flags = ["--model", "mixed", "--n-particles", "8",
+                     "--duration", duration]
+            out = tmp_path / duration
+            band = ["--calibration-runs", "5"]
+            if duration == "200":
+                assert main(["calibrate", *flags, "--runs", "4",
+                             "--out", str(out)]) == 0
+                band = ["--band", str(out / "band.json")]
+                assert main(["diagnose", *flags, *band,
+                             "--out", str(out / "diag")]) == 0
+                doc = json.loads((out / "diag" / "report.json").read_text())
+                assert "diagnosis" in doc
+                capsys.readouterr()
+            rc = main(["campaign", *flags, *band, "--runs-per-category", "1",
+                       "--out", str(out)])
+            assert rc == 0
+            metrics = _stdout_json(capsys)
+            assert "AC" in metrics and "FP" in metrics
+            lines = (out / "confusion.csv").read_text().splitlines()
+            assert len(lines) == 6
+            assert lines[0] == ",eta_c,m_c,eta_t,m_t,no_fault"
+            agg = json.loads((out / "aggregate.json").read_text())
+            assert Counter(a for a, _ in agg["labels"]) == actual
+            assert agg["failures"] == []
 
     def test_scalar_campaign_plans_only_its_components(self, tmp_path):
         # The scalar model has one health parameter: the design keeps the
@@ -261,6 +299,29 @@ class TestComplexity:
         assert err["message"] == \
             f"{flag[2:].replace('-', '_')} must be an integer >= 0, got -5"
         assert not (tmp_path / "out").exists()
+
+
+class TestProcessExitStatus:
+    # `python -m dualpf.cli` in its own process, so the status is the one a
+    # shell sees, not main()'s return value.
+    @pytest.mark.parametrize("argv, status, error", [
+        (["complexity"], 0, None),
+        (["complexity", "--c3", "inf"], 2, "ConfigError"),
+        (["diagnose", *FAST, "--band", "missing.json"], 3, "OSError")],
+        ids=["complexity", "c3-inf", "missing-band"])
+    def test_exit_status(self, tmp_path, argv, status, error):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "dualpf.cli", *argv, "--out", "out"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == status, done.stderr
+        if error is None:
+            assert json.loads(done.stdout)["flops"]["dual"] == 21_950
+        else:
+            assert json.loads(done.stderr)["error"] == error
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestErrorHandling:

@@ -334,6 +334,16 @@ class TestClassify:
                              np.array([0.01, 0.1, 0.1, 0.1]))
         assert classify(decisions, band=band) == "eta_c"
 
+    def test_severity_window_sets_the_label(self):
+        # Both components trip at step 0.  Over the 100-step severity
+        # window A reads 0.5 and B 0.6, so B wins; a 50-step window would
+        # read A at 1.0 and pick A.
+        band = ThresholdBand(np.full(2, -0.1), np.full(2, 0.1))
+        res = np.zeros((100, 2))
+        res[:50, 0] = 1.0
+        res[:, 1] = 0.6
+        assert classify(decide(res, band, persistence=5), band) == "m_c"
+
 
 class TestConfusionMetrics:
     def test_identity_matrix(self):

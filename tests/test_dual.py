@@ -13,7 +13,8 @@ from dualpf.gas_turbine import NOMINAL_STATE, engine_model, nominal_constants
 from dualpf.model import ModelSpec, ParamDomain, simulate
 from dualpf.param_filter import ParamFilterConfig
 from dualpf.smc import (DEFAULT_REGULARIZATION, ParticleEnsemble, as_rng,
-                        regularize, sample_cov, sample_gaussian)
+                        regularize, resample_bootstrap, resample_residual,
+                        sample_cov, sample_gaussian)
 from dualpf.state_filter import StateFilterConfig
 
 
@@ -363,16 +364,20 @@ class TestStateOwnsItsStream:
 
 def _drawing_calls():
     """name -> call(rng) of each function that draws below a run's entry
-    points, on inputs that draw (non-flat particles for `regularize`)."""
+    points, on inputs that draw (non-flat particles for `regularize`,
+    weights that leave residual resampling a remainder)."""
     model, x0 = synthetic.mixed_fault_model(), synthetic.mixed_equilibrium()
     theta, domain, y = np.ones(4), model.param_domain, np.ones(model.n_y)
     xs = x0 + 0.01 * as_rng(0).standard_normal((10, 2))
     ths = domain.clip(1.0 + 0.01 * as_rng(1).standard_normal((10, 4)))
     ens = ParticleEnsemble(xs, np.full(10, 0.1))
+    skewed = ParticleEnsemble(xs, np.linspace(1.0, 2.0, 10) / 15.0)
     sf = state_filter.StateFilterState(xs, xs.mean(axis=0))
     pf = param_filter.ParamFilterState(ths, ths.mean(axis=0))
     cfg = ParamFilterConfig(n_particles=10, cov_mode="running")
     return {
+        "smc.resample_bootstrap": lambda r: resample_bootstrap(skewed, r),
+        "smc.resample_residual": lambda r: resample_residual(skewed, r),
         "smc.sample_gaussian": lambda r: sample_gaussian(np.eye(2), 5, r),
         "smc.regularize": lambda r: regularize(
             ens, sample_cov(xs), DEFAULT_REGULARIZATION, r),
@@ -394,13 +399,13 @@ def _drawing_calls():
             ths, ths.mean(axis=0), sample_cov(ths), 0.93, domain, r),
         "param_filter.evolve": lambda r: param_filter.evolve(
             pf, x0, y, model, cfg, r),
+        "param_filter.update": lambda r: param_filter.update(
+            ths, x0, y, model, cfg, r),
         "baselines.spsa_gradient": lambda r: baselines.spsa_gradient(
             xs, theta, y, model, r),
     }
 
 
-# `param_filter.update` is not listed: its one draw is resample_residual's,
-# and the two resamplers still take a seed.
 @pytest.mark.parametrize("name", sorted(_drawing_calls()))
 def test_drawing_function_refuses_an_int_for_its_generator(name):
     # An int would seed a fresh Generator at every call and replay the same

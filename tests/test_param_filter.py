@@ -12,6 +12,7 @@ from dualpf.model import ModelSpec, ParamDomain
 from dualpf.param_filter import (
     FD_STEP,
     ParamFilterConfig,
+    ParamFilterState,
     distinct_runs,
     draw_prior,
     evolve,
@@ -24,7 +25,7 @@ from dualpf.param_filter import (
     updating_gain,
 )
 from dualpf.smc import as_rng, sample_cov, sample_gaussian
-from dualpf.synthetic import mixed_equilibrium, mixed_fault_model
+from dualpf.synthetic import _MIX, mixed_equilibrium, mixed_fault_model
 
 
 def _scaling_model(power=1, lower=0.0, upper=3.0, sigma_v=1.0):
@@ -479,6 +480,29 @@ class TestEvolve:
         tilde = evolve(st, np.zeros(1), np.zeros(1), m, cfg, as_rng(3),
                        force_zero_error=True)
         assert np.var(tilde) == pytest.approx(np.var(st.particles), rel=0.05)
+
+    def test_prediction_error_step_on_a_collapsed_ensemble(self):
+        # The paper's step on the mixed model, y = theta * (M x): the output
+        # Jacobian is diag(M x), so at shrinkage 1 (no pull, no jitter) each
+        # row of an ensemble collapsed on theta0 moves by
+        # gamma ||eps - mean(eps)|| (M x) * eps, eps = y - theta0 * (M x).
+        model, x = mixed_fault_model(), mixed_equilibrium()
+        theta0 = np.array([0.95, 1.0, 1.05, 0.9])
+        taps = _MIX @ x
+        cfg = ParamFilterConfig(n_particles=5, shrinkage=1.0,
+                                cov_mode="running", predictor="output")
+        state = ParamFilterState(np.tile(theta0, (5, 1)), theta0.copy())
+        error = np.array([0.02, -0.01, 0.03, -0.04])
+        steps = []
+        for y in (theta0 * taps + error, theta0 * taps - error):
+            eps = y - theta0 * taps
+            want = (cfg.step_size * np.linalg.norm(eps - eps.mean())
+                    * taps * eps)
+            got = evolve(state, x, y, model, cfg, as_rng(0)) - theta0
+            np.testing.assert_allclose(got, np.tile(want, (5, 1)), rtol=1e-6)
+            steps.append(got[0])
+        # The opposite error moves every component the other way.
+        assert np.all(steps[0] * steps[1] < 0)
 
     def test_kernel_shrink_matches_inline_arithmetic(self):
         # Reference: the floor, jitter, shrink and project arithmetic inline.

@@ -78,17 +78,17 @@ class TestAsRng:
 class TestBootstrapResampling:
     def test_point_mass(self):
         ens = ParticleEnsemble(np.arange(3.0)[:, None], np.array([1.0, 0, 0]))
-        assert np.all(resample_bootstrap(ens, 0) == 0)
+        assert np.all(resample_bootstrap(ens, as_rng(0)) == 0)
 
     def test_deterministic_under_seed(self):
         ens = ParticleEnsemble(np.arange(2.0)[:, None], np.array([0.5, 0.5]))
-        assert np.array_equal(resample_bootstrap(ens, 9),
-                              resample_bootstrap(ens, 9))
+        assert np.array_equal(resample_bootstrap(ens, as_rng(9)),
+                              resample_bootstrap(ens, as_rng(9)))
 
     def test_uniform_frequencies(self):
         n = 10_000
         ens = _uniform(np.arange(float(n))[:, None])
-        idx = resample_bootstrap(ens, 1)
+        idx = resample_bootstrap(ens, as_rng(1))
         # Aggregate into 10 bins; chi-square against the uniform multinomial.
         counts = np.bincount(idx // (n // 10), minlength=10)
         chi2 = np.sum((counts - n / 10) ** 2 / (n / 10))
@@ -98,19 +98,20 @@ class TestBootstrapResampling:
 class TestResidualResampling:
     def test_even_split_is_deterministic(self):
         ens = ParticleEnsemble(np.arange(2.0)[:, None], np.array([0.5, 0.5]))
-        assert sorted(resample_residual(ens, 0)) == [0, 1]
+        assert sorted(resample_residual(ens, as_rng(0))) == [0, 1]
 
     def test_integral_weights_fully_deterministic(self):
         # Four draws at weights 0.75/0.25: the floor counts exhaust N.
         ens = ParticleEnsemble(np.arange(4.0)[:, None],
                                np.array([0.75, 0.25, 0.0, 0.0]))
-        counts = np.bincount(resample_residual(ens, 5), minlength=4)
+        counts = np.bincount(resample_residual(ens, as_rng(5)), minlength=4)
         assert counts.tolist() == [3, 1, 0, 0]
 
     def test_expected_counts(self):
         ens = ParticleEnsemble(np.arange(5.0)[:, None],
                                np.array([0.6, 0.4, 0.0, 0.0, 0.0]))
-        first = [np.bincount(resample_residual(ens, s), minlength=5)[0]
+        first = [np.bincount(resample_residual(ens, as_rng(s)),
+                             minlength=5)[0]
                  for s in range(200)]
         assert np.mean(first) == pytest.approx(3.0, abs=0.05)
 
@@ -136,7 +137,7 @@ class TestResidualResampling:
         var = {}
         for name, sampler in (("res", resample_residual),
                               ("boot", resample_bootstrap)):
-            counts = [np.bincount(sampler(ens, s), minlength=4)[0]
+            counts = [np.bincount(sampler(ens, as_rng(s)), minlength=4)[0]
                       for s in range(400)]
             var[name] = np.var(counts)
         assert var["res"] < var["boot"]
